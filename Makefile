@@ -7,15 +7,16 @@
 # smoke, the telemetry smokes (trace, explain, Prometheus golden, bench
 # snapshot), the out-of-core spill smoke, the adaptive-planner tune smoke
 # (online batch calibration vs the static heuristic), the mozartd
-# serve smoke (boot, shed, SIGTERM drain), and the observability smoke
+# serve smoke (boot, shed, SIGTERM drain), the observability smoke
 # (traceparent echo, span trees, OpenMetrics exemplars, burn rates,
-# trace-keyed flight lookup).
+# trace-keyed flight lookup), and the measured benchmark's own test plus a
+# quick pass of its harness.
 
 GO ?= go
 
-.PHONY: ci vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-snapshot bench serve-smoke slo-smoke spill-smoke tune-smoke soak
+.PHONY: ci vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-quick bench-snapshot bench serve-smoke slo-smoke spill-smoke tune-smoke soak
 
-ci: vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke tune-smoke serve-smoke slo-smoke
+ci: vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke tune-smoke serve-smoke slo-smoke bench-quick
 
 vet:
 	$(GO) vet ./...
@@ -47,7 +48,7 @@ race:
 # the tracing/SLO surfaces (concurrent span recording, exemplar stamping,
 # burn-rate windows) exercised by the serve tests.
 flaky:
-	$(GO) test -race -count=2 ./internal/core ./internal/faultinject ./internal/serve ./internal/spill ./internal/annotations/imagesa ./internal/tune ./internal/obs ./internal/obs/httpdebug
+	$(GO) test -race -count=2 ./internal/core ./internal/faultinject ./internal/serve ./internal/spill ./internal/annotations/imagesa ./internal/annotations/framesa ./internal/annotations/checksuite ./internal/tune ./internal/obs ./internal/obs/httpdebug
 
 # Zero-copy hot-path gate: the AllocsPerRun == 0 assertions on the warm
 # view-split loops, the pointer-identity alias and stitch checks, the
@@ -126,6 +127,14 @@ spill-smoke:
 # written and schema-validated (the experiment exits non-zero otherwise).
 bench-smoke:
 	$(GO) run ./cmd/sabench -experiment bench -benchdir "$$(mktemp -d)"
+
+# The measured wall-clock benchmark (BENCHMARK.json, benchmark/): its own
+# module, so tier-1 never compiles it. Run its test, then every workload at
+# tiny sizes through the harness with the bit-exact oracle on (measures
+# nothing; a full run is `bash benchmark/run.sh`).
+bench-quick:
+	cd benchmark && $(GO) test .
+	bash benchmark/run.sh -quick
 
 # Emit (and regression-compare) a real BENCH_<git-sha>.json snapshot in the
 # repo root; commit it to extend the performance trajectory.

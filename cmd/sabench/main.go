@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -28,33 +29,57 @@ import (
 
 var threadSweep = []int{1, 2, 4, 8, 16}
 
+// experiment is one named figure, table or smoke run.
+type experiment struct {
+	name string
+	run  func(scaleDiv int)
+}
+
+// experiments lists every experiment in the order `-experiment all` runs them.
+var experiments = []experiment{
+	{"fig1", fig1}, {"fig4", fig4}, {"fig5", fig5}, {"fig6", fig6}, {"fig7", fig7},
+	{"table2", table2}, {"table3", table3}, {"table4", table4},
+	{"wall", wall}, {"faults", faults}, {"trace", trace}, {"explain", explain},
+	{"bench", bench}, {"serveload", serveload}, {"spill", spillSmoke}, {"autotune", autotune},
+}
+
+// experimentNames renders the valid -experiment values, "all" last.
+func experimentNames() string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
+// selectExperiments resolves an -experiment value. An unknown name is an
+// error, so a misspelled CI smoke fails instead of printing nothing.
+func selectExperiments(name string) ([]experiment, error) {
+	if name == "all" {
+		return experiments, nil
+	}
+	for _, e := range experiments {
+		if e.name == name {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q; valid: %s", name, experimentNames())
+}
+
 func main() {
-	exp := flag.String("experiment", "all", "fig1|fig4|fig5|fig6|fig7|table2|table3|table4|wall|faults|trace|explain|bench|serveload|spill|autotune|all")
+	exp := flag.String("experiment", "all", experimentNames())
 	scaleDiv := flag.Int("scalediv", 1, "divide default workload scales by this factor (wall-clock experiments)")
 	flag.Parse()
 
-	run := func(name string, f func(int)) {
-		if *exp == name || *exp == "all" {
-			f(*scaleDiv)
-			fmt.Println()
-		}
+	selected, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sabench:", err)
+		os.Exit(2)
 	}
-	run("fig1", fig1)
-	run("fig4", fig4)
-	run("fig5", fig5)
-	run("fig6", fig6)
-	run("fig7", fig7)
-	run("table2", table2)
-	run("table3", table3)
-	run("table4", table4)
-	run("wall", wall)
-	run("faults", faults)
-	run("trace", trace)
-	run("explain", explain)
-	run("bench", bench)
-	run("serveload", serveload)
-	run("spill", spillSmoke)
-	run("autotune", autotune)
+	for _, e := range selected {
+		e.run(*scaleDiv)
+		fmt.Println()
+	}
 }
 
 func tw() *tabwriter.Writer {

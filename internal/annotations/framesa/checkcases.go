@@ -10,8 +10,9 @@ import (
 )
 
 // CheckCases exposes representative annotation/function pairs — binary,
-// unary, and scalar series shapes, including null handling — for the
-// repository-wide soundness suite in internal/annotations/checksuite.
+// unary, and scalar series shapes, including null handling, and two frame
+// shapes — for the repository-wide soundness suite in
+// internal/annotations/checksuite.
 func CheckCases() []checksuite.Case {
 	series := func(name string, n int, seed int64) *frame.Series {
 		rng := rand.New(rand.NewSource(seed))
@@ -30,10 +31,18 @@ func CheckCases() []checksuite.Case {
 	}
 	genUnary := func(seed int64) []any { return []any{series("a", 173, seed)} }
 	genScalar := func(seed int64) []any { return []any{series("a", 147, seed), 3.5} }
-	eq := func(got, want any) bool {
-		g, ok1 := got.(*frame.Series)
-		w, ok2 := want.(*frame.Series)
-		if !ok1 || !ok2 || g.Dtype != w.Dtype || g.Len() != w.Len() {
+	// Frame shapes: a column read out of a frame (Series pieces under
+	// DfSplit) and a frame-returning call (DataFrame pieces); the "plain"
+	// column carries no null mask.
+	df := func(n int, seed int64) *frame.DataFrame {
+		plain := series("plain", n, seed+2)
+		plain.Valid = nil
+		return frame.NewDataFrame(series("x", n, seed), series("y", n, seed+1), plain)
+	}
+	genCol := func(seed int64) []any { return []any{df(131, seed), "y"} }
+	genWithCol := func(seed int64) []any { return []any{df(157, seed), series("z", 157, seed+3)} }
+	seriesEq := func(g, w *frame.Series) bool {
+		if g == nil || w == nil || g.Name != w.Name || g.Dtype != w.Dtype || g.Len() != w.Len() {
 			return false
 		}
 		for i := 0; i < g.Len(); i++ {
@@ -64,6 +73,23 @@ func CheckCases() []checksuite.Case {
 		}
 		return true
 	}
+	eq := func(got, want any) bool {
+		if g, ok := got.(*frame.DataFrame); ok {
+			w, ok := want.(*frame.DataFrame)
+			if !ok || len(g.Cols) != len(w.Cols) {
+				return false
+			}
+			for i := range g.Cols {
+				if !seriesEq(g.Cols[i], w.Cols[i]) {
+					return false
+				}
+			}
+			return true
+		}
+		g, _ := got.(*frame.Series)
+		w, _ := want.(*frame.Series)
+		return seriesEq(g, w)
+	}
 	cfg := core.CheckConfig{Trials: 6, MaxBatch: 64}
 	return []checksuite.Case{
 		{Name: "sr.add", CheckSpec: core.CheckSpec{Fn: addFn, Annotation: addSA, Gen: genBinary, Eq: eq, Config: cfg}},
@@ -71,5 +97,7 @@ func CheckCases() []checksuite.Case {
 		{Name: "sr.isnull", CheckSpec: core.CheckSpec{Fn: isNullFn, Annotation: isNullSA, Gen: genUnary, Eq: eq, Config: cfg}},
 		{Name: "sr.gt", CheckSpec: core.CheckSpec{Fn: gtFn, Annotation: gtSA, Gen: genScalar, Eq: eq, Config: cfg}},
 		{Name: "sr.fillna", CheckSpec: core.CheckSpec{Fn: fillNaFn, Annotation: fillNaSA, Gen: genScalar, Eq: eq, Config: cfg}},
+		{Name: "df.col", CheckSpec: core.CheckSpec{Fn: colFn, Annotation: colSA, Gen: genCol, Eq: eq, Config: cfg}},
+		{Name: "df.withColumn", CheckSpec: core.CheckSpec{Fn: withColFn, Annotation: withColSA, Gen: genWithCol, Eq: eq, Config: cfg}},
 	}
 }

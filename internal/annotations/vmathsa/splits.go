@@ -81,6 +81,31 @@ func (ArraySplitter) Merge(pieces []any, t core.SplitType) (any, error) {
 	return out, nil
 }
 
+// AllocMerged returns a zeroed slice of total elements (core.PlaceSplitter):
+// the destination the runtime fills in parallel instead of running the copy
+// branch of Merge.
+func (ArraySplitter) AllocMerged(exemplar any, t core.SplitType, total int64) (any, error) {
+	if _, ok := exemplar.([]float64); !ok {
+		return nil, fmt.Errorf("vmathsa: ArraySplit piece is %T", exemplar)
+	}
+	return make([]float64, total), nil
+}
+
+// Place copies piece into dst[start:end], refusing a piece of any other
+// length.
+func (ArraySplitter) Place(dst, piece any, t core.SplitType, start, end int64) error {
+	d, okD := dst.([]float64)
+	p, okP := piece.([]float64)
+	if !okD || !okP {
+		return fmt.Errorf("vmathsa: cannot place %T into %T", piece, dst)
+	}
+	if start < 0 || end < start || end > int64(len(d)) || int64(len(p)) != end-start {
+		return fmt.Errorf("vmathsa: piece of %d elements does not fit [%d,%d) of %d", len(p), start, end, len(d))
+	}
+	copy(d[start:end], p)
+	return nil
+}
+
 // stitchFloats reslices in-order contiguous views of a single backing array
 // back into one slice. It reports false when any adjacent pair is not
 // physically adjacent (&ext[len(a)] == &b[0] is the adjacency probe — legal
@@ -260,6 +285,31 @@ func (MatrixSplitter) Merge(pieces []any, t core.SplitType) (any, error) {
 		out.Data = append(out.Data, p.(*vmath.Matrix).Data...)
 	}
 	return out, nil
+}
+
+// AllocMerged returns a zeroed matrix of total rows with the exemplar band's
+// column count (core.PlaceSplitter).
+func (MatrixSplitter) AllocMerged(exemplar any, t core.SplitType, total int64) (any, error) {
+	m, ok := exemplar.(*vmath.Matrix)
+	if !ok || m == nil {
+		return nil, fmt.Errorf("vmathsa: MatrixSplit piece is %T", exemplar)
+	}
+	return vmath.NewMatrix(int(total), m.Cols), nil
+}
+
+// Place copies the row band piece into rows [start, end) of dst, refusing a
+// band of any other height or width.
+func (MatrixSplitter) Place(dst, piece any, t core.SplitType, start, end int64) error {
+	d, okD := dst.(*vmath.Matrix)
+	p, okP := piece.(*vmath.Matrix)
+	if !okD || !okP || d == nil || p == nil {
+		return fmt.Errorf("vmathsa: cannot place %T into %T", piece, dst)
+	}
+	if start < 0 || end < start || end > int64(d.Rows) || int64(p.Rows) != end-start || p.Cols != d.Cols || len(p.Data) != p.Rows*p.Cols {
+		return fmt.Errorf("vmathsa: %dx%d band does not fit rows [%d,%d) of a %dx%d matrix", p.Rows, p.Cols, start, end, d.Rows, d.Cols)
+	}
+	copy(d.Data[int(start)*d.Cols:int(end)*d.Cols], p.Data)
+	return nil
 }
 
 // stitchMatrices reslices in-order contiguous row-band views of one backing

@@ -27,18 +27,23 @@ const (
 	// CapCodec: the splitter can encode/decode pieces to byte frames for
 	// spilling (PieceCodec).
 	CapCodec
+	// CapPlace: the splitter can allocate a full-size merged value up front
+	// and copy each batch's piece into its element range (PlaceSplitter), so
+	// workers assemble an output in parallel instead of collecting pieces
+	// for Merge.
+	CapPlace
 )
 
 // Has reports whether every bit in want is set.
 func (c SplitterCaps) Has(want SplitterCaps) bool { return c&want == want }
 
-// String renders the set bits as "inplace|view|window|codec" (empty string
+// String renders the set bits as "inplace|view|window|codec|place" (empty string
 // for the zero set). The rendering is stable; Explain output embeds it.
 func (c SplitterCaps) String() string {
 	if c == 0 {
 		return ""
 	}
-	var parts []string
+	parts := make([]string, 0, 5) // one slot per capability: stays on the stack
 	if c.Has(CapInPlace) {
 		parts = append(parts, "inplace")
 	}
@@ -50,6 +55,9 @@ func (c SplitterCaps) String() string {
 	}
 	if c.Has(CapCodec) {
 		parts = append(parts, "codec")
+	}
+	if c.Has(CapPlace) {
+		parts = append(parts, "place")
 	}
 	return strings.Join(parts, "|")
 }
@@ -68,6 +76,22 @@ type ViewSplitter interface {
 	SplitView(v any, t SplitType, start, end int64, reuse any) (any, error)
 }
 
+// PlaceSplitter is the placed-output capability (CapPlace) for split types
+// whose piece over [start, end) holds exactly end-start elements of the
+// merged value. AllocMerged returns an empty merged value of total elements,
+// shaped like exemplar (any one piece); Place copies piece into dst's
+// [start, end) and must refuse a piece of any other length. The runtime
+// calls AllocMerged once per output and Place once per batch, concurrently
+// from several workers over disjoint ranges, then uses dst as the output:
+// once every range is placed dst must equal Merge of the same pieces
+// (optional parts such as null masks present iff some piece carried one),
+// and it must not alias any piece.
+type PlaceSplitter interface {
+	Splitter
+	AllocMerged(exemplar any, t SplitType, total int64) (dst any, err error)
+	Place(dst, piece any, t SplitType, start, end int64) error
+}
+
 // CapsDeclarer lets a splitter declare its capability set explicitly,
 // overriding interface-based derivation. Wrappers (e.g. faultinject's
 // splitter shim) must satisfy every optional interface statically to be
@@ -82,7 +106,7 @@ type CapsDeclarer interface {
 // CapabilitiesOf probes a splitter's capability set. Splitters that
 // implement CapsDeclarer are taken at their word; for everyone else the
 // set derives from the optional interfaces (InPlacer, ViewSplitter,
-// SplitterAt, PieceCodec). This is the single discovery point: runtime
+// SplitterAt, PieceCodec, PlaceSplitter). This is the single discovery point: runtime
 // code gates on the returned bits and only then asserts the concrete
 // interface to invoke it.
 func CapabilitiesOf(s Splitter) SplitterCaps {
@@ -104,6 +128,9 @@ func CapabilitiesOf(s Splitter) SplitterCaps {
 	}
 	if _, ok := s.(PieceCodec); ok {
 		c |= CapCodec
+	}
+	if _, ok := s.(PlaceSplitter); ok {
+		c |= CapPlace
 	}
 	return c
 }

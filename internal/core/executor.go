@@ -181,6 +181,16 @@ func (s *Session) safeMerge(sp Splitter, pieces []any, t SplitType) (v any, err 
 	return sp.Merge(pieces, t)
 }
 
+func (s *Session) safeAllocMerged(sp PlaceSplitter, exemplar any, t SplitType, total int64) (dst any, err error) {
+	defer s.recoverPanic(&err)
+	return sp.AllocMerged(exemplar, t, total)
+}
+
+func (s *Session) safePlace(sp PlaceSplitter, dst, piece any, t SplitType, start, end int64) (err error) {
+	defer s.recoverPanic(&err)
+	return sp.Place(dst, piece, t, start, end)
+}
+
 // ---- split execution ------------------------------------------------------
 
 // resolvedInput is a stage input with its splitter pinned down (deferred
@@ -207,6 +217,12 @@ type stageExec struct {
 	// state the previous evaluation's piece is still the right view and
 	// comes back unboxed — zero allocations.
 	viewers []ViewSplitter
+
+	// placed[i] is st.outputs[i]'s destination when the output is delivered
+	// by placement (nil entry, or nil table, otherwise). The streaming
+	// executor never sets it: a full-size destination would defeat its
+	// memory budget.
+	placed []*placedOutput
 
 	// Per-stage observability detail, computed once so the per-batch hot
 	// loop emits events without building strings or re-deriving sizes.
@@ -257,6 +273,49 @@ func resolveViewers(inputs []resolvedInput) []ViewSplitter {
 		viewers[i] = vs
 	}
 	return viewers
+}
+
+// placedOutput is the destination of one stage output assembled by
+// placement: whichever batch finishes first allocates the full-size value
+// (once), and every batch copies its piece into its own element range.
+type placedOutput struct {
+	sp    PlaceSplitter
+	total int64
+	once  sync.Once
+	dst   any
+	err   error
+}
+
+// resolvePlaced builds the placement table for a stage of total elements:
+// an output qualifies when its split type is concrete and known at plan time
+// (not deferred, not unknown) and its splitter declares CapPlace, which is
+// the annotator's promise that pieces are length-preserving. Reductions,
+// GroupSplit and filter-style outputs keep Merge.
+func resolvePlaced(outputs []stageOutput, total int64) []*placedOutput {
+	var placed []*placedOutput
+	for i, o := range outputs {
+		if o.r.deferred || o.r.t.IsUnknown() || !CapabilitiesOf(o.r.splitter).Has(CapPlace) {
+			continue
+		}
+		ps, ok := o.r.splitter.(PlaceSplitter)
+		if !ok {
+			continue // declared but not callable: stay on the Merge path
+		}
+		if placed == nil {
+			placed = make([]*placedOutput, len(outputs))
+		}
+		placed[i] = &placedOutput{sp: ps, total: total}
+	}
+	return placed
+}
+
+// placedAt returns output i's placement destination, nil when the output is
+// collected and merged.
+func (ex *stageExec) placedAt(i int) *placedOutput {
+	if ex.placed == nil {
+		return nil
+	}
+	return ex.placed[i]
 }
 
 func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *planStage) error {
@@ -367,7 +426,8 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 	}
 	ex := &stageExec{
 		st: st, inputs: inputs, viewers: resolveViewers(inputs),
-		si: si, calls: stageCalls(st), split: split, elemBytes: sumElemBytes,
+		placed: resolvePlaced(st.outputs, total),
+		si:     si, calls: stageCalls(st), split: split, elemBytes: sumElemBytes,
 	}
 	if s.opts.RetryPolicy.enabled() {
 		ex.mutInPlace = mutInPlaceInputs(st, inputs)
@@ -424,36 +484,24 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 	}
 
 	// Final merge on the main thread (§5.2 Step 3), then write back.
-	t0 := time.Now()
-	for oi, out := range st.outputs {
-		nPieces := 0
+	err = s.mergeOutputs(ex, func(id int) []any {
+		n := 0
 		for _, r := range results {
-			nPieces += len(r.partials[out.b.id])
+			n += len(r.partials[id])
 		}
-		pieces := s.pools.getAnys(nPieces)
-		pieces = pieces[:0]
+		pieces := s.pools.getAnys(n)[:0]
 		for _, r := range results {
-			pieces = append(pieces, r.partials[out.b.id]...)
+			pieces = append(pieces, r.partials[id]...)
 		}
-		merged, err := s.mergePieces(out.r, pieces)
-		s.pools.putAnys(pieces[:cap(pieces)])
-		if err != nil {
-			return s.stageErr(st, OriginMerge, fmt.Errorf("merge output %d: %w", oi, err))
-		}
-		out.b.val = merged
-		out.b.hasVal = true
-		out.b.ready = true
-		out.b.discarded = false
+		return pieces
+	})
+	if err != nil {
+		return err
 	}
-	s.stats.add(&s.stats.MergeNS, time.Since(t0))
-	s.emitMerge(ex, obs.RuntimeLane, t0)
 	for i := range results {
 		s.pools.putRaw(results[i].partials)
 	}
 	s.pools.putOuts(results)
-
-	// In-place mutated bindings are already up to date; mark them ready.
-	s.finishStageBindings(st)
 	return nil
 }
 
@@ -469,11 +517,11 @@ func (s *Session) workerLoop(ctx context.Context, ex *stageExec, body func()) {
 	pprof.Do(ctx, labels, func(context.Context) { body() })
 }
 
-// emitMerge reports a merge span (per-worker pre-merge or the final merge on
-// the runtime lane) started at t0.
-func (s *Session) emitMerge(ex *stageExec, worker int, t0 time.Time) {
+// emitMerge reports a merge span of duration d ending now: a worker's
+// placements plus pre-merge, or the final merge on the runtime lane.
+func (s *Session) emitMerge(ex *stageExec, worker int, d time.Duration) {
 	if tr := s.opts.Tracer; tr != nil {
-		tr.Emit(obs.Event{Kind: obs.EvMerge, Time: time.Now(), Dur: time.Since(t0),
+		tr.Emit(obs.Event{Kind: obs.EvMerge, Time: time.Now(), Dur: d,
 			Stage: ex.si, Worker: worker, Calls: ex.calls, Split: ex.split})
 	}
 }
@@ -523,6 +571,80 @@ func (s *Session) mergePieces(r resolved, pieces []any) (any, error) {
 	return s.safeMerge(sp, pieces, r.t)
 }
 
+// deliver is the one place a finished batch's output pieces leave the batch
+// loop, for the static and the dynamic scheduler alike. A placed output's
+// piece is copied into its final destination at [start, end) right away,
+// while it is still cache-hot, and is garbage afterwards; every other piece
+// goes to the scheduler's collect for the merge at stage exit. It returns
+// the time spent placing, which the caller accounts as its merge time.
+func (s *Session) deliver(ex *stageExec, out map[int]any, start, end int64, collect func(id int, piece any)) (time.Duration, error) {
+	var t0 time.Time
+	n := 0
+	for oi, o := range ex.st.outputs {
+		piece, ok := out[o.b.id]
+		if !ok {
+			continue
+		}
+		pl := ex.placedAt(oi)
+		if pl == nil {
+			collect(o.b.id, piece)
+			continue
+		}
+		if n == 0 {
+			t0 = time.Now()
+		}
+		n++
+		pl.once.Do(func() { pl.dst, pl.err = s.safeAllocMerged(pl.sp, piece, o.r.t, pl.total) })
+		err := pl.err
+		if err == nil {
+			err = s.safePlace(pl.sp, pl.dst, piece, o.r.t, start, end)
+		}
+		if err != nil {
+			se := s.stageErr(ex.st, OriginMerge, fmt.Errorf("place output %d: %w", oi, err))
+			se.Start, se.End = start, end
+			return 0, se
+		}
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	s.stats.add(&s.stats.PlacedPieces, time.Duration(n))
+	return time.Since(t0), nil
+}
+
+// mergeOutputs is stage exit on the coordinating thread (§5.2 Step 3),
+// shared by both schedulers: a placed output is already whole in its
+// destination and is handed off by pointer; every other output (and a
+// placed one no batch ran for) merges the pieces gather returns for it, in
+// element order, from a pooled slice.
+func (s *Session) mergeOutputs(ex *stageExec, gather func(id int) []any) error {
+	t0 := time.Now()
+	for oi, out := range ex.st.outputs {
+		var merged any
+		if pl := ex.placedAt(oi); pl != nil && pl.dst != nil {
+			merged = pl.dst
+		} else {
+			pieces := gather(out.b.id)
+			var err error
+			merged, err = s.mergePieces(out.r, pieces)
+			s.pools.putAnys(pieces[:cap(pieces)])
+			if err != nil {
+				return s.stageErr(ex.st, OriginMerge, fmt.Errorf("merge output %d: %w", oi, err))
+			}
+		}
+		out.b.val = merged
+		out.b.hasVal = true
+		out.b.ready = true
+		out.b.discarded = false
+	}
+	d := time.Since(t0)
+	s.stats.add(&s.stats.MergeNS, d)
+	s.emitMerge(ex, obs.RuntimeLane, d)
+	// In-place mutated bindings are already up to date; mark them ready.
+	s.finishStageBindings(ex.st)
+	return nil
+}
+
 // finishStageBindings marks every binding written by the stage as ready.
 func (s *Session) finishStageBindings(st *planStage) {
 	for _, c := range st.calls {
@@ -542,9 +664,11 @@ func (s *Session) finishStageBindings(st *planStage) {
 func (s *Session) executeDynamic(ctx context.Context, ex *stageExec, total, batch int64, workers int) error {
 	st := ex.st
 	nBatches := (total + batch - 1) / batch
-	pieces := map[int][]any{} // output binding id -> piece per batch index
-	for _, o := range st.outputs {
-		pieces[o.b.id] = s.pools.getAnys(int(nBatches))
+	pieces := map[int][]any{} // collected output binding id -> piece per batch index
+	for oi, o := range st.outputs {
+		if ex.placedAt(oi) == nil {
+			pieces[o.b.id] = s.pools.getAnys(int(nBatches))
+		}
 	}
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -559,12 +683,16 @@ func (s *Session) executeDynamic(ctx context.Context, ex *stageExec, total, batc
 			s.workerLoop(wctx, ex, func() {
 				sc := s.pools.getScratch()
 				defer s.pools.putScratch(sc)
+				var idx int64
+				collect := func(id int, piece any) { pieces[id][idx] = piece }
+				var placeDur time.Duration
+				defer func() { s.noteWorkerMerge(ex, w, placeDur) }()
 				for {
 					if err := wctx.Err(); err != nil {
 						errs[w] = err
 						return
 					}
-					idx := next.Add(1) - 1
+					idx = next.Add(1) - 1
 					if idx >= nBatches {
 						return
 					}
@@ -574,14 +702,16 @@ func (s *Session) executeDynamic(ctx context.Context, ex *stageExec, total, batc
 						end = total
 					}
 					out, err := s.runBatchResilient(wctx, ex, sc, w, start, end)
+					var d time.Duration
+					if err == nil {
+						d, err = s.deliver(ex, out, start, end, collect)
+					}
 					if err != nil {
 						errs[w] = err
 						cancel()
 						return
 					}
-					for id, piece := range out {
-						pieces[id][idx] = piece
-					}
+					placeDur += d
 				}
 			})
 		})
@@ -591,31 +721,29 @@ func (s *Session) executeDynamic(ctx context.Context, ex *stageExec, total, batc
 		return err
 	}
 
-	t0 := time.Now()
-	for oi, out := range st.outputs {
-		all := pieces[out.b.id]
-		ps := s.pools.getAnys(len(all))
-		ps = ps[:0]
+	return s.mergeOutputs(ex, func(id int) []any {
+		all := pieces[id]
+		ps := s.pools.getAnys(len(all))[:0]
 		for _, p := range all {
 			if p != nil {
 				ps = append(ps, p)
 			}
 		}
-		merged, err := s.mergePieces(out.r, ps)
-		s.pools.putAnys(ps[:cap(ps)])
-		s.pools.putAnys(all)
-		if err != nil {
-			return s.stageErr(st, OriginMerge, fmt.Errorf("merge output %d: %w", oi, err))
+		if all != nil {
+			s.pools.putAnys(all)
 		}
-		out.b.val = merged
-		out.b.hasVal = true
-		out.b.ready = true
-		out.b.discarded = false
+		return ps
+	})
+}
+
+// noteWorkerMerge accounts a worker's merge-side time for a stage — its
+// placements plus any pre-merge — as merge time and one merge span on the
+// worker's lane, however many batches it ran.
+func (s *Session) noteWorkerMerge(ex *stageExec, w int, d time.Duration) {
+	if d > 0 {
+		s.stats.add(&s.stats.MergeNS, d)
+		s.emitMerge(ex, w, d)
 	}
-	s.stats.add(&s.stats.MergeNS, time.Since(t0))
-	s.emitMerge(ex, obs.RuntimeLane, t0)
-	s.finishStageBindings(st)
-	return nil
 }
 
 // runBatch splits inputs for [start, end), pipelines the batch through the
@@ -731,19 +859,22 @@ type workerOut struct {
 }
 
 // runWorker is the per-worker driver loop (§5.2 Step 2): for each batch in
-// the worker's element range, run the batch through the stage and stash
-// pieces of stage outputs; at the end the worker pre-merges its own partial
-// lists. The worker checks the stage context between batches and aborts
+// the worker's element range, run the batch through the stage and deliver
+// its output pieces; at the end the worker pre-merges the pieces it
+// collected. The worker checks the stage context between batches and aborts
 // promptly once a sibling has failed or the stage deadline passed.
 func (s *Session) runWorker(ctx context.Context, ex *stageExec, w int, lo, hi, batch int64) workerOut {
 	st := ex.st
 	sc := s.pools.getScratch()
 	defer s.pools.putScratch(sc)
-	raw := s.pools.getRaw() // output binding id -> pieces
+	raw := s.pools.getRaw() // collected output binding id -> pieces
+	defer s.pools.putRaw(raw)
+	collect := func(id int, piece any) { raw[id] = append(raw[id], piece) }
+	var mergeDur time.Duration
+	defer func() { s.noteWorkerMerge(ex, w, mergeDur) }()
 
 	for start := lo; start < hi; start += batch {
 		if err := ctx.Err(); err != nil {
-			s.pools.putRaw(raw)
 			return workerOut{err: err}
 		}
 		end := start + batch
@@ -752,17 +883,19 @@ func (s *Session) runWorker(ctx context.Context, ex *stageExec, w int, lo, hi, b
 		}
 		out, err := s.runBatchResilient(ctx, ex, sc, w, start, end)
 		if err != nil {
-			s.pools.putRaw(raw)
 			return workerOut{err: err}
 		}
-		for id, piece := range out {
-			raw[id] = append(raw[id], piece)
+		d, err := s.deliver(ex, out, start, end, collect)
+		if err != nil {
+			return workerOut{err: err}
 		}
+		mergeDur += d
 	}
 
-	// Per-worker pre-merge (§5.2 Step 3) keeps the main-thread merge cheap
-	// and is valid because Merge is associative. The partials map (and its
-	// piece slices) go back to the pool after the main-thread final merge.
+	// Per-worker pre-merge (§5.2 Step 3) of the collected outputs keeps the
+	// main-thread merge cheap and is valid because Merge is associative. The
+	// partials map (and its piece slices) go back to the pool after the
+	// main-thread final merge.
 	partials := s.pools.getRaw()
 	t2 := time.Now()
 	merges := 0
@@ -773,17 +906,14 @@ func (s *Session) runWorker(ctx context.Context, ex *stageExec, w int, lo, hi, b
 		}
 		merged, err := s.mergePieces(o.r, pieces)
 		if err != nil {
-			s.pools.putRaw(raw)
 			s.pools.putRaw(partials)
 			return workerOut{err: s.stageErr(st, OriginMerge, fmt.Errorf("worker merge: %w", err))}
 		}
 		partials[o.b.id] = append(partials[o.b.id], merged)
 		merges++
 	}
-	s.pools.putRaw(raw)
-	s.stats.add(&s.stats.MergeNS, time.Since(t2))
 	if merges > 0 {
-		s.emitMerge(ex, w, t2)
+		mergeDur += time.Since(t2)
 	}
 	return workerOut{partials: partials}
 }

@@ -116,12 +116,23 @@ func TestSteadyStateZeroSpawns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warmup: spawns the pool's resident workers
-	waitParked(t, s.opts.WorkerPool, workers)
-	warm := s.Stats().WorkerSpawns
-	if warm == 0 {
+	pool := s.opts.WorkerPool
+	run() // warmup: spawns pool workers — how many depends on the core count
+	if s.Stats().WorkerSpawns == 0 {
 		t.Fatal("warmup evaluation should have spawned pool workers")
 	}
+	// On few cores a worker that finishes early parks and is reused before
+	// the warmup's last task is dispatched, so the pool may sit below its
+	// cap. Bring it to the cap by holding one task per worker open at once;
+	// from then on every stage finds all its workers parked.
+	waitParked(t, pool, int(pool.Spawns()))
+	release := make(chan struct{})
+	for i := 0; i < workers; i++ {
+		pool.Run(func() { <-release })
+	}
+	close(release)
+	waitParked(t, pool, workers)
+	warm := s.Stats().WorkerSpawns
 	for i := 0; i < 5; i++ {
 		run()
 		waitParked(t, s.opts.WorkerPool, workers)

@@ -115,6 +115,18 @@ func lookupDefaultSplit(v any) (defaultSplit, bool) {
 	return d, ok
 }
 
+// DefaultSplitFor resolves the registered default splitter and split type
+// for v, the resolution a generic parameter gets at plan time; annotation
+// test suites use it to reach the splitter behind a generic.
+func DefaultSplitFor(v any) (Splitter, SplitType, error) {
+	d, ok := lookupDefaultSplit(v)
+	if !ok {
+		return nil, SplitType{}, fmt.Errorf("mozart: no default split type registered for %T", v)
+	}
+	t, err := d.ctor(v)
+	return d.splitter, t, err
+}
+
 // CheckSameElems verifies that all infos agree on the element count, the
 // §3.4 requirement that all split functions produce the same number of
 // splits for a given function.

@@ -45,6 +45,7 @@ type StatsSnapshot struct {
 	WorkerSpawns int64 // goroutines created for stage work (pool misses + overflow)
 	PoolTasks    int64 // stage-worker tasks dispatched onto the worker pool
 	ViewSplits   int64 // input splits served by SplitView (aliasing, reuse-slotted)
+	PlacedPieces int64 // output pieces copied straight into their merged destination (PlaceSplitter)
 }
 
 // Total returns the sum of all phase times.
@@ -139,5 +140,6 @@ func (s *stats) Snapshot() StatsSnapshot {
 		WorkerSpawns: atomic.LoadInt64(&s.WorkerSpawns),
 		PoolTasks:    atomic.LoadInt64(&s.PoolTasks),
 		ViewSplits:   atomic.LoadInt64(&s.ViewSplits),
+		PlacedPieces: atomic.LoadInt64(&s.PlacedPieces),
 	}
 }

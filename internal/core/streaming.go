@@ -238,7 +238,7 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 		}
 		s.stats.add(&s.stats.MergeNS, time.Since(t1))
 		if merges > 0 {
-			s.emitMerge(ex, obs.RuntimeLane, t1)
+			s.emitMerge(ex, obs.RuntimeLane, time.Since(t1))
 		}
 		return nil
 	}

@@ -322,9 +322,10 @@ type faultSplitter struct {
 // SplitterCaps forwards the wrapped splitter's capability set. The wrapper
 // implements every optional interface, so without this declaration
 // core.CapabilitiesOf would report capabilities the underlying splitter
-// lacks.
+// lacks. CapPlace is withheld: merge-aspect faults intercept Merge, so a
+// wrapped splitter's outputs stay on the Merge path.
 func (fs *faultSplitter) SplitterCaps() core.SplitterCaps {
-	return core.CapabilitiesOf(fs.sp)
+	return core.CapabilitiesOf(fs.sp) &^ core.CapPlace
 }
 
 func (fs *faultSplitter) InPlace() bool {

@@ -121,8 +121,11 @@ func ConcatDF(parts ...*DataFrame) *DataFrame {
 	}
 	first := parts[0]
 	out := &DataFrame{}
+	if n := len(first.Cols); n > 0 {
+		out.Cols = make([]*Series, 0, n)
+	}
+	cols := make([]*Series, len(parts)) // one column's parts; reused per column
 	for ci, c := range first.Cols {
-		cols := make([]*Series, len(parts))
 		for pi, p := range parts {
 			if p.NCols() != first.NCols() || p.Cols[ci].Name != c.Name {
 				panic("frame: ConcatDF schema mismatch")

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -381,5 +382,44 @@ func TestGather(t *testing.T) {
 	b := NewBool("b", []bool{true, false}).Gather([]int{1, 0})
 	if b.B[0] || !b.B[1] {
 		t.Fatal("Gather bool")
+	}
+}
+
+// ConcatSeries and ConcatDF size every result buffer once, exactly: the
+// merge path filters, joins and streaming folds take must not grow buffers
+// by append. One allocation per non-empty buffer, plus the headers.
+func TestConcatAllocatesExactly(t *testing.T) {
+	strs := NewString("s", []string{"a", "b", "c", "d", "e"})
+	masked := strs.Slice(3, 5)
+	masked.Valid = []bool{true, false}
+	parts := []*Series{strs.Slice(0, 1), strs.Slice(1, 3), masked}
+
+	got := ConcatSeries(parts...)
+	if len(got.S) != 5 || cap(got.S) != 5 || len(got.Valid) != 5 || cap(got.Valid) != 5 {
+		t.Fatalf("len/cap S %d/%d Valid %d/%d, want 5/5 5/5", len(got.S), cap(got.S), len(got.Valid), cap(got.Valid))
+	}
+	if got.F != nil || got.I != nil || got.B != nil {
+		t.Fatalf("unused dtype buffers must stay nil: %+v", got)
+	}
+	if want := []bool{true, true, true, true, false}; !reflect.DeepEqual(got.Valid, want) {
+		t.Fatalf("Valid = %v, want %v (mask-less parts fill all-valid)", got.Valid, want)
+	}
+	if plain := ConcatSeries(parts[:2]...); plain.Valid != nil || cap(plain.S) != 3 {
+		t.Fatalf("no part had a mask: Valid = %v, cap(S) = %d", plain.Valid, cap(plain.S))
+	}
+	// Series header + S + Valid.
+	if n := testing.AllocsPerRun(50, func() { ConcatSeries(parts...) }); n > 3 {
+		t.Fatalf("ConcatSeries allocated %v times, want <= 3", n)
+	}
+
+	df := NewDataFrame(NewFloat("x", []float64{1, 2, 3, 4}), NewInt("y", []int64{5, 6, 7, 8}))
+	dfs := []*DataFrame{df.Slice(0, 1), df.Slice(1, 4)}
+	back := ConcatDF(dfs...)
+	if cap(back.Cols) != 2 || cap(back.Cols[0].F) != 4 || cap(back.Cols[1].I) != 4 {
+		t.Fatalf("ConcatDF caps: cols %d x %d y %d", cap(back.Cols), cap(back.Cols[0].F), cap(back.Cols[1].I))
+	}
+	// Frame header + Cols + the parts scratch + per column (header + buffer).
+	if n := testing.AllocsPerRun(50, func() { ConcatDF(dfs...) }); n > 7 {
+		t.Fatalf("ConcatDF allocated %v times, want <= 7", n)
 	}
 }

@@ -137,19 +137,19 @@ func (s *Series) withValidCopy() []bool {
 		return append([]bool(nil), s.Valid...)
 	}
 	v := make([]bool, s.Len())
-	for i := range v {
-		v[i] = true
-	}
+	fillTrue(v)
 	return v
 }
 
-// ConcatSeries stacks series of the same name and dtype.
+// ConcatSeries stacks series of the same name and dtype. Every buffer of the
+// result is allocated once, at its exact final size.
 func ConcatSeries(parts ...*Series) *Series {
 	if len(parts) == 0 {
 		return &Series{}
 	}
 	out := &Series{Name: parts[0].Name, Dtype: parts[0].Dtype}
 	anyMask := false
+	var nF, nI, nS, nB, rows int
 	for _, p := range parts {
 		if p.Dtype != out.Dtype {
 			panic(fmt.Sprintf("frame: ConcatSeries dtype mismatch %v vs %v", p.Dtype, out.Dtype))
@@ -157,25 +157,46 @@ func ConcatSeries(parts ...*Series) *Series {
 		if p.Valid != nil {
 			anyMask = true
 		}
+		nF, nI, nS, nB = nF+len(p.F), nI+len(p.I), nS+len(p.S), nB+len(p.B)
+		rows += p.Len()
 	}
+	out.F, out.I, out.S, out.B = exactCap[float64](nF), exactCap[int64](nI), exactCap[string](nS), exactCap[bool](nB)
 	for _, p := range parts {
 		out.F = append(out.F, p.F...)
 		out.I = append(out.I, p.I...)
 		out.S = append(out.S, p.S...)
 		out.B = append(out.B, p.B...)
 	}
-	if anyMask {
+	if anyMask && rows > 0 {
+		out.Valid = make([]bool, rows)
+		at := 0
 		for _, p := range parts {
+			n := p.Len()
 			if p.Valid != nil {
-				out.Valid = append(out.Valid, p.Valid...)
+				copy(out.Valid[at:at+n], p.Valid)
 			} else {
-				for i := 0; i < p.Len(); i++ {
-					out.Valid = append(out.Valid, true)
-				}
+				fillTrue(out.Valid[at : at+n])
 			}
+			at += n
 		}
 	}
 	return out
+}
+
+// exactCap returns an empty buffer with room for exactly n elements, nil
+// when n is zero so unused dtype buffers stay nil.
+func exactCap[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
+// fillTrue marks every row of a mask range valid.
+func fillTrue(mask []bool) {
+	for i := range mask {
+		mask[i] = true
+	}
 }
 
 // Gather returns the rows of s selected by idx (out-of-range -1 produces a

@@ -90,11 +90,19 @@ const (
 	// CapCodec: the splitter encodes/decodes pieces to byte frames for
 	// spilling (PieceCodec).
 	CapCodec = core.CapCodec
+	// CapPlace: the splitter allocates the merged value up front and copies
+	// each batch's piece into its element range (PlaceSplitter).
+	CapPlace = core.CapPlace
 )
 
 // ViewSplitter is the zero-copy split capability: Split with an explicit
 // reuse slot, letting the runtime recycle piece views across batches.
 type ViewSplitter = core.ViewSplitter
+
+// PlaceSplitter is the placed-output capability: AllocMerged sizes the
+// merged value once and Place copies one batch's piece into it, so workers
+// assemble an output in parallel instead of collecting pieces for Merge.
+type PlaceSplitter = core.PlaceSplitter
 
 // CapsDeclarer lets wrapping splitters declare their capability set
 // explicitly, overriding interface-based derivation.
