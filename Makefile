@@ -14,6 +14,10 @@
 
 GO ?= go
 
+# The worker-pool tests of internal/core (pool-smoke, and flaky's
+# GOMAXPROCS sweep).
+POOL_TESTS = TestWorkerPool|TestSteadyState|TestSharedWorkerPool
+
 .PHONY: ci vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-quick bench-snapshot bench serve-smoke slo-smoke spill-smoke tune-smoke soak
 
 ci: vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke tune-smoke serve-smoke slo-smoke bench-quick
@@ -46,18 +50,24 @@ race:
 # is timing-sensitive by nature; run its suites twice under the race
 # detector to shake out order dependence. The obs packages ride along for
 # the tracing/SLO surfaces (concurrent span recording, exemplar stamping,
-# burn-rate windows) exercised by the serve tests.
+# burn-rate windows) exercised by the serve tests. The worker pool and the
+# fan-out onto it then run ten times at each of 1, 2 and 4 processors: what
+# they pin (who parks, who spawns, which goroutine runs worker 0) is
+# scheduling-dependent and must hold whatever the core count.
 flaky:
 	$(GO) test -race -count=2 ./internal/core ./internal/faultinject ./internal/serve ./internal/spill ./internal/annotations/imagesa ./internal/annotations/framesa ./internal/annotations/checksuite ./internal/tune ./internal/obs ./internal/obs/httpdebug
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -count=10 -run '$(POOL_TESTS)|TestFanOut|TestTracerWorkerZeroLane' ./internal/core || exit 1; done
 
 # Zero-copy hot-path gate: the AllocsPerRun == 0 assertions on the warm
 # view-split loops, the pointer-identity alias and stitch checks, the
 # pooled-buffer leak suite (poison mode) and steady-state zero-spawn proof,
-# and the aliasing recovery regressions (retry/fallback restoring storage
-# that pieces alias).
+# the allocation ceiling on a whole fresh-session evaluation (the fixed cost
+# tiny_pipeline measures), and the aliasing recovery regressions
+# (retry/fallback restoring storage that pieces alias).
 pool-smoke:
 	$(GO) test -count=1 -run 'ZeroAllocs|Stitch|MergeFallback|ViewSplitsCounted' ./internal/annotations/vmathsa
-	$(GO) test -count=1 -run 'TestWorkerPool|TestSteadyState|TestSharedWorkerPool|TestDisableWorkerPool|TestPoison' ./internal/core
+	$(GO) test -count=1 -run '$(POOL_TESTS)|TestPoison' ./internal/core
+	$(GO) test -count=1 -run 'TestRuntimeOverheadAllocCeiling' .
 	$(GO) test -count=1 -run 'TestRetryRestoresAliasedBands|TestFallbackRestoresAliasedBands|TestWriteBackAliasesValue|TestCopySplitterKeepsCopySemantics' ./internal/annotations/imagesa
 
 # mozartd's end-to-end smoke: boot on an ephemeral port, evaluate for a

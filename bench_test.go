@@ -139,26 +139,53 @@ func BenchmarkFig7Intensity(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimeOverhead isolates the client library + planner cost per
-// captured call (the Figure 5 "client"/"planner" slivers): a pipeline over
-// tiny arrays is dominated by Mozart bookkeeping.
-func BenchmarkRuntimeOverhead(b *testing.B) {
+// runtimeOverheadPipeline is one fresh-session evaluation of Add+Mul over
+// two tiny arrays on one worker: all Mozart bookkeeping, no kernel time.
+func runtimeOverheadPipeline(a, c []float64) error {
+	s := mozart.NewSession(mozart.Options{Workers: 1})
+	vmathsa.Add(s, len(a), a, c, a)
+	vmathsa.Mul(s, len(a), a, c, a)
+	return s.EvaluateContext(context.Background())
+}
+
+func runtimeOverheadInputs() (a, c []float64) {
 	const n = 64
-	a := make([]float64, n)
-	c := make([]float64, n)
+	a, c = make([]float64, n), make([]float64, n)
 	for i := range a {
 		a[i] = 1
 		c[i] = 2
 	}
+	return a, c
+}
+
+// BenchmarkRuntimeOverhead isolates the client library + planner cost per
+// captured call (the Figure 5 "client"/"planner" slivers): a pipeline over
+// tiny arrays is dominated by Mozart bookkeeping.
+func BenchmarkRuntimeOverhead(b *testing.B) {
+	a, c := runtimeOverheadInputs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := mozart.NewSession(mozart.Options{Workers: 1})
-		vmathsa.Add(s, n, a, c, a)
-		vmathsa.Mul(s, n, a, c, a)
-		if err := s.EvaluateContext(context.Background()); err != nil {
+		if err := runtimeOverheadPipeline(a, c); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestRuntimeOverheadAllocCeiling keeps the fixed cost of an evaluation from
+// creeping back: the RuntimeOverhead pipeline was 152 allocations when every
+// session built its own worker pool and rendered strings per event; it must
+// stay at or under 120 (make pool-smoke).
+func TestRuntimeOverheadAllocCeiling(t *testing.T) {
+	a, c := runtimeOverheadInputs()
+	n := testing.AllocsPerRun(200, func() {
+		if err := runtimeOverheadPipeline(a, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 120 {
+		t.Errorf("RuntimeOverhead pipeline: %v allocations per evaluation, ceiling is 120", n)
+	}
+	t.Logf("RuntimeOverhead pipeline: %v allocations per evaluation", n)
 }
 
 // BenchmarkWeldsimFusion measures the comparator's fused pass against an

@@ -315,14 +315,14 @@ func (s *Session) admitStage(ctx context.Context, si int, st *planStage, sumElem
 	}
 	if tr := s.opts.Tracer; tr != nil {
 		tr.Emit(obs.Event{Kind: obs.EvAdmission, Time: time.Now(), Dur: wait,
-			Stage: si, Worker: obs.RuntimeLane, Calls: stageCalls(st),
+			Stage: si, Worker: obs.RuntimeLane, Calls: st.pipeline,
 			Bytes: admitted, BatchElems: batch, Workers: workers})
 	}
 	level := PressureNormal
 	if batch < batch0 || workers < workers0 {
 		level = PressureConstrained
 	}
-	s.notePressure(g, si, stageCalls(st), level)
+	s.notePressure(g, si, st.pipeline, level)
 	return batch, workers, func() { g.release(admitted) }, nil
 }
 

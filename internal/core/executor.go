@@ -84,7 +84,7 @@ func (s *Session) executeStage(ctx context.Context, p *plan, si int, st *planSta
 	s.stats.add(&s.stats.FallbackStages, 1)
 	if tr != nil {
 		tr.Emit(obs.Event{Kind: obs.EvFallback, Time: time.Now(), Dur: time.Since(fbStart),
-			Stage: si, Worker: obs.RuntimeLane, Calls: stageCalls(st), Detail: err.Error()})
+			Stage: si, Worker: obs.RuntimeLane, Calls: st.pipeline, Detail: err.Error()})
 	}
 	if s.opts.FallbackPolicy == FallbackQuarantine {
 		s.quarantineStage(st, serr)
@@ -102,7 +102,7 @@ func (s *Session) emitStageEnd(tr obs.Tracer, si int, st *planStage, start time.
 		return
 	}
 	e := obs.Event{Kind: obs.EvStageEnd, Time: time.Now(), Dur: time.Since(start),
-		Stage: si, Worker: obs.RuntimeLane, Calls: stageCalls(st)}
+		Stage: si, Worker: obs.RuntimeLane, Calls: st.pipeline}
 	if err != nil {
 		e.Detail = err.Error()
 	}
@@ -318,6 +318,33 @@ func (ex *stageExec) placedAt(i int) *placedOutput {
 	return ex.placed[i]
 }
 
+// newStageExec bundles stage si with its resolved inputs. The split label
+// names the first input with a real element width (a SizeSplit-style
+// zero-width input doesn't name the stage's data), matching the IR's
+// SplitLabel rule; an input whose type was known at plan time reuses the
+// IR's rendering instead of building the string again.
+func (s *Session) newStageExec(si int, st *planStage, inputs []resolvedInput, sumElemBytes int64) *stageExec {
+	li := 0
+	for i, in := range inputs {
+		if in.info.ElemBytes != 0 {
+			li = i
+			break
+		}
+	}
+	split := st.ir.Inputs[li].Split
+	if in := st.inputs[li].r; in.deferred || in.splitter == nil {
+		split = inputs[li].r.t.String() // resolved from the default registry just now
+	}
+	ex := &stageExec{
+		st: st, inputs: inputs, viewers: resolveViewers(inputs),
+		si: si, calls: st.pipeline, split: split, elemBytes: sumElemBytes,
+	}
+	if s.opts.RetryPolicy.enabled() {
+		ex.mutInPlace = mutInPlaceInputs(st, inputs)
+	}
+	return ex
+}
+
 func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *planStage) error {
 	// Resolve inputs against materialized values.
 	inputs := make([]resolvedInput, 0, len(st.inputs))
@@ -365,7 +392,7 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 	if len(inputs) == 0 {
 		if tr := s.opts.Tracer; tr != nil {
 			tr.Emit(obs.Event{Kind: obs.EvStageBegin, Time: time.Now(), Stage: si,
-				Worker: obs.RuntimeLane, Calls: stageCalls(st), Split: "whole", Workers: 1})
+				Worker: obs.RuntimeLane, Calls: st.pipeline, Split: "whole", Workers: 1})
 		}
 		return s.executeWhole(st)
 	}
@@ -414,24 +441,8 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 	}
 	defer release()
 
-	// Stage split label: the first input with a real element width (a
-	// SizeSplit-style zero-width input doesn't name the stage's data),
-	// matching the IR's SplitLabel rule.
-	split := inputs[0].r.t.String()
-	for _, in := range inputs {
-		if in.info.ElemBytes != 0 {
-			split = in.r.t.String()
-			break
-		}
-	}
-	ex := &stageExec{
-		st: st, inputs: inputs, viewers: resolveViewers(inputs),
-		placed: resolvePlaced(st.outputs, total),
-		si:     si, calls: stageCalls(st), split: split, elemBytes: sumElemBytes,
-	}
-	if s.opts.RetryPolicy.enabled() {
-		ex.mutInPlace = mutInPlaceInputs(st, inputs)
-	}
+	ex := s.newStageExec(si, st, inputs, sumElemBytes)
+	ex.placed = resolvePlaced(st.outputs, total)
 
 	if tr := s.opts.Tracer; tr != nil {
 		tr.Emit(obs.Event{Kind: obs.EvStageBegin, Time: time.Now(), Stage: si,
@@ -444,42 +455,8 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 		return s.executeDynamic(ctx, ex, total, batch, workers)
 	}
 
-	// Static partitioning: workers take contiguous, near-equal element
-	// ranges (§5.2 Step 1). The first worker error cancels the stage
-	// context so siblings stop at their next batch boundary.
-	per := total / int64(workers)
-	rem := total % int64(workers)
-
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := s.pools.getOuts(workers)
-	var wg sync.WaitGroup
-	lo := int64(0)
-	for w := 0; w < workers; w++ {
-		hi := lo + per
-		if int64(w) < rem {
-			hi++
-		}
-		wg.Add(1)
-		w, wlo, whi := w, lo, hi
-		s.spawn(func() {
-			defer wg.Done()
-			s.workerLoop(wctx, ex, func() {
-				results[w] = s.runWorker(wctx, ex, w, wlo, whi, batch)
-			})
-			if results[w].err != nil {
-				cancel()
-			}
-		})
-		lo = hi
-	}
-	wg.Wait()
-
-	errs := make([]error, len(results))
-	for i, r := range results {
-		errs[i] = r.err
-	}
-	if err := s.firstWorkerError(st, errs); err != nil {
+	results, err := s.runStatic(ctx, ex, 0, total, batch, workers)
+	if err != nil {
 		return err
 	}
 
@@ -498,16 +475,79 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 	if err != nil {
 		return err
 	}
-	for i := range results {
-		s.pools.putRaw(results[i].partials)
-	}
 	s.pools.putOuts(results)
 	return nil
 }
 
+// runStatic executes [lo, hi) of a stage with static partitioning: workers
+// take contiguous, near-equal element ranges (§5.2 Step 1), and the first
+// worker error cancels the stage context so siblings stop at their next batch
+// boundary. It returns the per-worker results in element order; the caller
+// hands them back to the pools once merged.
+func (s *Session) runStatic(ctx context.Context, ex *stageExec, lo, hi, batch int64, workers int) ([]workerOut, error) {
+	per := (hi - lo) / int64(workers)
+	rem := (hi - lo) % int64(workers)
+
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	results := s.pools.getOuts(workers)
+	s.fanOut(workers, func(w int) {
+		// The first rem workers take one extra element.
+		wlo := lo + int64(w)*per + min(int64(w), rem)
+		whi := wlo + per
+		if int64(w) < rem {
+			whi++
+		}
+		s.workerLoop(wctx, ex, func() {
+			results[w] = s.runWorker(wctx, ex, w, wlo, whi, batch)
+		})
+		if results[w].err != nil {
+			cancel()
+		}
+	})
+
+	errs := make([]error, len(results))
+	for i, r := range results {
+		errs[i] = r.err
+	}
+	if err := s.firstWorkerError(ex.st, errs); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// fanOut runs body(0) … body(workers-1) and returns once all have: worker 0
+// on the calling goroutine, the rest on the worker pool. It is the only place
+// stage workers start, so an evaluation with one worker touches no goroutine,
+// channel or timer at all.
+func (s *Session) fanOut(workers int, body func(w int)) {
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		s.spawn(func() {
+			defer wg.Done()
+			body(w)
+		})
+	}
+	body(0)
+	wg.Wait()
+}
+
+// spawn dispatches a stage-worker task onto the session's worker pool,
+// accounting goroutine creation in Stats.WorkerSpawns (zero across
+// steady-state evaluations is the pool's reuse proof).
+func (s *Session) spawn(task func()) {
+	s.stats.add(&s.stats.PoolTasks, 1)
+	if s.opts.WorkerPool.Run(task) {
+		s.stats.add(&s.stats.WorkerSpawns, 1)
+	}
+}
+
 // workerLoop runs body, optionally under pprof labels so CPU profiles
 // attribute worker samples to the stage and split type
-// (go tool pprof -tagfocus mozart_stage=N).
+// (go tool pprof -tagfocus mozart_stage=N). Worker 0 labels the evaluating
+// goroutine; pprof.Do re-applies the labels ctx carries when body returns.
 func (s *Session) workerLoop(ctx context.Context, ex *stageExec, body func()) {
 	if !s.opts.ProfileLabels {
 		body()
@@ -674,49 +714,42 @@ func (s *Session) executeDynamic(ctx context.Context, ex *stageExec, total, batc
 	defer cancel()
 	var next atomic.Int64
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		w := w
-		s.spawn(func() {
-			defer wg.Done()
-			s.workerLoop(wctx, ex, func() {
-				sc := s.pools.getScratch()
-				defer s.pools.putScratch(sc)
-				var idx int64
-				collect := func(id int, piece any) { pieces[id][idx] = piece }
-				var placeDur time.Duration
-				defer func() { s.noteWorkerMerge(ex, w, placeDur) }()
-				for {
-					if err := wctx.Err(); err != nil {
-						errs[w] = err
-						return
-					}
-					idx = next.Add(1) - 1
-					if idx >= nBatches {
-						return
-					}
-					start := idx * batch
-					end := start + batch
-					if end > total {
-						end = total
-					}
-					out, err := s.runBatchResilient(wctx, ex, sc, w, start, end)
-					var d time.Duration
-					if err == nil {
-						d, err = s.deliver(ex, out, start, end, collect)
-					}
-					if err != nil {
-						errs[w] = err
-						cancel()
-						return
-					}
-					placeDur += d
+	s.fanOut(workers, func(w int) {
+		s.workerLoop(wctx, ex, func() {
+			sc := s.pools.getScratch()
+			defer s.pools.putScratch(sc)
+			var idx int64
+			collect := func(id int, piece any) { pieces[id][idx] = piece }
+			var placeDur time.Duration
+			defer func() { s.noteWorkerMerge(ex, w, placeDur) }()
+			for {
+				if err := wctx.Err(); err != nil {
+					errs[w] = err
+					return
 				}
-			})
+				idx = next.Add(1) - 1
+				if idx >= nBatches {
+					return
+				}
+				start := idx * batch
+				end := start + batch
+				if end > total {
+					end = total
+				}
+				out, err := s.runBatchResilient(wctx, ex, sc, w, start, end)
+				var d time.Duration
+				if err == nil {
+					d, err = s.deliver(ex, out, start, end, collect)
+				}
+				if err != nil {
+					errs[w] = err
+					cancel()
+					return
+				}
+				placeDur += d
+			}
 		})
-	}
-	wg.Wait()
+	})
 	if err := s.firstWorkerError(st, errs); err != nil {
 		return err
 	}
@@ -966,29 +999,9 @@ func callNames(st *planStage) []string {
 	return names
 }
 
-// stageCalls renders a stage's pipeline as "a -> b -> c" for events,
-// preferring the IR's rendering so every consumer shows the same string.
-func stageCalls(st *planStage) string {
-	if st.ir != nil {
-		return st.ir.Pipeline()
-	}
-	return join(callNames(st), " -> ")
-}
-
 func describeStage(st *planStage) string {
 	if len(st.calls) == 0 {
 		return "empty stage"
 	}
-	return fmt.Sprintf("stage[%s]", join(callNames(st), " -> "))
-}
-
-func join(parts []string, sep string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += sep
-		}
-		out += p
-	}
-	return out
+	return fmt.Sprintf("stage[%s]", st.pipeline)
 }

@@ -69,22 +69,6 @@ func NewSession(opts Options) *Session {
 	}
 }
 
-// spawn dispatches a stage-worker task onto the session's worker pool, or a
-// fresh goroutine when the pool is disabled, accounting goroutine creation
-// in Stats.WorkerSpawns (zero across steady-state evaluations is the pool's
-// reuse proof).
-func (s *Session) spawn(task func()) {
-	if p := s.opts.WorkerPool; p != nil {
-		s.stats.add(&s.stats.PoolTasks, 1)
-		if p.Run(task) {
-			s.stats.add(&s.stats.WorkerSpawns, 1)
-		}
-		return
-	}
-	s.stats.add(&s.stats.WorkerSpawns, 1)
-	go task()
-}
-
 // baseContext resolves the context used by evaluations forced without an
 // explicit one (Options.BaseContext).
 func (s *Session) baseContext() context.Context {

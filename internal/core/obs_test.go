@@ -13,15 +13,19 @@ import (
 	"mozart/internal/obs"
 )
 
-// recordingTracer captures every emitted event. Safe for concurrent use.
+// recordingTracer captures every emitted event, and the goroutine that
+// emitted it. Safe for concurrent use.
 type recordingTracer struct {
 	mu     sync.Mutex
 	events []obs.Event
+	goids  []uint64 // goids[i] emitted events[i]
 }
 
 func (r *recordingTracer) Emit(e obs.Event) {
+	id := goid()
 	r.mu.Lock()
 	r.events = append(r.events, e)
+	r.goids = append(r.goids, id)
 	r.mu.Unlock()
 }
 
@@ -168,6 +172,52 @@ func TestTracerWorkerLanesDisjoint(t *testing.T) {
 			lastWorker = sp.w
 		}
 	}
+}
+
+// TestTracerWorkerZeroLaneIsTheCaller: worker 0 runs on the goroutine that
+// called EvaluateContext and still reports on lane 0 — its batch and merge
+// spans carry Worker 0 and come from the caller, every other worker lane
+// comes from some other goroutine, and no lane is shared by two goroutines.
+func TestTracerWorkerZeroLaneIsTheCaller(t *testing.T) {
+	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+		const n, workers = 96, 3
+		tr := &recordingTracer{}
+		s := NewSession(Options{Workers: workers, BatchElems: 8, Tracer: tr, DynamicScheduling: dynamic})
+		s.Call(fnAddNew, saAddNew, seq(n), seq(n)) // a merged output: workers emit EvMerge too
+		if err := s.EvaluateContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		caller := goid()
+		laneOwner := map[int]uint64{}
+		kinds := map[obs.EventKind]int{}
+		for i, e := range tr.all() {
+			if (e.Kind != obs.EvBatch && e.Kind != obs.EvMerge) || e.Worker == obs.RuntimeLane {
+				if tr.goids[i] != caller {
+					t.Errorf("%v event on the runtime lane came from goroutine %d, want the caller", e.Kind, tr.goids[i])
+				}
+				continue
+			}
+			if e.Worker < 0 || e.Worker >= workers {
+				t.Fatalf("%v event on worker %d, want [0,%d)", e.Kind, e.Worker, workers)
+			}
+			if (e.Worker == 0) != (tr.goids[i] == caller) {
+				t.Errorf("%v event on lane %d came from goroutine %d (caller is %d): lane 0 is the caller's and only the caller's",
+					e.Kind, e.Worker, tr.goids[i], caller)
+			}
+			if owner, ok := laneOwner[e.Worker]; ok && owner != tr.goids[i] {
+				t.Errorf("lane %d shared by goroutines %d and %d", e.Worker, owner, tr.goids[i])
+			}
+			laneOwner[e.Worker] = tr.goids[i]
+			if e.Worker == 0 {
+				kinds[e.Kind]++
+			}
+		}
+		// Static partitioning guarantees worker 0 a range (and so a pre-merge);
+		// under dynamic claiming its siblings may take every batch first.
+		if !dynamic && (kinds[obs.EvBatch] == 0 || kinds[obs.EvMerge] == 0) {
+			t.Errorf("lane 0 carried %d batch and %d merge spans, want both", kinds[obs.EvBatch], kinds[obs.EvMerge])
+		}
+	})
 }
 
 // TestNilTracerInert: tracing must be purely observational. The same

@@ -135,8 +135,11 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// OnPlan, when set, receives the plan IR produced for each evaluation
 	// just before execution starts (after the plan event is emitted). The
-	// IR is a snapshot — mutating it does not affect execution. For a
-	// plan without evaluating, use Session.Plan.
+	// IR is a snapshot holding no session state, and it is immutable from
+	// here on: the runtime never writes to it again and callbacks must not
+	// either, because sinks (the flight recorder, httpdebug.PlanLog) retain
+	// the pointer and render it when read. For a plan without evaluating,
+	// use Session.Plan.
 	OnPlan func(*ir.Plan)
 	// BaseContext, when set, supplies the context for evaluations forced
 	// without an explicit one — Future.Get/Value/Float64s and the
@@ -162,17 +165,14 @@ type Options struct {
 	// the OS temp dir. Spill files are CRC-checked, crash-safe (orphans
 	// from dead processes are sweepable), and removed at stage finale.
 	SpillDir string
-	// WorkerPool, when set, is the persistent worker pool the static,
-	// dynamic, and streaming executors dispatch stage work onto instead of
-	// spawning fresh goroutines per stage. Defaults to a session-private
-	// pool sized at Workers; share one pool across sessions to bound the
-	// process's total worker count. See WorkerPool and Stats.WorkerSpawns
-	// (zero spawns across steady-state evaluations is the reuse proof).
+	// WorkerPool, when set, is the pool a stage's helper workers (1…W−1;
+	// worker 0 runs on the evaluating goroutine) are dispatched onto.
+	// Defaults to one process-wide pool created at first use and sized at
+	// GOMAXPROCS, so sessions built per request reuse each other's parked
+	// workers; pass a private pool to bound or isolate a group of sessions.
+	// See WorkerPool and Stats.WorkerSpawns (zero spawns across
+	// steady-state evaluations is the reuse proof).
 	WorkerPool *WorkerPool
-	// DisableWorkerPool reverts to the pre-pool behaviour of spawning a
-	// fresh goroutine per stage worker. Mostly useful for A/B measurement;
-	// correctness is identical either way.
-	DisableWorkerPool bool
 	// PoisonPools is a debug mode for the session's buffer pools: every
 	// buffer returned to a pool has its slots overwritten with a sentinel
 	// before reuse, so any code path that retains a reference past the
@@ -227,8 +227,8 @@ func (o Options) withDefaults() Options {
 	if o.Governor == nil && o.MemoryBudgetBytes > 0 {
 		o.Governor = NewGovernor(o.MemoryBudgetBytes)
 	}
-	if o.WorkerPool == nil && !o.DisableWorkerPool {
-		o.WorkerPool = NewWorkerPool(o.Workers)
+	if o.WorkerPool == nil {
+		o.WorkerPool = defaultWorkerPool()
 	}
 	return o
 }

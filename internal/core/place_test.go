@@ -130,22 +130,38 @@ func checkAgainstWhole(t *testing.T, futs []*core.Future, want []any, empty bool
 	}
 }
 
+// The matrix covers the three executors that fan out — static, dynamic and
+// streaming (out of core under a budget far below the working set) — at one
+// to four workers: worker 0 on the caller and its pool siblings must together
+// produce the unsplit result whichever executor drives them.
 func TestPlacedOutputsMatchUnsplitCalls(t *testing.T) {
 	const n = 103
 	for _, total := range []int{n, 0} {
 		in := newPlacedInputs(total)
 		want := in.whole()
-		for _, dynamic := range []bool{false, true} {
+		for _, executor := range []string{"static", "dynamic", "streaming"} {
 			for workers := 1; workers <= 4; workers++ {
 				for _, batch := range []int64{1, 10, n + 50} {
-					name := fmt.Sprintf("n=%d/dynamic=%v/workers=%d/batch=%d", total, dynamic, workers, batch)
+					name := fmt.Sprintf("n=%d/%s/workers=%d/batch=%d", total, executor, workers, batch)
 					t.Run(name, func(t *testing.T) {
-						s := core.NewSession(core.Options{Workers: workers, BatchElems: batch,
-							DynamicScheduling: dynamic, Pedantic: total > 0})
+						opts := core.Options{Workers: workers, BatchElems: batch,
+							DynamicScheduling: executor == "dynamic", Pedantic: total > 0}
+						if executor == "streaming" {
+							opts.OutOfCore, opts.Governor, opts.SpillDir = true, core.NewGovernor(1024), t.TempDir()
+						}
+						s := core.NewSession(opts)
 						checkAgainstWhole(t, in.capture(s, scaleFn), want, total == 0)
+						st := s.Stats()
+						if executor == "streaming" && total > 0 {
+							// The streaming executor never places (see below).
+							if st.StreamedStages != 1 || st.PlacedPieces != 0 {
+								t.Fatalf("StreamedStages = %d, PlacedPieces = %d; want 1 and 0", st.StreamedStages, st.PlacedPieces)
+							}
+							return
+						}
 						// The three chains have equal element counts and
 						// share one stage: four placed outputs per batch.
-						if st := s.Stats(); st.PlacedPieces != 4*st.Batches {
+						if st.PlacedPieces != 4*st.Batches {
 							t.Fatalf("PlacedPieces = %d, want %d (4 per batch)", st.PlacedPieces, 4*st.Batches)
 						}
 					})

@@ -46,6 +46,7 @@ func (s *Session) buildIR(p *plan) *ir.Plan {
 	}
 	for si := range p.stages {
 		p.stages[si].ir = &out.Stages[si]
+		p.stages[si].pipeline = out.Stages[si].Pipeline()
 	}
 	p.ir = out
 	return out

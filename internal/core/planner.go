@@ -54,6 +54,7 @@ type planStage struct {
 	outputs   []stageOutput
 	broadcast []*binding // bindings used whole within the stage
 	ir        *ir.Stage  // exported-IR mirror (set by buildIR)
+	pipeline  string     // ir.Pipeline() — "a -> b -> c" for events — rendered once (set by buildIR)
 }
 
 // plan pairs the planner's live structures (bindings, splitters) with the
@@ -79,14 +80,16 @@ var errStageBreak = fmt.Errorf("stage break")
 
 // resolveNode type-checks node n against the split context ctx (binding id →
 // resolution within the open stage). On success it returns the per-arg and
-// return resolutions plus the ctx updates this node introduces. A
-// compatibility conflict returns errStageBreak. ctx is not modified.
-func resolveNode(n *node, ctx map[int]resolved) (args []resolved, ret resolved, updates map[int]resolved, err error) {
+// return resolutions and leaves the ctx updates this node introduces in
+// updates. A compatibility conflict returns errStageBreak. ctx is not
+// modified. updates and generics are scratch maps owned by buildPlan and
+// cleared here, so a plan of many calls allocates them once.
+func resolveNode(n *node, ctx, updates map[int]resolved, generics map[string]resolved) (args []resolved, ret resolved, err error) {
 	if err := n.sa.Validate(); err != nil {
-		return nil, resolved{}, nil, err
+		return nil, resolved{}, err
 	}
-	updates = map[int]resolved{}
-	generics := map[string]resolved{}
+	clear(updates)
+	clear(generics)
 	args = make([]resolved, len(n.args))
 
 	lookup := func(b *binding) (resolved, bool) {
@@ -106,27 +109,27 @@ func resolveNode(n *node, ctx map[int]resolved) (args []resolved, ret resolved, 
 			if hasIn && !in.broadcast {
 				// The call needs the whole value but it is split in
 				// the open stage: merge first.
-				return nil, resolved{}, nil, errStageBreak
+				return nil, resolved{}, errStageBreak
 			}
 			r = resolved{broadcast: true}
 		case KindConcrete:
 			t, cerr := p.Type.Ctor(n.argVals)
 			if cerr != nil {
-				return nil, resolved{}, nil, fmt.Errorf("mozart: %s: param %s: constructor: %w", n.sa.FuncName, p.Name, cerr)
+				return nil, resolved{}, fmt.Errorf("mozart: %s: param %s: constructor: %w", n.sa.FuncName, p.Name, cerr)
 			}
 			r = resolved{t: t, splitter: p.Type.Splitter}
 			if hasIn && !in.compatible(r) {
-				return nil, resolved{}, nil, errStageBreak
+				return nil, resolved{}, errStageBreak
 			}
 		case KindGeneric:
 			if g, bound := generics[p.Type.Generic]; bound {
 				if hasIn && !in.compatible(g) {
-					return nil, resolved{}, nil, errStageBreak
+					return nil, resolved{}, errStageBreak
 				}
 				r = g
 			} else if hasIn {
 				if in.broadcast {
-					return nil, resolved{}, nil, errStageBreak
+					return nil, resolved{}, errStageBreak
 				}
 				r = in
 				generics[p.Type.Generic] = r
@@ -137,7 +140,7 @@ func resolveNode(n *node, ctx map[int]resolved) (args []resolved, ret resolved, 
 				if d, ok := lookupDefaultSplit(n.argVals[i]); ok {
 					t, cerr := d.ctor(n.argVals[i])
 					if cerr != nil {
-						return nil, resolved{}, nil, fmt.Errorf("mozart: %s: param %s: default constructor: %w", n.sa.FuncName, p.Name, cerr)
+						return nil, resolved{}, fmt.Errorf("mozart: %s: param %s: default constructor: %w", n.sa.FuncName, p.Name, cerr)
 					}
 					r = resolved{t: t, splitter: d.splitter}
 				} else {
@@ -146,7 +149,7 @@ func resolveNode(n *node, ctx map[int]resolved) (args []resolved, ret resolved, 
 				generics[p.Type.Generic] = r
 			}
 		case KindUnknown:
-			return nil, resolved{}, nil, fmt.Errorf("mozart: %s: param %s: unknown is only valid as a return type", n.sa.FuncName, p.Name)
+			return nil, resolved{}, fmt.Errorf("mozart: %s: param %s: unknown is only valid as a return type", n.sa.FuncName, p.Name)
 		}
 		args[i] = r
 		if !r.broadcast {
@@ -169,7 +172,7 @@ func resolveNode(n *node, ctx map[int]resolved) (args []resolved, ret resolved, 
 	if anySplit {
 		for i, p := range n.sa.Params {
 			if p.Mut && args[i].broadcast {
-				return nil, resolved{}, nil, fmt.Errorf("mozart: %s: param %s: mut with missing split type would race across pipelines", n.sa.FuncName, p.Name)
+				return nil, resolved{}, fmt.Errorf("mozart: %s: param %s: mut with missing split type would race across pipelines", n.sa.FuncName, p.Name)
 			}
 		}
 	}
@@ -178,11 +181,11 @@ func resolveNode(n *node, ctx map[int]resolved) (args []resolved, ret resolved, 
 		rt := *n.sa.Ret
 		switch rt.Kind {
 		case KindMissing:
-			return nil, resolved{}, nil, fmt.Errorf("mozart: %s: return type cannot be missing; use a void function", n.sa.FuncName)
+			return nil, resolved{}, fmt.Errorf("mozart: %s: return type cannot be missing; use a void function", n.sa.FuncName)
 		case KindConcrete:
 			t, cerr := rt.Ctor(n.argVals)
 			if cerr != nil {
-				return nil, resolved{}, nil, fmt.Errorf("mozart: %s: return: constructor: %w", n.sa.FuncName, cerr)
+				return nil, resolved{}, fmt.Errorf("mozart: %s: return: constructor: %w", n.sa.FuncName, cerr)
 			}
 			ret = resolved{t: t, splitter: rt.Splitter}
 		case KindGeneric:
@@ -198,7 +201,7 @@ func resolveNode(n *node, ctx map[int]resolved) (args []resolved, ret resolved, 
 		}
 		updates[n.ret.id] = ret
 	}
-	return args, ret, updates, nil
+	return args, ret, nil
 }
 
 // buildPlan converts the pending dataflow graph into stages per §5.1: two
@@ -213,6 +216,7 @@ func resolveNode(n *node, ctx map[int]resolved) (args []resolved, ret resolved, 
 func (s *Session) buildPlan(peek bool) (*plan, error) {
 	p := &plan{}
 	ctx := map[int]resolved{}
+	updates, generics := map[int]resolved{}, map[string]resolved{}
 	var cur []planCall
 
 	flush := func() {
@@ -220,7 +224,7 @@ func (s *Session) buildPlan(peek bool) (*plan, error) {
 			p.stages = append(p.stages, planStage{calls: cur})
 			cur = nil
 		}
-		ctx = map[int]resolved{}
+		clear(ctx)
 	}
 
 	for _, n := range s.nodes {
@@ -253,10 +257,10 @@ func (s *Session) buildPlan(peek bool) (*plan, error) {
 			// data is split and parallelized but never pipelined.
 			flush()
 		}
-		args, ret, updates, err := resolveNode(n, ctx)
+		args, ret, err := resolveNode(n, ctx, updates, generics)
 		if err == errStageBreak {
 			flush()
-			args, ret, updates, err = resolveNode(n, ctx)
+			args, ret, err = resolveNode(n, ctx, updates, generics)
 		}
 		if err != nil {
 			if err == errStageBreak {

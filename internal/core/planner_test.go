@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -251,6 +252,39 @@ func TestSplitTypeBasics(t *testing.T) {
 	}
 	if zero.String() != "<none>" {
 		t.Errorf("zero String() = %q", zero.String())
+	}
+}
+
+// TestSplitTypeStringOneAllocation: the rendering every plan, explain golden
+// and stage event embeds is byte-identical to the fmt-based one it replaced,
+// and costs one allocation while it fits the 64-byte stack buffer.
+func TestSplitTypeStringOneAllocation(t *testing.T) {
+	long := make([]int64, 12) // renders past the stack buffer
+	for i := range long {
+		long[i] = math.MinInt64 + int64(i)
+	}
+	for _, st := range []SplitType{
+		NewSplitType("ArraySplit", 64),
+		NewSplitType("MatrixSplit", 1024, 0, -3),
+		NewSplitType("RegularSplit", long...),
+		NewUnknownType(),
+	} {
+		want := st.Name
+		if st.IsUnknown() {
+			want = fmt.Sprintf("unknown#%d", st.unknownID)
+		} else {
+			parts := make([]string, len(st.Params))
+			for i, p := range st.Params {
+				parts[i] = fmt.Sprint(p)
+			}
+			want += "<" + strings.Join(parts, ", ") + ">"
+		}
+		if got := st.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = st.String() }); n > 1 && len(want) <= 64 {
+			t.Errorf("%s: %v allocations per String, want <= 1", want, n)
+		}
 	}
 }
 

@@ -108,8 +108,10 @@ func (p *sessionPools) getOuts(n int) []workerOut {
 	return make([]workerOut, n)
 }
 
+// putOuts hands back a merged stage's worker results, partials included.
 func (p *sessionPools) putOuts(buf []workerOut) {
 	for i := range buf {
+		p.putRaw(buf[i].partials)
 		buf[i] = workerOut{}
 	}
 	p.outs.Put(&buf)

@@ -12,18 +12,13 @@ import (
 // complete an instant before its workers are observable as idle.
 func waitParked(t *testing.T, p *WorkerPool, n int) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	parked := func() int {
 		p.mu.Lock()
-		idle := len(p.idle)
-		p.mu.Unlock()
-		if idle >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d workers parked, want >= %d", idle, n)
-		}
-		time.Sleep(time.Millisecond)
+		defer p.mu.Unlock()
+		return len(p.idle)
+	}
+	if !eventually(func() bool { return parked() >= n }) {
+		t.Fatalf("only %d workers parked, want >= %d", parked(), n)
 	}
 }
 
@@ -101,49 +96,80 @@ func TestWorkerPoolIdleRetirement(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroSpawns is the tentpole's no-per-evaluation-goroutines
-// proof: after a warmup evaluation populates the session's pool, repeated
-// evaluations dispatch every stage worker onto parked goroutines and
-// Stats.WorkerSpawns stays flat.
+// fillPool brings p to n parked workers by holding n tasks open at once, so
+// what follows finds every helper it asks for already parked whatever the
+// core count (on few cores a worker that finishes early is reused before the
+// next task is dispatched, leaving a warmed-up pool below its cap).
+func fillPool(t *testing.T, p *WorkerPool, n int) {
+	t.Helper()
+	release := make(chan struct{})
+	for i := 0; i < n; i++ {
+		p.Run(func() { <-release })
+	}
+	close(release)
+	waitParked(t, p, n)
+}
+
+// TestSteadyStateZeroSpawns pins the fan-out contract: a stage of W workers
+// puts W−1 tasks on the pool (worker 0 runs on the caller), parked helpers
+// are reused so Stats.WorkerSpawns stays flat, one worker touches the pool
+// not at all, and a second fresh session on the process-wide default pool
+// spawns nothing once the first has parked its helper.
 func TestSteadyStateZeroSpawns(t *testing.T) {
-	const workers = 4
 	a, b := seq(1000), seq(1000)
-	s := NewSession(Options{Workers: workers, BatchElems: 100})
-	run := func() {
+	run := func(s *Session) StatsSnapshot {
+		t.Helper()
 		c := s.Call(fnAddNew, saAddNew, a, b)
 		s.Call(fnAddNew, saAddNew, c, b)
 		if err := s.EvaluateContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		return s.Stats()
 	}
-	pool := s.opts.WorkerPool
-	run() // warmup: spawns pool workers — how many depends on the core count
-	if s.Stats().WorkerSpawns == 0 {
-		t.Fatal("warmup evaluation should have spawned pool workers")
-	}
-	// On few cores a worker that finishes early parks and is reused before
-	// the warmup's last task is dispatched, so the pool may sit below its
-	// cap. Bring it to the cap by holding one task per worker open at once;
-	// from then on every stage finds all its workers parked.
-	waitParked(t, pool, int(pool.Spawns()))
-	release := make(chan struct{})
-	for i := 0; i < workers; i++ {
-		pool.Run(func() { <-release })
-	}
-	close(release)
-	waitParked(t, pool, workers)
-	warm := s.Stats().WorkerSpawns
-	for i := 0; i < 5; i++ {
-		run()
-		waitParked(t, s.opts.WorkerPool, workers)
-	}
-	st := s.Stats()
-	if st.WorkerSpawns != warm {
-		t.Errorf("WorkerSpawns grew %d -> %d across steady-state evaluations, want flat", warm, st.WorkerSpawns)
-	}
-	if st.PoolTasks <= warm {
-		t.Errorf("PoolTasks = %d, want > %d (later evaluations dispatched onto the pool)", st.PoolTasks, warm)
-	}
+
+	t.Run("W-1 pool tasks per stage", func(t *testing.T) {
+		const workers = 4
+		pool := NewWorkerPool(workers)
+		fillPool(t, pool, workers-1)
+		warm := pool.Spawns()
+		s := NewSession(Options{Workers: workers, BatchElems: 100, WorkerPool: pool})
+		for i := 1; i <= 5; i++ {
+			st := run(s) // both calls pipeline into one stage
+			if want := int64(i * (workers - 1)); st.PoolTasks != want {
+				t.Fatalf("after %d evaluations PoolTasks = %d, want %d (W-1 per stage)", i, st.PoolTasks, want)
+			}
+			waitParked(t, pool, workers-1)
+		}
+		if st := s.Stats(); st.WorkerSpawns != 0 || pool.Spawns() != warm {
+			t.Errorf("WorkerSpawns = %d, pool spawns %d -> %d; want every helper revived from the parking lot",
+				st.WorkerSpawns, warm, pool.Spawns())
+		}
+	})
+
+	t.Run("one worker never touches the pool", func(t *testing.T) {
+		pool := NewWorkerPool(1)
+		for _, dyn := range []bool{false, true} {
+			st := run(NewSession(Options{Workers: 1, BatchElems: 100, DynamicScheduling: dyn, WorkerPool: pool}))
+			if st.PoolTasks != 0 || st.WorkerSpawns != 0 || pool.Tasks() != 0 {
+				t.Errorf("dynamic=%v: PoolTasks = %d, WorkerSpawns = %d, pool tasks %d; want all zero",
+					dyn, st.PoolTasks, st.WorkerSpawns, pool.Tasks())
+			}
+		}
+	})
+
+	t.Run("fresh sessions share the default pool", func(t *testing.T) {
+		pool := defaultWorkerPool()
+		first := run(NewSession(Options{Workers: 2, BatchElems: 100}))
+		if first.PoolTasks != 1 {
+			t.Fatalf("PoolTasks = %d, want 1", first.PoolTasks)
+		}
+		waitParked(t, pool, 1)
+		second := run(NewSession(Options{Workers: 2, BatchElems: 100}))
+		if second.PoolTasks != 1 || second.WorkerSpawns != 0 {
+			t.Errorf("second fresh session: PoolTasks = %d, WorkerSpawns = %d; want 1 task on the first session's parked helper, 0 spawns",
+				second.PoolTasks, second.WorkerSpawns)
+		}
+	})
 }
 
 // TestSharedWorkerPoolAcrossSessions: one pool bounds several sessions;
@@ -179,30 +205,6 @@ func TestSharedWorkerPoolAcrossSessions(t *testing.T) {
 	}
 	if pool.Tasks() == 0 {
 		t.Error("shared pool saw no tasks")
-	}
-}
-
-// TestDisableWorkerPool: the pre-pool spawn-per-stage path remains available
-// and correct; nothing is dispatched onto a pool.
-func TestDisableWorkerPool(t *testing.T) {
-	a, b := seq(300), seq(300)
-	s := NewSession(Options{Workers: 3, BatchElems: 50, DisableWorkerPool: true})
-	c := s.Call(fnAddNew, saAddNew, a, b)
-	got, err := c.Float64s()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != a[i]+b[i] {
-			t.Fatalf("result mismatch at %d", i)
-		}
-	}
-	st := s.Stats()
-	if st.PoolTasks != 0 {
-		t.Errorf("PoolTasks = %d with the pool disabled, want 0", st.PoolTasks)
-	}
-	if st.WorkerSpawns == 0 {
-		t.Error("disabled pool should count every stage goroutine as a spawn")
 	}
 }
 

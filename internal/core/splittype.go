@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -59,20 +58,26 @@ func (t SplitType) Equal(o SplitType) bool {
 	return true
 }
 
-// String renders the split type as Name<p0, p1, ...>.
+// String renders the split type as Name<p0, p1, ...>, in one allocation.
 func (t SplitType) String() string {
 	if t.IsZero() {
 		return "<none>"
 	}
 	if t.unknownID != 0 {
-		return fmt.Sprintf("unknown#%d", t.unknownID)
+		return "unknown#" + strconv.FormatUint(t.unknownID, 10)
 	}
 	if len(t.Params) == 0 {
 		return t.Name
 	}
-	parts := make([]string, len(t.Params))
+	var buf [64]byte
+	b := append(buf[:0], t.Name...)
+	b = append(b, '<')
 	for i, p := range t.Params {
-		parts[i] = fmt.Sprint(p)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendInt(b, p, 10)
 	}
-	return t.Name + "<" + strings.Join(parts, ", ") + ">"
+	b = append(b, '>')
+	return string(b)
 }

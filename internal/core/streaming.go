@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"mozart/internal/obs"
@@ -74,21 +73,7 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 		workers = 1
 	}
 
-	// Stage split label, same rule as the in-core path.
-	split := inputs[0].r.t.String()
-	for _, in := range inputs {
-		if in.info.ElemBytes != 0 {
-			split = in.r.t.String()
-			break
-		}
-	}
-	ex := &stageExec{
-		st: st, inputs: inputs, viewers: resolveViewers(inputs),
-		si: si, calls: stageCalls(st), split: split, elemBytes: sumElemBytes,
-	}
-	if s.opts.RetryPolicy.enabled() {
-		ex.mutInPlace = mutInPlaceInputs(st, inputs)
-	}
+	ex := s.newStageExec(si, st, inputs, sumElemBytes)
 
 	// Views: when every split input's splitter can produce window views
 	// (CapWindow in its capability set), each window executes over a
@@ -183,11 +168,7 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 				winputs[i] = in
 				winputs[i].val = view
 			}
-			wex = &stageExec{st: st, inputs: winputs, viewers: resolveViewers(winputs),
-				si: si, calls: ex.calls, split: ex.split, elemBytes: sumElemBytes}
-			if s.opts.RetryPolicy.enabled() {
-				wex.mutInPlace = mutInPlaceInputs(st, winputs)
-			}
+			wex = s.newStageExec(si, st, winputs, sumElemBytes)
 			lo, hi = 0, wlen
 		}
 
@@ -309,63 +290,24 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 	return nil
 }
 
-// runRange executes [lo, hi) of a stage with static contiguous partitioning
-// across workers — the window-scoped core of the static scheduler — and
-// returns, per output binding id, the worker partials in element order.
+// runRange executes the window [lo, hi) of a stage with the static scheduler
+// and returns, per output binding id, the worker partials in element order.
 func (s *Session) runRange(ctx context.Context, ex *stageExec, lo, hi, batch int64, workers int) (map[int][]any, error) {
-	total := hi - lo
-	if total <= 0 {
-		return map[int][]any{}, nil
+	out := map[int][]any{}
+	if hi <= lo {
+		return out, nil
 	}
-	if int64(workers) > total {
-		workers = int(total)
+	if int64(workers) > hi-lo {
+		workers = int(hi - lo)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	per := total / int64(workers)
-	rem := total % int64(workers)
-
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := s.pools.getOuts(workers)
-	var wg sync.WaitGroup
-	cur := lo
-	for w := 0; w < workers; w++ {
-		chunkHi := cur + per
-		if int64(w) < rem {
-			chunkHi++
-		}
-		wg.Add(1)
-		w, wlo, whi := w, cur, chunkHi
-		s.spawn(func() {
-			defer wg.Done()
-			s.workerLoop(wctx, ex, func() {
-				results[w] = s.runWorker(wctx, ex, w, wlo, whi, batch)
-			})
-			if results[w].err != nil {
-				cancel()
-			}
-		})
-		cur = chunkHi
-	}
-	wg.Wait()
-
-	errs := make([]error, len(results))
-	for i, r := range results {
-		errs[i] = r.err
-	}
-	if err := s.firstWorkerError(ex.st, errs); err != nil {
+	results, err := s.runStatic(ctx, ex, lo, hi, batch, workers)
+	if err != nil {
 		return nil, err
 	}
-	out := map[int][]any{}
 	for _, o := range ex.st.outputs {
 		for _, r := range results {
 			out[o.b.id] = append(out[o.b.id], r.partials[o.b.id]...)
 		}
-	}
-	for i := range results {
-		s.pools.putRaw(results[i].partials)
 	}
 	s.pools.putOuts(results)
 	return out, nil

@@ -1,18 +1,21 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// WorkerPool is a persistent pool of worker goroutines shared by the
-// static, dynamic, and streaming executors. Before it existed every
-// EvaluateContext spawned fresh goroutines per stage; with the pool, a
-// session's second and later evaluations run entirely on parked workers —
+// WorkerPool is a persistent pool of worker goroutines that the static,
+// dynamic, and streaming executors take a stage's helper workers from
+// (Session.fanOut: worker 0 runs on the evaluating goroutine, workers 1…W−1
+// here). Once its workers are parked, evaluations run entirely on them —
 // zero goroutine spawns in steady state (Stats.WorkerSpawns counts the
-// exceptions). A WorkerPool is safe for concurrent use and may be shared
-// across sessions via Options.WorkerPool.
+// exceptions). A WorkerPool is safe for concurrent use. Sessions share one
+// process-wide pool unless Options.WorkerPool names another: a pool private
+// to each session would park its workers for idleTimeout with nothing left
+// to run on them, which under a session per request is a goroutine leak.
 //
 // The design is a LIFO parking lot: each idle worker owns a one-slot task
 // channel and sits on the idle stack. Run pops a parked worker and hands it
@@ -52,6 +55,13 @@ func NewWorkerPool(max int) *WorkerPool {
 	}
 	return &WorkerPool{max: max, idleTimeout: defaultPoolIdleTimeout}
 }
+
+// defaultWorkerPool is the process-wide pool, created at first use and sized
+// at GOMAXPROCS; evaluations wanting more helpers at once overflow onto
+// plain goroutines, as with any saturated pool.
+var defaultWorkerPool = sync.OnceValue(func() *WorkerPool {
+	return NewWorkerPool(runtime.GOMAXPROCS(0))
+})
 
 // Run executes task on a pool worker, reviving a parked one when possible.
 // It reports whether a new goroutine had to be spawned (pool miss or

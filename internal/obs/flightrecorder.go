@@ -20,6 +20,12 @@ const (
 // Recording is one completed evaluation as the flight recorder saw it:
 // the event stream (up to the event cap), the plan IR rendering, and the
 // outcome. Recordings are immutable once returned.
+//
+// While a recording sits in the ring it holds the evaluation's plan IR, not
+// its text: Plan is rendered when the recording is read (Recordings, Find,
+// Dump, the fault hook), so an evaluation nobody inspects never pays for
+// plan.Render. The IR is immutable once the runtime has handed it to OnPlan,
+// so the text read later is the text an eager rendering would have stored.
 type Recording struct {
 	Seq     int64     `json:"seq"`   // recorder-wide evaluation sequence number
 	Begin   time.Time `json:"begin"` // EvSessionBegin time
@@ -33,6 +39,17 @@ type Recording struct {
 	// sessions. A 500/504 response carrying a trace id resolves to its
 	// recording through FlightRecorder.Find.
 	TraceID string `json:"trace_id,omitempty"`
+
+	ir *plan.Plan // retained by OnPlan; Plan is rendered from it on read
+}
+
+// rendered returns rec as readers see it, with Plan filled in from the
+// retained IR.
+func (rec Recording) rendered() Recording {
+	if rec.ir != nil {
+		rec.Plan, rec.ir = plan.Render(rec.ir), nil
+	}
+	return rec
 }
 
 // FlightRecorder retains the last N evaluations' full event streams in a
@@ -108,8 +125,12 @@ func (r *FlightRecorder) Session() *FlightHandle {
 // Recordings returns the retained recordings, oldest first.
 func (r *FlightRecorder) Recordings() []Recording {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Recording(nil), r.ring...)
+	out := append([]Recording(nil), r.ring...)
+	r.mu.Unlock()
+	for i := range out {
+		out[i] = out[i].rendered()
+	}
+	return out
 }
 
 // Len reports the number of retained recordings.
@@ -125,14 +146,16 @@ func (r *FlightRecorder) Find(traceID string) (Recording, bool) {
 	if traceID == "" {
 		return Recording{}, false
 	}
+	var rec Recording
+	ok := false
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(r.ring) - 1; i >= 0; i-- {
+	for i := len(r.ring) - 1; i >= 0 && !ok; i-- {
 		if r.ring[i].TraceID == traceID {
-			return r.ring[i], true
+			rec, ok = r.ring[i], true
 		}
 	}
-	return Recording{}, false
+	r.mu.Unlock()
+	return rec.rendered(), ok // rendered outside the lock, like Recordings
 }
 
 // Dump writes every retained recording to w as indented JSON.
@@ -198,7 +221,7 @@ func (h *FlightHandle) Emit(e Event) {
 		cur.End = e.Time
 		cur.Err = e.Detail
 		if onFault := h.rec.commit(cur); onFault != nil {
-			onFault(*cur)
+			onFault(cur.rendered())
 		}
 		return
 	}
@@ -212,14 +235,14 @@ func (h *FlightHandle) Emit(e Event) {
 	h.mu.Unlock()
 }
 
-// OnPlan captures the evaluation's plan IR rendering. Wire it into the
-// session's OnPlan option (the runtime invokes it between EvSessionBegin
-// and the first stage); it is safe to combine with a user callback.
+// OnPlan retains the evaluation's plan IR; its text is rendered when the
+// recording is read. Wire it into the session's OnPlan option (the runtime
+// invokes it between EvSessionBegin and the first stage); it is safe to
+// combine with a user callback.
 func (h *FlightHandle) OnPlan(p *plan.Plan) {
-	rendered := plan.Render(p)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.cur != nil {
-		h.cur.Plan = rendered
+		h.cur.ir = p
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"mozart/internal/core"
 	"mozart/internal/faultinject"
 	"mozart/internal/obs"
+	"mozart/internal/plan"
 )
 
 // chunkSplitter is a minimal []float64 splitter for driving real sessions.
@@ -232,5 +233,92 @@ func TestFlightRecorderConcurrentSessionsAndFaultDump(t *testing.T) {
 	}
 	if len(list) != sessions*evalsEach {
 		t.Errorf("Dump rendered %d recordings, want %d", len(list), sessions*evalsEach)
+	}
+}
+
+// tripleFn is a second, differently named call so one session can produce
+// two different plans.
+func tripleFn(args []any) (any, error) {
+	in := args[0].([]float64)
+	out := make([]float64, len(in))
+	for i, x := range in {
+		out[i] = 3 * x
+	}
+	return out, nil
+}
+
+// TestFlightRecordingRendersPlanAtReadTime: the recorder retains each
+// evaluation's plan IR and renders Plan only when a recording is read. Every
+// read surface — Recordings, Find, Dump, the fault hook — shows byte for byte
+// what plan.Render produced when the plan was made, also after the same
+// session has planned and run a second, different evaluation: the retained
+// IR is immutable once OnPlan has seen it.
+func TestFlightRecordingRendersPlanAtReadTime(t *testing.T) {
+	rec := obs.NewFlightRecorder(4)
+	var dumped []obs.Recording
+	rec.OnFault(func(r obs.Recording) { dumped = append(dumped, r) })
+	h := rec.Session()
+
+	var plans []*plan.Plan
+	var eager, frozen []string // plan.Render and the IR's JSON, taken inside OnPlan
+	tc := obs.NewTraceContext()
+	s := core.NewSession(core.Options{Workers: 2, BatchElems: 8, Tracer: h, Trace: &tc,
+		OnPlan: func(p *plan.Plan) {
+			j, _ := json.Marshal(p)
+			plans, eager, frozen = append(plans, p), append(eager, plan.Render(p)), append(frozen, string(j))
+			h.OnPlan(p)
+		}})
+	inj := faultinject.New(0)
+	inj.ErrorOnNthSplit("triple", 1)
+	s.Call(doubleFn, chunkAnnotation("double", chunkSplitter{}), make([]float64, 64))
+	if err := s.EvaluateContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.Call(tripleFn, chunkAnnotation("triple", inj.WrapSplitter("triple", chunkSplitter{})), make([]float64, 40))
+	if err := s.EvaluateContext(context.Background()); err == nil {
+		t.Fatal("injected split fault did not fail the second evaluation")
+	}
+	if len(eager) != 2 || eager[0] == eager[1] {
+		t.Fatalf("want two different plans, got %q", eager)
+	}
+	for i, p := range plans {
+		if j, _ := json.Marshal(p); string(j) != frozen[i] {
+			t.Errorf("plan %d changed after OnPlan returned:\n%s\nwas:\n%s", i, j, frozen[i])
+		}
+	}
+
+	rs := rec.Recordings()
+	if len(rs) != 2 || rs[0].Plan != eager[0] || rs[1].Plan != eager[1] {
+		t.Fatalf("Recordings plans = %q, want %q", []string{rs[0].Plan, rs[1].Plan}, eager)
+	}
+	if found, ok := rec.Find(tc.TraceID.String()); !ok || found.Seq != 2 || found.Plan != eager[1] {
+		t.Errorf("Find: ok %v, seq %d, plan %q; want the newest recording with plan %q", ok, found.Seq, found.Plan, eager[1])
+	}
+	if len(dumped) != 1 || dumped[0].Plan != eager[1] || dumped[0].Err == "" {
+		t.Errorf("fault hook saw %+v, want the failed evaluation with plan %q", dumped, eager[1])
+	}
+	var buf bytes.Buffer
+	if err := rec.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var list []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &list); err != nil || len(list) != 2 {
+		t.Fatalf("Dump: %v\n%s", err, buf.String())
+	}
+	for i, m := range list {
+		if m["plan"] != eager[i] {
+			t.Errorf(`Dump recording %d "plan" = %q, want %q`, i, m["plan"], eager[i])
+		}
+	}
+}
+
+// TestFlightHandleOnPlanAllocatesNothing: recording a plan is a pointer
+// store; no rendering, no allocation.
+func TestFlightHandleOnPlanAllocatesNothing(t *testing.T) {
+	h := obs.NewFlightRecorder(1).Session()
+	h.Emit(obs.Event{Kind: obs.EvSessionBegin})
+	p := &plan.Plan{Stages: []plan.Stage{{Calls: []plan.Call{{Name: "a"}, {Name: "b"}}}}}
+	if n := testing.AllocsPerRun(100, func() { h.OnPlan(p) }); n != 0 {
+		t.Errorf("FlightHandle.OnPlan: %v allocations per call, want 0", n)
 	}
 }

@@ -159,11 +159,12 @@ func allowGet(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// PlanLog retains the renderings of the last N plan IRs the planner
-// produced. Wire its OnPlan into Options.OnPlan (combine with other
-// consumers by calling both from one closure). The log stores renderings,
-// not live *plan.Plan values, so retained entries cannot alias runtime
-// state.
+// PlanLog retains the last N plan IRs the planner produced and renders
+// them when read. Wire its OnPlan into Options.OnPlan (combine with other
+// consumers by calling both from one closure). A plan IR holds no live
+// bindings, splitters or session state and is immutable once the runtime
+// has handed it to OnPlan, so retaining the pointer cannot alias runtime
+// state, and recording a plan costs no rendering.
 type PlanLog struct {
 	mu   sync.Mutex
 	max  int
@@ -172,8 +173,8 @@ type PlanLog struct {
 }
 
 type planEntry struct {
-	seq      int64
-	rendered string
+	seq int64
+	ir  *plan.Plan
 }
 
 // NewPlanLog returns a log retaining the last n plans (n <= 0 selects 8).
@@ -186,11 +187,10 @@ func NewPlanLog(n int) *PlanLog {
 
 // OnPlan records one plan. Safe for concurrent use.
 func (l *PlanLog) OnPlan(p *plan.Plan) {
-	rendered := plan.Render(p)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
-	e := planEntry{seq: l.seq, rendered: rendered}
+	e := planEntry{seq: l.seq, ir: p}
 	if len(l.ring) == l.max {
 		copy(l.ring, l.ring[1:])
 		l.ring[len(l.ring)-1] = e
@@ -220,8 +220,9 @@ func (l *PlanLog) WriteTo(w io.Writer) (int64, error) {
 		if i > 0 {
 			b.WriteString("\n")
 		}
-		fmt.Fprintf(&b, "=== evaluation %d ===\n%s", e.seq, e.rendered)
-		if !strings.HasSuffix(e.rendered, "\n") {
+		rendered := plan.Render(e.ir)
+		fmt.Fprintf(&b, "=== evaluation %d ===\n%s", e.seq, rendered)
+		if !strings.HasSuffix(rendered, "\n") {
 			b.WriteString("\n")
 		}
 	}

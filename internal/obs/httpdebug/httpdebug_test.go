@@ -3,6 +3,7 @@ package httpdebug_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -194,5 +195,38 @@ func TestPlanLogRing(t *testing.T) {
 	}
 	if strings.Contains(b.String(), "evaluation 3") {
 		t.Error("oldest plan should have been dropped")
+	}
+}
+
+// TestPlanLogRendersAtReadTime: the log retains plan IRs and renders them in
+// WriteTo, byte for byte as an eager plan.Render at OnPlan time would have;
+// recording a plan into a full ring allocates nothing.
+func TestPlanLogRendersAtReadTime(t *testing.T) {
+	mk := func(names ...string) *plan.Plan {
+		st := plan.Stage{Kind: plan.StageSplit, Inputs: []plan.Value{{Binding: 1, Split: "Chunk<64>", Elems: 64, ElemBytes: 8}}}
+		for _, n := range names {
+			st.Calls = append(st.Calls, plan.Call{Name: n, Args: []plan.Arg{{Binding: 1, Name: "a", Split: "Chunk<64>"}}})
+		}
+		return &plan.Plan{Stages: []plan.Stage{st}, Pipelining: true}
+	}
+	l := httpdebug.NewPlanLog(2)
+	var want strings.Builder
+	for i, p := range []*plan.Plan{mk("scale"), mk("scale", "shift")} {
+		if i > 0 {
+			want.WriteString("\n")
+		}
+		fmt.Fprintf(&want, "=== evaluation %d ===\n%s", i+1, plan.Render(p))
+		l.OnPlan(p)
+	}
+	var got strings.Builder
+	if _, err := l.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("WriteTo:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	p := mk("scale")
+	if n := testing.AllocsPerRun(100, func() { l.OnPlan(p) }); n != 0 {
+		t.Errorf("PlanLog.OnPlan into a full ring: %v allocations per call, want 0", n)
 	}
 }

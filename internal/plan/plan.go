@@ -13,11 +13,20 @@
 //
 // The IR is a snapshot: it references dataflow values by binding id and
 // records split types as rendered strings. It holds no live bindings,
-// splitters, or session state, so holding or mutating a Plan never affects
-// execution.
+// splitters, or session state, so holding a Plan never affects execution.
+//
+// A Plan is immutable from the moment the runtime hands it to
+// core.Options.OnPlan: the planner builds a fresh one per evaluation and the
+// runtime never writes to it again, and consumers must not either. That is
+// what lets sinks (obs.FlightRecorder, httpdebug.PlanLog) retain the
+// pointer and call Render only when somebody reads them — the text produced
+// then is the text an eager rendering would have stored.
 package plan
 
-import "strconv"
+import (
+	"strconv"
+	"strings"
+)
 
 // StageKind says how a stage executes.
 type StageKind int
@@ -236,16 +245,23 @@ type Plan struct {
 	Workers int
 }
 
-// Pipeline renders the stage's call chain as "a -> b -> c".
+// Pipeline renders the stage's call chain as "a -> b -> c", in one
+// allocation.
 func (st *Stage) Pipeline() string {
-	out := ""
+	const sep = " -> "
+	n := 0
+	for _, c := range st.Calls {
+		n += len(c.Name) + len(sep)
+	}
+	var b strings.Builder
+	b.Grow(n)
 	for i, c := range st.Calls {
 		if i > 0 {
-			out += " -> "
+			b.WriteString(sep)
 		}
-		out += c.Name
+		b.WriteString(c.Name)
 	}
-	return out
+	return b.String()
 }
 
 // SplitLabel names the stage's split type: the first input with a non-zero
@@ -308,4 +324,3 @@ func (p *Plan) Describe() string {
 	}
 	return out
 }
-

@@ -95,6 +95,24 @@ func TestDescribeAndSummary(t *testing.T) {
 	}
 }
 
+// Pipeline is what every stage event carries: one allocation, however many
+// calls the stage pipelines.
+func TestPipelineOneAllocation(t *testing.T) {
+	st := &Stage{}
+	for _, n := range []string{"vdLog1p", "vdAdd", "vdMul", "vdDiv", "vdExp", "vdSqrt"} {
+		st.Calls = append(st.Calls, Call{Name: n})
+	}
+	if got, want := st.Pipeline(), "vdLog1p -> vdAdd -> vdMul -> vdDiv -> vdExp -> vdSqrt"; got != want {
+		t.Errorf("Pipeline = %q, want %q", got, want)
+	}
+	if got := (&Stage{}).Pipeline(); got != "" {
+		t.Errorf("empty stage Pipeline = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = st.Pipeline() }); n > 1 {
+		t.Errorf("Pipeline: %v allocations, want <= 1", n)
+	}
+}
+
 func TestRenderContainsSummariesAndDetail(t *testing.T) {
 	p := testPlan()
 	out := Render(p)

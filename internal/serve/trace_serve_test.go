@@ -13,12 +13,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mozart/internal/core"
 	"mozart/internal/faultinject"
 	"mozart/internal/obs"
+	"mozart/internal/plan"
 	"mozart/internal/serve"
 )
 
@@ -251,5 +253,59 @@ func TestTimeoutTraceResolvesFlight(t *testing.T) {
 	}
 	if statuses[0].SLOBad < 1 || statuses[0].SLOBurnRate5m <= 0 {
 		t.Errorf("504 not burning: bad=%d burn5m=%g", statuses[0].SLOBad, statuses[0].SLOBurnRate5m)
+	}
+}
+
+// TestDebugPlansAndFlightRenderAtReadTime: the server retains each request's
+// plan IR and renders it only when /debug/mozart/plans or a flight endpoint
+// is read. What is read — after later, different requests have run — is byte
+// for byte what plan.Render produced at the moment the plan was made.
+func TestDebugPlansAndFlightRenderAtReadTime(t *testing.T) {
+	var mu sync.Mutex
+	var eager []string
+	run := pipelineRegistry(faultinject.New(0))["pipeline"]
+	_, ts := newTestServer(t, serve.Config{Registry: map[string]serve.EvalFunc{
+		"pipeline": func(ctx context.Context, p serve.EvalParams, opts core.Options) (float64, error) {
+			onPlan := opts.OnPlan
+			opts.OnPlan = func(pl *plan.Plan) {
+				mu.Lock()
+				eager = append(eager, plan.Render(pl))
+				mu.Unlock()
+				onPlan(pl)
+			}
+			return run(ctx, p, opts)
+		},
+	}})
+
+	if resp, body := postTraced(t, ts, "", testTraceparent, `{"workload":"pipeline","scale":4096}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("eval: %d (%s)", resp.StatusCode, body)
+	}
+	if resp, body := postTraced(t, ts, "", "", `{"workload":"pipeline","scale":512}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("eval: %d (%s)", resp.StatusCode, body)
+	}
+	if len(eager) != 2 || eager[0] == eager[1] {
+		t.Fatalf("want two different plans, got %q", eager)
+	}
+
+	_, body := getBody(t, ts, "/debug/mozart/plans", "")
+	if want := "=== evaluation 1 ===\n" + eager[0] + "\n=== evaluation 2 ===\n" + eager[1]; string(body) != want {
+		t.Errorf("/debug/mozart/plans:\n%s\nwant:\n%s", body, want)
+	}
+
+	_, body = getBody(t, ts, "/debug/mozart/flight/default", "")
+	var recs []obs.Recording
+	if err := json.Unmarshal(body, &recs); err != nil || len(recs) != 2 {
+		t.Fatalf("flight dump: %v (%s)", err, body)
+	}
+	for i, rec := range recs {
+		if rec.Plan != eager[i] {
+			t.Errorf("flight recording %d plan:\n%s\nwant:\n%s", i, rec.Plan, eager[i])
+		}
+	}
+
+	_, body = getBody(t, ts, "/debug/mozart/flight/default?trace="+testTraceID, "")
+	var rec obs.Recording
+	if err := json.Unmarshal(body, &rec); err != nil || rec.TraceID != testTraceID || rec.Plan != eager[0] {
+		t.Errorf("trace-keyed flight lookup: err %v, trace %q, plan:\n%s\nwant:\n%s", err, rec.TraceID, rec.Plan, eager[0])
 	}
 }

@@ -112,10 +112,12 @@ type CapsDeclarer = core.CapsDeclarer
 // CapsDeclarer wins, otherwise the set derives from the optional interfaces.
 func CapabilitiesOf(s Splitter) SplitterCaps { return core.CapabilitiesOf(s) }
 
-// WorkerPool is a persistent pool of evaluation workers shared across a
-// session's evaluations (and, when passed via Options.WorkerPool, across
-// sessions): goroutines park between stages instead of being respawned per
-// stage, so steady-state evaluations spawn zero goroutines.
+// WorkerPool is a persistent pool of evaluation workers: worker 0 of a stage
+// runs on the goroutine that called EvaluateContext, workers 1…W−1 on
+// goroutines that park in the pool between stages instead of being
+// respawned, so steady-state evaluations spawn zero goroutines. Every
+// session shares one process-wide pool unless Options.WorkerPool names
+// another.
 type WorkerPool = core.WorkerPool
 
 // NewWorkerPool creates a worker pool that parks at most max idle workers.
@@ -405,16 +407,17 @@ func WithTracer(opts Options, t Tracer) Options {
 	return opts
 }
 
-// WithWorkerPool returns a copy of opts with a persistent worker pool of at
-// most n parked workers installed, for the common "default options plus a
-// shared pool" construction:
+// WithWorkerPool returns a copy of opts that takes its stage helpers from
+// pool instead of the process-wide default, to bound or isolate a group of
+// sessions (a tenant, a test):
 //
-//	pool := mozart.NewWorkerPool(8)
-//	s1 := mozart.NewSession(mozart.WithWorkerPool(mozart.Options{Workers: 8}, pool))
-//	s2 := mozart.NewSession(mozart.WithWorkerPool(mozart.Options{Workers: 8}, pool))
+//	pool := mozart.NewWorkerPool(4) // at most 4 parked helpers for this group
+//	s1 := mozart.NewSession(mozart.WithWorkerPool(mozart.Options{Workers: 4}, pool))
+//	s2 := mozart.NewSession(mozart.WithWorkerPool(mozart.Options{Workers: 4}, pool))
 //
-// Sharing one pool across sessions bounds the process's worker count; a
-// session without an explicit pool gets a private one sized at its Workers.
+// A session without an explicit pool uses the process-wide one (created at
+// first use, sized at GOMAXPROCS), which is what a session built per request
+// wants: it revives the workers the previous request parked.
 func WithWorkerPool(opts Options, pool *WorkerPool) Options {
 	opts.WorkerPool = pool
 	return opts
