@@ -1,8 +1,8 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
 # workflow runs: vet (fail fast), the deprecation gate, build, plain tests,
 # the race detector over the runtime-heavy packages, the flakiness gate (the
-# fault-tolerance suites twice under -race, so a nondeterministic
-# retry/breaker/admission test cannot land green), the zero-copy pool
+# fault-tolerance suites and the root package three times under -race, so a
+# nondeterministic retry/breaker/admission/tuner test cannot land green), the zero-copy pool
 # smoke (AllocsPerRun, alias checks, leak suite), the faults-experiment
 # smoke, the telemetry smokes (trace, explain, Prometheus golden, bench
 # snapshot), the out-of-core spill smoke, the adaptive-planner tune smoke
@@ -47,27 +47,30 @@ race:
 
 # Flakiness gate: the resilience machinery (retry, breakers, admission,
 # fault injection, the spill store, the streaming path, the serving layer)
-# is timing-sensitive by nature; run its suites twice under the race
-# detector to shake out order dependence. The obs packages ride along for
-# the tracing/SLO surfaces (concurrent span recording, exemplar stamping,
-# burn-rate windows) exercised by the serve tests. The worker pool and the
-# fan-out onto it then run ten times at each of 1, 2 and 4 processors: what
-# they pin (who parks, who spawns, which goroutine runs worker 0) is
-# scheduling-dependent and must hold whatever the core count.
+# is timing-sensitive by nature; run its suites three times under the race
+# detector to shake out order dependence (three, not two: a test that leans
+# on a process-global counter, like the unknown split type's, can pass twice).
+# The obs packages ride along for the tracing/SLO surfaces (concurrent span
+# recording, exemplar stamping, burn-rate windows) exercised by the serve
+# tests, and the root package for the tuner loop, whose outcome depends on
+# measured timings. The worker pool and the fan-out onto it then run ten
+# times at each of 1, 2 and 4 processors: what they pin (who parks, who
+# queues, which goroutine claims which share) is scheduling-dependent and
+# must hold whatever the core count.
 flaky:
-	$(GO) test -race -count=2 ./internal/core ./internal/faultinject ./internal/serve ./internal/spill ./internal/annotations/imagesa ./internal/annotations/framesa ./internal/annotations/checksuite ./internal/tune ./internal/obs ./internal/obs/httpdebug
+	$(GO) test -race -count=3 . ./internal/core ./internal/faultinject ./internal/serve ./internal/spill ./internal/annotations/imagesa ./internal/annotations/framesa ./internal/annotations/checksuite ./internal/tune ./internal/obs ./internal/obs/httpdebug
 	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -count=10 -run '$(POOL_TESTS)|TestFanOut|TestTracerWorkerZeroLane' ./internal/core || exit 1; done
 
 # Zero-copy hot-path gate: the AllocsPerRun == 0 assertions on the warm
 # view-split loops, the pointer-identity alias and stitch checks, the
 # pooled-buffer leak suite (poison mode) and steady-state zero-spawn proof,
-# the allocation ceiling on a whole fresh-session evaluation (the fixed cost
-# tiny_pipeline measures), and the aliasing recovery regressions
+# the allocation ceilings on a whole fresh-session evaluation (the fixed cost
+# tiny_pipeline measures) and on planning alone, and the aliasing recovery regressions
 # (retry/fallback restoring storage that pieces alias).
 pool-smoke:
 	$(GO) test -count=1 -run 'ZeroAllocs|Stitch|MergeFallback|ViewSplitsCounted' ./internal/annotations/vmathsa
 	$(GO) test -count=1 -run '$(POOL_TESTS)|TestPoison' ./internal/core
-	$(GO) test -count=1 -run 'TestRuntimeOverheadAllocCeiling' .
+	$(GO) test -count=1 -run 'TestRuntimeOverheadAllocCeiling|TestPlanAllocCeiling' .
 	$(GO) test -count=1 -run 'TestRetryRestoresAliasedBands|TestFallbackRestoresAliasedBands|TestWriteBackAliasesValue|TestCopySplitterKeepsCopySemantics' ./internal/annotations/imagesa
 
 # mozartd's end-to-end smoke: boot on an ephemeral port, evaluate for a

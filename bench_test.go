@@ -173,19 +173,148 @@ func BenchmarkRuntimeOverhead(b *testing.B) {
 
 // TestRuntimeOverheadAllocCeiling keeps the fixed cost of an evaluation from
 // creeping back: the RuntimeOverhead pipeline was 152 allocations when every
-// session built its own worker pool and rendered strings per event; it must
-// stay at or under 120 (make pool-smoke).
+// session built its own worker pool and rendered strings per event, and 106
+// when the planner kept its per-binding state in maps; it is 84 and must stay
+// at or under 89 (make pool-smoke).
 func TestRuntimeOverheadAllocCeiling(t *testing.T) {
+	const ceiling = 89
 	a, c := runtimeOverheadInputs()
 	n := testing.AllocsPerRun(200, func() {
 		if err := runtimeOverheadPipeline(a, c); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if n > 120 {
-		t.Errorf("RuntimeOverhead pipeline: %v allocations per evaluation, ceiling is 120", n)
+	if n > ceiling {
+		t.Errorf("RuntimeOverhead pipeline: %v allocations per evaluation, ceiling is %d", n, ceiling)
 	}
 	t.Logf("RuntimeOverhead pipeline: %v allocations per evaluation", n)
+}
+
+// blackScholesBuffers returns the 12 full-length buffers of the 31-call
+// Black Scholes program: price, strike, time, zeros, then d1, d2, t1, t2,
+// call, put, vega, gamma.
+func blackScholesBuffers(n int) [][]float64 {
+	price, strike, tt := data.OptionsData(n, 11)
+	bufs := [][]float64{price, strike, tt}
+	for len(bufs) < 12 {
+		bufs = append(bufs, make([]float64, n))
+	}
+	return bufs
+}
+
+// captureBlackScholes captures the 31 annotated vmath calls of the Figure 1
+// program (benchmark/'s blackscholes_compute) over bufs without evaluating.
+func captureBlackScholes(s *mozart.Session, bufs [][]float64) {
+	const (
+		riskFree, vol, invSqrt2Pi              = 0.02, 0.3, 0.3989422804014327
+		P, K, T, Z                             = 0, 1, 2, 3
+		d1, d2, t1, t2, call, put, vega, gamma = 4, 5, 6, 7, 8, 9, 10, 11
+	)
+	n := len(bufs[0])
+	un := func(f func(*mozart.Session, int, any, any), a, o int) { f(s, n, bufs[a], bufs[o]) }
+	bin := func(f func(*mozart.Session, int, any, any, any), a, b, o int) { f(s, n, bufs[a], bufs[b], bufs[o]) }
+	sc := func(f func(*mozart.Session, int, any, float64, any), a int, c float64, o int) {
+		f(s, n, bufs[a], c, bufs[o])
+	}
+	bin(vmathsa.Div, P, K, d1)
+	un(vmathsa.Ln, d1, d1)
+	un(vmathsa.Sqrt, T, t1)
+	sc(vmathsa.MulC, t1, vol, t1)
+	sc(vmathsa.MulC, T, riskFree+vol*vol/2, t2)
+	bin(vmathsa.Add, d1, t2, d1)
+	bin(vmathsa.Div, d1, t1, d1)
+	bin(vmathsa.Sub, d1, t1, d2)
+	un(vmathsa.Sqr, d1, gamma)
+	sc(vmathsa.MulC, gamma, -0.5, gamma)
+	un(vmathsa.Exp, gamma, gamma)
+	sc(vmathsa.MulC, gamma, invSqrt2Pi, gamma)
+	bin(vmathsa.Mul, P, gamma, vega)
+	bin(vmathsa.Mul, vega, t1, vega)
+	bin(vmathsa.Div, gamma, t1, gamma)
+	bin(vmathsa.Div, gamma, P, gamma)
+	un(vmathsa.CdfNorm, d1, d1)
+	un(vmathsa.CdfNorm, d2, d2)
+	sc(vmathsa.MulC, T, -riskFree, t2)
+	un(vmathsa.Exp, t2, t2)
+	bin(vmathsa.Mul, K, t2, t2)
+	bin(vmathsa.Mul, P, d1, call)
+	bin(vmathsa.Mul, t2, d2, put)
+	bin(vmathsa.Sub, call, put, call)
+	sc(vmathsa.SubCRev, d1, 1, d1)
+	sc(vmathsa.SubCRev, d2, 1, d2)
+	bin(vmathsa.Mul, t2, d2, d2)
+	bin(vmathsa.Mul, P, d1, d1)
+	bin(vmathsa.Sub, d2, d1, put)
+	bin(vmathsa.MaxV, call, Z, call)
+	bin(vmathsa.MaxV, put, Z, put)
+}
+
+// planSession captures the Black Scholes program at n = 256 in a session that
+// is only ever planned: Session.Plan is read-only, so every call plans the
+// same 31 pending calls.
+func planSession() *mozart.Session {
+	s := mozart.NewSession(mozart.Options{Workers: 2})
+	captureBlackScholes(s, blackScholesBuffers(256))
+	return s
+}
+
+// BenchmarkPlan is the planner alone — type resolution, stage
+// classification and the plan IR — on the 31-call Black Scholes capture.
+func BenchmarkPlan(b *testing.B) {
+	s := planSession()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Plan(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestPlanAllocCeiling: planning the 31-call program was 500 allocations
+// with nine maps per plan, a slice per call and a string per argument; it
+// must stay at or under 180 (make pool-smoke).
+func TestPlanAllocCeiling(t *testing.T) {
+	s := planSession()
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := s.Plan(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 180 {
+		t.Errorf("Session.Plan of the 31-call Black Scholes program: %v allocations, ceiling is 180", n)
+	}
+	t.Logf("Session.Plan of the 31-call Black Scholes program: %v allocations", n)
+}
+
+// BenchmarkFanOutCrossover is one fresh-session evaluation of a memory-cheap
+// program (Add+Mul) and a compute-dense one (Black Scholes) across sizes, at
+// one and two workers: where fanning out starts to pay differs by 10x in
+// bytes between the two, which is why the executor has no size cutoff
+// (DESIGN.md §13). Anyone proposing one starts from this table.
+func BenchmarkFanOutCrossover(b *testing.B) {
+	run := func(name string, sizes []int, bufs func(n int) [][]float64, capture func(*mozart.Session, [][]float64)) {
+		for _, n := range sizes {
+			in := bufs(n)
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/n=%d/workers=%d", name, n, workers), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						s := mozart.NewSession(mozart.Options{Workers: workers})
+						capture(s, in)
+						if err := s.EvaluateContext(context.Background()); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+	run("addmul", []int{64, 4096, 65536, 262144, 1048576},
+		func(n int) [][]float64 { return [][]float64{data.Vector(n, 1, 0.5, 1.5), data.Vector(n, 2, 0.5, 1.5)} },
+		func(s *mozart.Session, in [][]float64) {
+			vmathsa.Add(s, len(in[0]), in[0], in[1], in[0])
+			vmathsa.Mul(s, len(in[0]), in[0], in[1], in[0])
+		})
+	run("blackscholes", []int{256, 2048, 8192, 16384}, blackScholesBuffers, captureBlackScholes)
 }
 
 // BenchmarkWeldsimFusion measures the comparator's fused pass against an

@@ -63,39 +63,42 @@ type Annotation struct {
 }
 
 // Validate performs the structural checks the paper's annotate tool
-// performs: generics used consistently, concrete types fully specified.
+// performs: generics used consistently, concrete types fully specified. The
+// planner runs it on every call of every plan, so it allocates only to
+// report an error.
 func (a *Annotation) Validate() error {
 	if a == nil {
 		return fmt.Errorf("mozart: nil annotation")
 	}
-	check := func(where string, t TypeExpr) error {
+	// check names the offending type as where+name ("param "+"x", "return").
+	check := func(where, name string, t TypeExpr) error {
 		switch t.Kind {
 		case KindConcrete:
 			if t.Splitter == nil || t.Ctor == nil {
-				return fmt.Errorf("mozart: %s: %s: concrete split type %q needs a splitter and a constructor", a.FuncName, where, t.TypeName)
+				return fmt.Errorf("mozart: %s: %s%s: concrete split type %q needs a splitter and a constructor", a.FuncName, where, name, t.TypeName)
 			}
 		case KindGeneric:
 			if t.Generic == "" {
-				return fmt.Errorf("mozart: %s: %s: generic split type needs a name", a.FuncName, where)
+				return fmt.Errorf("mozart: %s: %s%s: generic split type needs a name", a.FuncName, where, name)
 			}
 		}
 		return nil
 	}
-	seen := map[string]bool{}
-	for _, p := range a.Params {
+	for i, p := range a.Params {
 		if p.Name == "" {
 			return fmt.Errorf("mozart: %s: unnamed parameter", a.FuncName)
 		}
-		if seen[p.Name] {
-			return fmt.Errorf("mozart: %s: duplicate parameter name %q", a.FuncName, p.Name)
+		for _, q := range a.Params[:i] {
+			if q.Name == p.Name {
+				return fmt.Errorf("mozart: %s: duplicate parameter name %q", a.FuncName, p.Name)
+			}
 		}
-		seen[p.Name] = true
-		if err := check("param "+p.Name, p.Type); err != nil {
+		if err := check("param ", p.Name, p.Type); err != nil {
 			return err
 		}
 	}
 	if a.Ret != nil {
-		if err := check("return", *a.Ret); err != nil {
+		if err := check("return", "", *a.Ret); err != nil {
 			return err
 		}
 	}

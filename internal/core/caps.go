@@ -38,29 +38,33 @@ const (
 func (c SplitterCaps) Has(want SplitterCaps) bool { return c&want == want }
 
 // String renders the set bits as "inplace|view|window|codec|place" (empty string
-// for the zero set). The rendering is stable; Explain output embeds it.
-func (c SplitterCaps) String() string {
-	if c == 0 {
-		return ""
+// for the zero set). The rendering is stable; Explain output embeds it, once
+// per stage input of every plan, so all 32 sets are rendered up front.
+func (c SplitterCaps) String() string { return capsNames[c&(1<<5-1)] }
+
+var capsNames = func() (names [1 << 5]string) {
+	for i := range names {
+		c := SplitterCaps(i)
+		parts := make([]string, 0, 5)
+		if c.Has(CapInPlace) {
+			parts = append(parts, "inplace")
+		}
+		if c.Has(CapView) {
+			parts = append(parts, "view")
+		}
+		if c.Has(CapWindow) {
+			parts = append(parts, "window")
+		}
+		if c.Has(CapCodec) {
+			parts = append(parts, "codec")
+		}
+		if c.Has(CapPlace) {
+			parts = append(parts, "place")
+		}
+		names[i] = strings.Join(parts, "|")
 	}
-	parts := make([]string, 0, 5) // one slot per capability: stays on the stack
-	if c.Has(CapInPlace) {
-		parts = append(parts, "inplace")
-	}
-	if c.Has(CapView) {
-		parts = append(parts, "view")
-	}
-	if c.Has(CapWindow) {
-		parts = append(parts, "window")
-	}
-	if c.Has(CapCodec) {
-		parts = append(parts, "codec")
-	}
-	if c.Has(CapPlace) {
-		parts = append(parts, "place")
-	}
-	return strings.Join(parts, "|")
-}
+	return names
+}()
 
 // ViewSplitter is the zero-copy split capability (CapView). SplitView is
 // Split with an explicit reuse slot: when reuse already is the requested

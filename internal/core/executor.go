@@ -516,27 +516,57 @@ func (s *Session) runStatic(ctx context.Context, ex *stageExec, lo, hi, batch in
 	return results, nil
 }
 
-// fanOut runs body(0) … body(workers-1) and returns once all have: worker 0
-// on the calling goroutine, the rest on the worker pool. It is the only place
-// stage workers start, so an evaluation with one worker touches no goroutine,
-// channel or timer at all.
-func (s *Session) fanOut(workers int, body func(w int)) {
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		s.spawn(func() {
-			defer wg.Done()
-			body(w)
-		})
-	}
-	body(0)
-	wg.Wait()
+// fanShares is the claim state of one fanOut call: shares 1…workers−1 go to
+// whoever takes them from next first, and wg counts those not yet finished.
+// It is allocated per call and never recycled: a helper that wakes after
+// fanOut returned still holds it, and must find it exhausted.
+type fanShares struct {
+	body    func(w int)
+	workers int32
+	next    atomic.Int32 // last share claimed; share 0 is the caller's
+	wg      sync.WaitGroup
 }
 
-// spawn dispatches a stage-worker task onto the session's worker pool,
-// accounting goroutine creation in Stats.WorkerSpawns (zero across
-// steady-state evaluations is the pool's reuse proof).
+// claim runs the next unclaimed share; once none is left it reports false
+// without touching stage state.
+func (f *fanShares) claim() bool {
+	w := f.next.Add(1)
+	if w >= f.workers {
+		return false
+	}
+	f.body(int(w))
+	f.wg.Done()
+	return true
+}
+
+// fanOut runs body(0) … body(workers-1), each exactly once, and returns once
+// all have. It is the only place stage workers start. Share 0 runs on the
+// calling goroutine; every other share is offered to the worker pool and run
+// by whoever claims it first — a helper when it wakes, or the caller once it
+// has nothing else left — so the caller waits only for shares a helper has
+// begun, never for a helper to start: a stage too small to outlast a wake-up
+// costs its one-worker time plus the offers. One worker touches no
+// goroutine, channel or timer at all.
+func (s *Session) fanOut(workers int, body func(w int)) {
+	if workers <= 1 {
+		body(0)
+		return
+	}
+	f := &fanShares{body: body, workers: int32(workers)}
+	f.wg.Add(workers - 1)
+	help := func() { f.claim() } // a helper takes at most one share
+	for w := 1; w < workers; w++ {
+		s.spawn(help)
+	}
+	body(0)
+	for f.claim() {
+	}
+	f.wg.Wait()
+}
+
+// spawn offers a stage-worker task to the session's worker pool, accounting
+// goroutine creation in Stats.WorkerSpawns (zero across steady-state
+// evaluations is the pool's reuse proof).
 func (s *Session) spawn(task func()) {
 	s.stats.add(&s.stats.PoolTasks, 1)
 	if s.opts.WorkerPool.Run(task) {

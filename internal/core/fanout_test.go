@@ -14,12 +14,16 @@ import (
 	"time"
 )
 
-// The fan-out contract (Session.fanOut): worker 0 of every stage runs on the
-// goroutine that called EvaluateContext, workers 1…W−1 on the pool. These
-// tests pin what that must not change: no goroutine outlives an evaluation
-// beyond the pool's parked workers, untrusted code panicking on the caller is
-// still isolated, the caller stops and is stopped at batch boundaries like
-// any sibling, and its pprof labels come back.
+// The fan-out contract (Session.fanOut): share 0 of every stage runs on the
+// goroutine that called EvaluateContext; shares 1…W−1 are offered to the pool
+// and run on whoever claims them first, a pool helper or the caller, each
+// exactly once. These tests pin what that must not change: no goroutine
+// outlives an evaluation beyond the pool's parked workers, untrusted code
+// panicking on the caller is still isolated, the caller stops and is stopped
+// at batch boundaries like any sibling — in share 0 and in any share it
+// claimed — an offer to a busy pool is queued and never dropped, and the
+// caller's pprof labels come back. (What a saturated pool and late helpers
+// do to results is in place_test.go, over its executor matrix.)
 
 // goid is the current goroutine's id, read from its stack header.
 func goid() uint64 {
@@ -279,32 +283,206 @@ func TestFanOutRestoresProfileLabels(t *testing.T) {
 	})
 }
 
-// TestFanOutWorkerCounts: fanOut runs each body exactly once with its own
-// index, body 0 on the calling goroutine and the rest elsewhere, and returns
-// only after all of them have.
+// TestFanOutWorkerCounts: fanOut runs each share exactly once with its own
+// index, share 0 on the calling goroutine, offers the other W−1 to the pool,
+// and returns only after all of them have run — also when the pool has fewer
+// workers than there are shares, and the caller has to take the rest.
 func TestFanOutWorkerCounts(t *testing.T) {
 	for workers := 1; workers <= 5; workers++ {
 		s := NewSession(Options{Workers: workers, WorkerPool: NewWorkerPool(2)})
 		caller := goid()
 		ran := make([]atomic.Int64, workers)
-		var misplaced atomic.Int64
+		var zeroOffCaller atomic.Bool
 		s.fanOut(workers, func(w int) {
-			if (goid() == caller) != (w == 0) {
-				misplaced.Add(1)
+			if w == 0 && goid() != caller {
+				zeroOffCaller.Store(true)
 			}
 			time.Sleep(time.Millisecond)
 			ran[w].Add(1)
 		})
 		for w := range ran {
 			if got := ran[w].Load(); got != 1 {
-				t.Errorf("%d workers: body %d ran %d times by the time fanOut returned, want 1", workers, w, got)
+				t.Errorf("%d workers: share %d ran %d times by the time fanOut returned, want 1", workers, w, got)
 			}
 		}
-		if misplaced.Load() != 0 {
-			t.Errorf("%d workers: %d bodies on the wrong goroutine (0 belongs on the caller, the rest off it)", workers, misplaced.Load())
+		if zeroOffCaller.Load() {
+			t.Errorf("%d workers: share 0 ran off the calling goroutine", workers)
 		}
 		if st := s.Stats(); st.PoolTasks != int64(workers-1) {
 			t.Errorf("%d workers: PoolTasks = %d, want %d", workers, st.PoolTasks, workers-1)
 		}
 	}
+}
+
+// TestFanOutOfferIsQueuedNotDropped: two one-batch evaluations leave the
+// pool's only worker somewhere between running their (already claimed)
+// offers and parking again at the instant a 200-batch stage makes its offer.
+// Wherever that instant falls the offer must reach the worker: a helper runs
+// one of the long stage's batches within its first few, rather than the stage
+// running on the caller alone.
+func TestFanOutOfferIsQueuedNotDropped(t *testing.T) {
+	const n = 200
+	for round := 0; round < 10; round++ {
+		pool := NewWorkerPool(1)
+		for i := 0; i < 2; i++ {
+			s := NewSession(Options{Workers: 2, WorkerPool: pool})
+			s.Call(testLog1p, saUnary("tiny"), 8, seq(8), make([]float64, 8))
+			if err := s.EvaluateContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		caller := goid()
+		var calls, helperAt atomic.Int64
+		slow := func(args []any) (any, error) {
+			if at := calls.Add(1); goid() != caller {
+				helperAt.CompareAndSwap(0, at)
+			}
+			time.Sleep(time.Millisecond)
+			return testLog1p(args)
+		}
+		s := NewSession(Options{Workers: 2, BatchElems: 1, WorkerPool: pool})
+		s.Call(slow, saUnary("slow"), n, seq(n), make([]float64, n))
+		if err := s.EvaluateContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if at := helperAt.Load(); at == 0 || at > 10 {
+			t.Fatalf("round %d: the first batch on a helper was call %d of %d (0 = none); want it among the first ten", round, at, n)
+		}
+		if st := s.Stats(); st.WorkerSpawns != 0 {
+			t.Errorf("round %d: WorkerSpawns = %d on a pool whose worker already exists", round, st.WorkerSpawns)
+		}
+	}
+}
+
+// TestFanOutClaimedShareFaults: a share the caller claimed after finishing
+// share 0 is a stage worker like any other. A panic, a cancellation or the
+// stage timeout inside it surfaces as the same StageError, naming the batch,
+// and stops the sibling a helper claimed at its next batch boundary — and a
+// fault in the helper's share stops the caller's claimed one. (Static only:
+// under dynamic claiming share 0 ends when the batches do, so a share claimed
+// afterwards never runs one.)
+func TestFanOutClaimedShareFaults(t *testing.T) {
+	const n, share = 300, 100 // three shares of 100 one-element batches
+	cases := []struct {
+		name     string
+		onHelper bool // the stage ends from the helper's share, not the caller's claimed one
+		origin   FaultOrigin
+	}{
+		{"panic in the caller's claimed share", false, OriginCall},
+		{"panic in the helper's share", true, OriginCall},
+		{"cancellation in the caller's claimed share", false, OriginCanceled},
+		{"cancellation in the helper's share", true, OriginCanceled},
+		{"timeout", false, OriginTimeout},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// One helper for three shares: it claims one of shares 1 and 2,
+			// and the caller — whose share 0 is instant once the helper is in
+			// — claims the other.
+			opts := Options{Workers: 3, BatchElems: 1, WorkerPool: NewWorkerPool(1)}
+			// The timeout needs no rendezvous: whoever holds a share when it
+			// passes must stop.
+			timeout := tc.origin == OriginTimeout
+			if timeout {
+				opts.StageTimeout = 20 * time.Millisecond
+			}
+			caller := goid()
+			helperIn, callerClaimed := make(chan struct{}), make(chan struct{})
+			var helperOnce, callerOnce, ended sync.Once
+			var faulted atomic.Bool
+			await := func(ch chan struct{}, what string) {
+				if timeout {
+					return
+				}
+				select {
+				case <-ch:
+				case <-time.After(5 * time.Second):
+					panic(what)
+				}
+			}
+			fn := func(args []any) (any, error) {
+				at, onCaller := int(args[0].([]float64)[0]), goid() == caller
+				switch {
+				case at < share: // share 0
+					await(helperIn, "no helper claimed a share")
+					return fnAddNew(args)
+				case onCaller:
+					callerOnce.Do(func() { close(callerClaimed) })
+				default:
+					helperOnce.Do(func() { close(helperIn) })
+					await(callerClaimed, "the caller claimed no share")
+				}
+				if !timeout && onCaller != tc.onHelper {
+					ended.Do(func() {
+						faulted.Store(true)
+						if tc.origin == OriginCanceled {
+							cancel()
+						} else {
+							panic("boom in a claimed share")
+						}
+					})
+				}
+				time.Sleep(2 * time.Millisecond)
+				return fnAddNew(args)
+			}
+			idx := make([]float64, n)
+			for i := range idx {
+				idx[i] = float64(i)
+			}
+			s := NewSession(opts)
+			s.Call(fn, saAddNew, idx, idx)
+			err := s.EvaluateContext(ctx)
+			var serr *StageError
+			if !errors.As(err, &serr) || serr.Origin != tc.origin {
+				t.Fatalf("want a %v-origin StageError, got %v", tc.origin, err)
+			}
+			if tc.origin == OriginCall {
+				if serr.PanicValue != "boom in a claimed share" || serr.Start < share || serr.End != serr.Start+1 {
+					t.Errorf("panic %v over [%d,%d), want the panic over one batch past share 0", serr.PanicValue, serr.Start, serr.End)
+				}
+			}
+			if !timeout && !faulted.Load() {
+				t.Fatal("the fault never fired")
+			}
+			// Share 0 ran whole; the two claimed shares own 100 batches each,
+			// and one that kept going would add most of them.
+			if got := s.Stats().Calls; got >= share+share/2 {
+				t.Errorf("Calls = %d of %d batches: a claimed share did not stop at its batch boundary", got, n)
+			}
+		})
+	}
+}
+
+// TestFanOutClaimedShareProfileLabels: with ProfileLabels a share the caller
+// claimed runs under that stage's labels on top of the caller's own, and the
+// caller's own are back afterwards — also between the shares it runs.
+func TestFanOutClaimedShareProfileLabels(t *testing.T) {
+	pprof.Do(context.Background(), pprof.Labels("who", "caller"), func(ctx context.Context) {
+		before := goroutineLabels(t)
+		pool := NewWorkerPool(1)
+		defer HoldPool(pool)() // no helper: the caller runs shares 0, 1 and 2
+		var during []string
+		fn := func(args []any) (any, error) {
+			during = append(during, goroutineLabels(t))
+			return fnAddNew(args)
+		}
+		s := NewSession(Options{Workers: 3, BatchElems: 8, ProfileLabels: true, WorkerPool: pool})
+		s.Call(fn, saAddNew, seq(24), seq(24))
+		if err := s.EvaluateContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if len(during) != 3 {
+			t.Fatalf("%d batches ran, want one per share", len(during))
+		}
+		for w, d := range during {
+			if !strings.Contains(d, `"mozart_stage":"0"`) || !strings.Contains(d, `"who":"caller"`) {
+				t.Errorf("labels inside share %d = %q, want the stage's labels on top of the caller's", w, d)
+			}
+		}
+		if after := goroutineLabels(t); after != before {
+			t.Errorf("labels after the evaluation = %q, want %q", after, before)
+		}
+	})
 }

@@ -14,16 +14,19 @@ import (
 // source values (identified by pointer identity where possible), for scalar
 // arguments, and for values produced by annotated calls.
 type binding struct {
-	id        int
-	val       any   // current full value (valid when hasVal)
-	hasVal    bool  // val holds the current full value
-	ready     bool  // val is final and safe for user reads
-	producer  *node // pending producer among un-evaluated nodes, nil otherwise
-	key       uintptr
-	keep      bool // user demanded materialization (Future.Keep)
-	discarded bool // was pipelined away and never materialized
-	guarded   bool // participates in simulated memory protection
-	bytes     int64
+	id       int
+	val      any   // current full value (valid when hasVal)
+	producer *node // pending producer among un-evaluated nodes, nil otherwise
+	key      uintptr
+	bytes    int64
+	// The flags sit together, next to the 4-byte-aligned planner scratch, so
+	// that a binding stays in the 80-byte size class.
+	hasVal    bool     // val holds the current full value
+	ready     bool     // val is final and safe for user reads
+	keep      bool     // user demanded materialization (Future.Keep)
+	discarded bool     // was pipelined away and never materialized
+	guarded   bool     // participates in simulated memory protection
+	pm        planMark // planner scratch, valid per epoch (planner.go)
 }
 
 // node is one captured annotated call.
@@ -48,6 +51,7 @@ type Session struct {
 	byPointer map[uintptr]*binding
 	stats     stats
 	nextID    int
+	planEpoch uint32        // last epoch handed to the planner's per-binding marks
 	broken    error         // sticky evaluation error
 	breakers  *breakerSet   // per-annotation circuit breakers (FallbackQuarantine)
 	sim       simCounters   // plan-signature cache for simulated counters

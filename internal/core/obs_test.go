@@ -174,21 +174,31 @@ func TestTracerWorkerLanesDisjoint(t *testing.T) {
 	}
 }
 
-// TestTracerWorkerZeroLaneIsTheCaller: worker 0 runs on the goroutine that
-// called EvaluateContext and still reports on lane 0 — its batch and merge
-// spans carry Worker 0 and come from the caller, every other worker lane
-// comes from some other goroutine, and no lane is shared by two goroutines.
+// TestTracerWorkerZeroLaneIsTheCaller: a share reports on the lane of its
+// index whoever runs it. Lane 0 is share 0 and so only ever the caller's;
+// any other lane belongs, for the length of a stage, to the one goroutine
+// that claimed that share — a pool helper or the caller again — and since a
+// share runs its batches one after another, a lane's batch spans never
+// overlap in time.
 func TestTracerWorkerZeroLaneIsTheCaller(t *testing.T) {
 	schedulerVariants(t, func(t *testing.T, dynamic bool) {
 		const n, workers = 96, 3
 		tr := &recordingTracer{}
-		s := NewSession(Options{Workers: workers, BatchElems: 8, Tracer: tr, DynamicScheduling: dynamic})
-		s.Call(fnAddNew, saAddNew, seq(n), seq(n)) // a merged output: workers emit EvMerge too
+		// Two stages (no pipelining: one per call), so that a lane can change
+		// hands between them; merged outputs, so that workers emit EvMerge too.
+		s := NewSession(Options{Workers: workers, BatchElems: 8, Tracer: tr,
+			DynamicScheduling: dynamic, DisablePipelining: true})
+		s.Call(fnAddNew, saAddNew, s.Call(fnAddNew, saAddNew, seq(n), seq(n)), seq(n))
 		if err := s.EvaluateContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		if st := s.Stats(); st.Stages != 2 {
+			t.Fatalf("Stages = %d, want 2", st.Stages)
+		}
 		caller := goid()
-		laneOwner := map[int]uint64{}
+		type lane struct{ stage, worker int }
+		laneOwner := map[lane]uint64{}
+		batches := map[lane][]obs.Event{}
 		kinds := map[obs.EventKind]int{}
 		for i, e := range tr.all() {
 			if (e.Kind != obs.EvBatch && e.Kind != obs.EvMerge) || e.Worker == obs.RuntimeLane {
@@ -200,19 +210,31 @@ func TestTracerWorkerZeroLaneIsTheCaller(t *testing.T) {
 			if e.Worker < 0 || e.Worker >= workers {
 				t.Fatalf("%v event on worker %d, want [0,%d)", e.Kind, e.Worker, workers)
 			}
-			if (e.Worker == 0) != (tr.goids[i] == caller) {
-				t.Errorf("%v event on lane %d came from goroutine %d (caller is %d): lane 0 is the caller's and only the caller's",
-					e.Kind, e.Worker, tr.goids[i], caller)
+			if e.Worker == 0 && tr.goids[i] != caller {
+				t.Errorf("%v event on lane 0 came from goroutine %d (caller is %d): lane 0 is only ever the caller's",
+					e.Kind, tr.goids[i], caller)
 			}
-			if owner, ok := laneOwner[e.Worker]; ok && owner != tr.goids[i] {
-				t.Errorf("lane %d shared by goroutines %d and %d", e.Worker, owner, tr.goids[i])
+			l := lane{e.Stage, e.Worker}
+			if owner, ok := laneOwner[l]; ok && owner != tr.goids[i] {
+				t.Errorf("stage %d: lane %d shared by goroutines %d and %d", e.Stage, e.Worker, owner, tr.goids[i])
 			}
-			laneOwner[e.Worker] = tr.goids[i]
-			if e.Worker == 0 {
+			laneOwner[l] = tr.goids[i]
+			if e.Kind == obs.EvBatch {
+				batches[l] = append(batches[l], e)
+			}
+			if e.Stage == 0 && e.Worker == 0 {
 				kinds[e.Kind]++
 			}
 		}
-		// Static partitioning guarantees worker 0 a range (and so a pre-merge);
+		for l, evs := range batches {
+			sort.Slice(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
+			for i := 1; i < len(evs); i++ {
+				if begin := evs[i].Time.Add(-evs[i].Dur); begin.Before(evs[i-1].Time) {
+					t.Errorf("stage %d lane %d: a batch span begins %v before the previous one ends", l.stage, l.worker, evs[i-1].Time.Sub(begin))
+				}
+			}
+		}
+		// Static partitioning guarantees share 0 a range (and so a pre-merge);
 		// under dynamic claiming its siblings may take every batch first.
 		if !dynamic && (kinds[obs.EvBatch] == 0 || kinds[obs.EvMerge] == 0) {
 			t.Errorf("lane 0 carried %d batch and %d merge spans, want both", kinds[obs.EvBatch], kinds[obs.EvMerge])

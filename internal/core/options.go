@@ -165,11 +165,13 @@ type Options struct {
 	// the OS temp dir. Spill files are CRC-checked, crash-safe (orphans
 	// from dead processes are sweepable), and removed at stage finale.
 	SpillDir string
-	// WorkerPool, when set, is the pool a stage's helper workers (1…W−1;
-	// worker 0 runs on the evaluating goroutine) are dispatched onto.
+	// WorkerPool, when set, is the pool a stage's shares 1…W−1 are offered
+	// to (share 0, and any share no helper has started by the time the
+	// evaluating goroutine is free, run on the evaluating goroutine).
 	// Defaults to one process-wide pool created at first use and sized at
 	// GOMAXPROCS, so sessions built per request reuse each other's parked
-	// workers; pass a private pool to bound or isolate a group of sessions.
+	// workers; pass a private pool to isolate a group of sessions or to
+	// bound its helper goroutines (the pool's cap; offers beyond it queue).
 	// See WorkerPool and Stats.WorkerSpawns (zero spawns across
 	// steady-state evaluations is the reuse proof).
 	WorkerPool *WorkerPool

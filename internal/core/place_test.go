@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,15 +132,14 @@ func checkAgainstWhole(t *testing.T, futs []*core.Future, want []any, empty bool
 	}
 }
 
-// The matrix covers the three executors that fan out — static, dynamic and
-// streaming (out of core under a budget far below the working set) — at one
-// to four workers: worker 0 on the caller and its pool siblings must together
-// produce the unsplit result whichever executor drives them.
-func TestPlacedOutputsMatchUnsplitCalls(t *testing.T) {
+// forEachExecutorCell runs f in a subtest for every cell of the fan-out
+// matrix: the three executors that fan out — static, dynamic and streaming
+// (out of core under a budget far below the working set) — at one to four
+// workers and three batch sizes, over 103 elements and over none.
+func forEachExecutorCell(t *testing.T, f func(t *testing.T, in placedInputs, executor string, opts core.Options)) {
 	const n = 103
 	for _, total := range []int{n, 0} {
 		in := newPlacedInputs(total)
-		want := in.whole()
 		for _, executor := range []string{"static", "dynamic", "streaming"} {
 			for workers := 1; workers <= 4; workers++ {
 				for _, batch := range []int64{1, 10, n + 50} {
@@ -149,25 +150,112 @@ func TestPlacedOutputsMatchUnsplitCalls(t *testing.T) {
 						if executor == "streaming" {
 							opts.OutOfCore, opts.Governor, opts.SpillDir = true, core.NewGovernor(1024), t.TempDir()
 						}
-						s := core.NewSession(opts)
-						checkAgainstWhole(t, in.capture(s, scaleFn), want, total == 0)
-						st := s.Stats()
-						if executor == "streaming" && total > 0 {
-							// The streaming executor never places (see below).
-							if st.StreamedStages != 1 || st.PlacedPieces != 0 {
-								t.Fatalf("StreamedStages = %d, PlacedPieces = %d; want 1 and 0", st.StreamedStages, st.PlacedPieces)
-							}
-							return
-						}
-						// The three chains have equal element counts and
-						// share one stage: four placed outputs per batch.
-						if st.PlacedPieces != 4*st.Batches {
-							t.Fatalf("PlacedPieces = %d, want %d (4 per batch)", st.PlacedPieces, 4*st.Batches)
-						}
+						f(t, in, executor, opts)
 					})
 				}
 			}
 		}
+	}
+}
+
+// Share 0 on the caller and its siblings, whoever runs them, must together
+// produce the unsplit result whichever executor drives them.
+func TestPlacedOutputsMatchUnsplitCalls(t *testing.T) {
+	forEachExecutorCell(t, func(t *testing.T, in placedInputs, executor string, opts core.Options) {
+		total := in.a.Len()
+		s := core.NewSession(opts)
+		checkAgainstWhole(t, in.capture(s, scaleFn), in.whole(), total == 0)
+		st := s.Stats()
+		if executor == "streaming" && total > 0 {
+			// The streaming executor never places (see below).
+			if st.StreamedStages != 1 || st.PlacedPieces != 0 {
+				t.Fatalf("StreamedStages = %d, PlacedPieces = %d; want 1 and 0", st.StreamedStages, st.PlacedPieces)
+			}
+			return
+		}
+		// The three chains have equal element counts and
+		// share one stage: four placed outputs per batch.
+		if st.PlacedPieces != 4*st.Batches {
+			t.Fatalf("PlacedPieces = %d, want %d (4 per batch)", st.PlacedPieces, 4*st.Batches)
+		}
+	})
+}
+
+// On a pool whose workers are all busy for the whole evaluation no helper
+// ever claims a share: the caller runs every one, without waiting for anybody
+// and without a goroutine being made for it, and the results are those of the
+// unsplit calls in every cell of the matrix.
+func TestFanOutOnASaturatedPool(t *testing.T) {
+	pool := core.NewWorkerPool(2)
+	defer core.HoldPool(pool)()
+	goroutines := runtime.NumGoroutine()
+	forEachExecutorCell(t, func(t *testing.T, in placedInputs, executor string, opts core.Options) {
+		opts.WorkerPool = pool
+		s := core.NewSession(opts)
+		checkAgainstWhole(t, in.capture(s, scaleFn), in.whole(), in.a.Len() == 0)
+		if st := s.Stats(); st.WorkerSpawns != 0 {
+			t.Fatalf("WorkerSpawns = %d on a saturated pool, want 0: offers queue", st.WorkerSpawns)
+		}
+	})
+	// (Fewer is fine: other tests' parked workers retire meanwhile. The last
+	// subtest's own goroutine takes a moment to exit.)
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if pool.Spawns() != 2 || runtime.NumGoroutine() > goroutines {
+		t.Errorf("pool spawns = %d, goroutines %d -> %d; want the pool's 2 held workers and nothing more",
+			pool.Spawns(), goroutines, runtime.NumGoroutine())
+	}
+}
+
+// Helpers that get to a stage's offers only after the evaluation has
+// returned must find nothing to do: they run no batch and touch no pooled
+// buffer (PoisonPools would corrupt a result), and a second evaluation of the
+// same session that is under way while they drain is unaffected. The claim
+// state is per fan-out and never reused; a recycled one would hand a late
+// helper a share of the second evaluation's stage — or, when streaming, of
+// the next window's.
+func TestFanOutLateHelpersFindNothing(t *testing.T) {
+	const workers = 3
+	for _, executor := range []string{"static", "dynamic", "streaming"} {
+		t.Run(executor, func(t *testing.T) {
+			run := func(pool *core.WorkerPool, between func() (release func())) core.StatsSnapshot {
+				opts := core.Options{Workers: workers, BatchElems: 10, PoisonPools: true,
+					DynamicScheduling: executor == "dynamic", WorkerPool: pool}
+				if executor == "streaming" {
+					opts.OutOfCore, opts.Governor, opts.SpillDir = true, core.NewGovernor(1024), t.TempDir()
+				}
+				s := core.NewSession(opts)
+				release := between()
+				first := newPlacedInputs(103)
+				checkAgainstWhole(t, first.capture(s, scaleFn), first.whole(), false)
+				// The second evaluation lets the helpers go from inside its
+				// first batch, so the first one's offers drain while it runs.
+				var once sync.Once
+				scale := func(args []any) (any, error) {
+					once.Do(release)
+					return scaleFn(args)
+				}
+				second := newPlacedInputs(103)
+				checkAgainstWhole(t, second.capture(s, scale), second.whole(), false)
+				for deadline := time.Now().Add(5 * time.Second); pool.Queued() > 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d offers never drained", pool.Queued())
+					}
+				}
+				return s.Stats()
+			}
+			idle := run(core.NewWorkerPool(2), func() func() { return func() {} })
+			held := core.NewWorkerPool(2)
+			late := run(held, func() func() { return core.HoldPool(held) })
+			if executor == "streaming" && late.PoolTasks < 2*3*(workers-1) {
+				t.Fatalf("PoolTasks = %d: want at least three windows an evaluation, each with its own offers", late.PoolTasks)
+			}
+			if late.Calls != idle.Calls || late.Batches != idle.Batches || late.PoolTasks != idle.PoolTasks || late.WorkerSpawns != 0 {
+				t.Errorf("with late helpers: Calls %d, Batches %d, PoolTasks %d, WorkerSpawns %d; on an idle pool: Calls %d, Batches %d, PoolTasks %d",
+					late.Calls, late.Batches, late.PoolTasks, late.WorkerSpawns, idle.Calls, idle.Batches, idle.PoolTasks)
+			}
+		})
 	}
 }
 

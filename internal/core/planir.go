@@ -12,26 +12,41 @@ import (
 // internal/planlower (memsim models), and by Session.Plan / mozart.Explain
 // (EXPLAIN rendering) — one plan, three consumers.
 
-// renderResolved renders a resolution the way the IR records split types:
-// "_" for broadcast, "deferred" when the splitter is resolved from the
-// default registry at execution time (never the process-global unknown#N
-// counter, which would make renderings nondeterministic), and the concrete
-// split type otherwise.
-func renderResolved(r resolved) string {
+// splitNames renders each distinct split type of a plan once: a program's
+// arguments share a handful of types, and SplitType.String allocates.
+type splitNames []splitName
+
+type splitName struct {
+	t    SplitType
+	name string
+}
+
+// of renders a resolution the way the IR records split types: "_" for
+// broadcast, "deferred" when the splitter is resolved from the default
+// registry at execution time (never the process-global unknown#N counter,
+// which would make renderings nondeterministic), and the concrete split type
+// otherwise.
+func (c *splitNames) of(r resolved) string {
 	switch {
 	case r.broadcast:
 		return "_"
 	case r.deferred:
 		return "deferred"
-	default:
-		return r.t.String()
 	}
+	for _, e := range *c {
+		if e.t.Equal(r.t) {
+			return e.name
+		}
+	}
+	*c = append(*c, splitName{r.t, r.t.String()})
+	return (*c)[len(*c)-1].name
 }
 
 // buildIR mirrors a built (and classified) plan into the exported IR and
 // links each planStage to its IR stage. It only reads session state: Info
 // probes for input dimensions go through the panic-isolating wrapper and
-// failures degrade to unknown (-1) dimensions.
+// failures degrade to unknown (-1) dimensions. Every stage's calls, and every
+// call's arguments and return, are carved from one slice each per plan.
 func (s *Session) buildIR(p *plan) *ir.Plan {
 	out := &ir.Plan{
 		Batch:      s.opts.batchPolicy(),
@@ -41,8 +56,9 @@ func (s *Session) buildIR(p *plan) *ir.Plan {
 		out.Mode = ir.ScheduleDynamic
 	}
 	out.Stages = make([]ir.Stage, len(p.stages))
+	b := irBuilder{s: s, calls: make([]ir.Call, len(s.nodes)), args: make([]ir.Arg, len(p.res))}
 	for si := range p.stages {
-		out.Stages[si] = s.stageIR(&p.stages[si])
+		out.Stages[si] = b.stage(&p.stages[si])
 	}
 	for si := range p.stages {
 		p.stages[si].ir = &out.Stages[si]
@@ -52,45 +68,53 @@ func (s *Session) buildIR(p *plan) *ir.Plan {
 	return out
 }
 
-func (s *Session) stageIR(st *planStage) ir.Stage {
-	outSet := map[int]bool{}
+// irBuilder is one buildIR under way: what is left of the plan's call and
+// argument slices, and the split types rendered so far.
+type irBuilder struct {
+	s     *Session
+	calls []ir.Call
+	args  []ir.Arg
+	names splitNames
+}
+
+func (b *irBuilder) stage(st *planStage) ir.Stage {
+	e := b.s.nextEpoch()
 	for _, o := range st.outputs {
-		outSet[o.b.id] = true
+		o.b.mark(e, markOut)
 	}
 
 	kind := ir.StageWhole
 	var live []int
-	liveSeen := map[int]bool{}
-	calls := make([]ir.Call, len(st.calls))
+	calls := carve(&b.calls, len(st.calls))
 	for ci, c := range st.calls {
-		ic := ir.Call{Name: c.n.name, Args: make([]ir.Arg, len(c.args))}
+		ic := ir.Call{Name: c.n.name, Args: carve(&b.args, len(c.args))}
 		for i, r := range c.args {
 			ic.Args[i] = ir.Arg{
 				Binding:   c.n.args[i].id,
 				Name:      c.n.sa.Params[i].Name,
 				Broadcast: r.broadcast,
 				Mut:       c.n.sa.Params[i].Mut,
-				Split:     renderResolved(r),
+				Split:     b.names.of(r),
 				Deferred:  r.deferred,
 			}
 			if !r.broadcast {
 				kind = ir.StageSplit
 			}
 		}
-		if c.n.ret != nil {
-			ic.Ret = &ir.Arg{
-				Binding:   c.n.ret.id,
+		if rb := c.n.ret; rb != nil {
+			ic.Ret = &carve(&b.args, 1)[0]
+			*ic.Ret = ir.Arg{
+				Binding:   rb.id,
 				Name:      "ret",
 				Broadcast: c.ret.broadcast,
-				Split:     renderResolved(c.ret),
+				Split:     b.names.of(c.ret),
 				Deferred:  c.ret.deferred,
 			}
-			ic.RetDiscarded = !outSet[c.n.ret.id]
+			ic.RetDiscarded = !rb.marked(e, markOut)
 			if !c.ret.broadcast {
 				ic.RetReduced = retIsReduced(c)
-				if !ic.RetReduced && !liveSeen[c.n.ret.id] {
-					liveSeen[c.n.ret.id] = true
-					live = append(live, c.n.ret.id)
+				if !ic.RetReduced && !rb.mark(e, markLive) {
+					live = append(live, rb.id)
 				}
 			}
 		}
@@ -103,15 +127,15 @@ func (s *Session) stageIR(st *planStage) ir.Stage {
 
 	ins := make([]ir.Value, len(st.inputs))
 	for i, in := range st.inputs {
-		ins[i] = s.inputIR(in)
+		ins[i] = b.s.inputIR(in, b.names.of(in.r))
 	}
 	outs := make([]ir.Value, len(st.outputs))
 	for i, o := range st.outputs {
-		outs[i] = ir.Value{Binding: o.b.id, Split: renderResolved(o.r), Elems: -1, ElemBytes: -1}
+		outs[i] = ir.Value{Binding: o.b.id, Split: b.names.of(o.r), Elems: -1, ElemBytes: -1}
 	}
 	bcs := make([]int, len(st.broadcast))
-	for i, b := range st.broadcast {
-		bcs[i] = b.id
+	for i, bc := range st.broadcast {
+		bcs[i] = bc.id
 	}
 	sort.Ints(bcs)
 
@@ -130,8 +154,8 @@ func (s *Session) stageIR(st *planStage) ir.Stage {
 // resolve against the default registry, exactly as the executor will). The
 // splitter's capability set is recorded too, so Explain shows which inputs
 // take the zero-copy view path.
-func (s *Session) inputIR(in stageInput) ir.Value {
-	v := ir.Value{Binding: in.b.id, Split: renderResolved(in.r), Elems: -1, ElemBytes: -1}
+func (s *Session) inputIR(in stageInput, split string) ir.Value {
+	v := ir.Value{Binding: in.b.id, Split: split, Elems: -1, ElemBytes: -1}
 	v.Caps = CapabilitiesOf(in.r.splitter).String()
 	if !in.b.hasVal {
 		return v

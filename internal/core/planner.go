@@ -30,8 +30,8 @@ func (r resolved) compatible(o resolved) bool {
 // planCall is one call inside a stage with fully resolved argument modes.
 type planCall struct {
 	n    *node
-	args []resolved
-	ret  resolved // valid iff n.ret != nil
+	args []resolved // carved from plan.res
+	ret  resolved   // valid iff n.ret != nil
 }
 
 // stageInput is a binding the stage must split at entry.
@@ -62,6 +62,10 @@ type planStage struct {
 type plan struct {
 	stages []planStage
 	ir     *ir.Plan
+	// res backs every call's resolutions: the arguments in order, then the
+	// return value when there is one — one allocation per plan, and what a
+	// binding's planMark.ctx indexes.
+	res []resolved
 	// sig and tuned are set when the session has a Tuner: the structural
 	// signature the decision was keyed on, and the decision itself (already
 	// folded into ir.Batch/ir.Workers/ir.Provenance by applyTuner).
@@ -74,105 +78,147 @@ type plan struct {
 	obsBytes int64
 }
 
+// planMark is the planner's working state for one binding. It lives on the
+// binding, so planning allocates none of it and looks nothing up, and it is
+// never cleared: each group of fields is valid only under the epoch it was
+// stamped with, and Session.nextEpoch hands out a fresh one per open stage,
+// per classified stage and per plan.
+type planMark struct {
+	ctxAt, flagsAt, lastAt uint32
+	ctx                    int32 // under ctxAt (an open stage): resolved as plan.res[ctx]
+	last                   int32 // under lastAt (a plan): last stage whose calls read the binding
+	flags                  uint8 // under flagsAt (a classified stage): mark* bits
+}
+
+const (
+	markIn       uint8 = 1 << iota // split at stage entry
+	markOut                        // merged at stage exit
+	markBC                         // used whole within the stage
+	markProduced                   // returned by a call of the stage
+	markLive                       // counted in the stage's §5.2 working set
+)
+
+func (s *Session) nextEpoch() uint32 {
+	s.planEpoch++
+	return s.planEpoch
+}
+
+// marked reports whether flag f is set on b under epoch e.
+func (b *binding) marked(e uint32, f uint8) bool { return b.pm.flagsAt == e && b.pm.flags&f != 0 }
+
+// mark sets flag f on b under epoch e and reports whether it already was.
+func (b *binding) mark(e uint32, f uint8) bool {
+	was := b.marked(e, f)
+	if b.pm.flagsAt != e {
+		b.pm.flagsAt, b.pm.flags = e, 0
+	}
+	b.pm.flags |= f
+	return was
+}
+
+// carve cuts the next n elements off *rest, capped so that an append to the
+// result cannot run into its neighbour.
+func carve[T any](rest *[]T, n int) []T {
+	out := (*rest)[:n:n]
+	*rest = (*rest)[n:]
+	return out
+}
+
 // errStageBreak signals that a node cannot join the current stage and a new
 // stage must start (split data must be merged and re-split).
 var errStageBreak = fmt.Errorf("stage break")
 
-// resolveNode type-checks node n against the split context ctx (binding id →
-// resolution within the open stage). On success it returns the per-arg and
-// return resolutions and leaves the ctx updates this node introduces in
-// updates. A compatibility conflict returns errStageBreak. ctx is not
-// modified. updates and generics are scratch maps owned by buildPlan and
-// cleared here, so a plan of many calls allocates them once.
-func resolveNode(n *node, ctx, updates map[int]resolved, generics map[string]resolved) (args []resolved, ret resolved, err error) {
+// resolveNode type-checks node n against the open stage (epoch open: a
+// binding resolved in it points at its resolution in pl.res) and writes the
+// per-argument resolutions into args, reporting whether any is split. A
+// compatibility conflict returns errStageBreak. Nothing outside args is
+// modified: buildPlan commits them to the stage once the node joins it.
+func resolveNode(pl *plan, open uint32, n *node, args []resolved) (ret resolved, anySplit bool, err error) {
+	fail := func(err error) (resolved, bool, error) { return resolved{}, false, err }
 	if err := n.sa.Validate(); err != nil {
-		return nil, resolved{}, err
+		return fail(err)
 	}
-	clear(updates)
-	clear(generics)
-	args = make([]resolved, len(n.args))
+	params := n.sa.Params
 
-	lookup := func(b *binding) (resolved, bool) {
-		if r, ok := updates[b.id]; ok {
-			return r, true
+	// lookup finds how b is split once arguments before the i-th have had
+	// their say: an earlier split argument of this call wins over the stage.
+	lookup := func(b *binding, i int) *resolved {
+		for j := i - 1; j >= 0; j-- {
+			if n.args[j] == b && !args[j].broadcast {
+				return &args[j]
+			}
 		}
-		r, ok := ctx[b.id]
-		return r, ok
+		if b.pm.ctxAt == open {
+			return &pl.res[b.pm.ctx]
+		}
+		return nil
+	}
+	// generic finds what an earlier parameter (before the i-th) bound the
+	// generic name to.
+	generic := func(name string, i int) *resolved {
+		for j := 0; j < i; j++ {
+			if params[j].Type.Kind == KindGeneric && params[j].Type.Generic == name {
+				return &args[j]
+			}
+		}
+		return nil
 	}
 
-	for i, p := range n.sa.Params {
+	for i, p := range params {
 		b := n.args[i]
-		in, hasIn := lookup(b)
+		in := lookup(b, i)
 		var r resolved
 		switch p.Type.Kind {
 		case KindMissing:
-			if hasIn && !in.broadcast {
+			if in != nil {
 				// The call needs the whole value but it is split in
 				// the open stage: merge first.
-				return nil, resolved{}, errStageBreak
+				return fail(errStageBreak)
 			}
 			r = resolved{broadcast: true}
 		case KindConcrete:
 			t, cerr := p.Type.Ctor(n.argVals)
 			if cerr != nil {
-				return nil, resolved{}, fmt.Errorf("mozart: %s: param %s: constructor: %w", n.sa.FuncName, p.Name, cerr)
+				return fail(fmt.Errorf("mozart: %s: param %s: constructor: %w", n.sa.FuncName, p.Name, cerr))
 			}
 			r = resolved{t: t, splitter: p.Type.Splitter}
-			if hasIn && !in.compatible(r) {
-				return nil, resolved{}, errStageBreak
+			if in != nil && !in.compatible(r) {
+				return fail(errStageBreak)
 			}
 		case KindGeneric:
-			if g, bound := generics[p.Type.Generic]; bound {
-				if hasIn && !in.compatible(g) {
-					return nil, resolved{}, errStageBreak
+			if g := generic(p.Type.Generic, i); g != nil {
+				if in != nil && !in.compatible(*g) {
+					return fail(errStageBreak)
 				}
-				r = g
-			} else if hasIn {
-				if in.broadcast {
-					return nil, resolved{}, errStageBreak
-				}
-				r = in
-				generics[p.Type.Generic] = r
-			} else {
+				r = *g
+			} else if in != nil {
+				r = *in
+			} else if d, ok := lookupDefaultSplit(n.argVals[i]); ok {
 				// Fresh input bound to a generic: fall back to the
-				// default split type for the data type, or defer to
-				// execution time when the value is still lazy.
-				if d, ok := lookupDefaultSplit(n.argVals[i]); ok {
-					t, cerr := d.ctor(n.argVals[i])
-					if cerr != nil {
-						return nil, resolved{}, fmt.Errorf("mozart: %s: param %s: default constructor: %w", n.sa.FuncName, p.Name, cerr)
-					}
-					r = resolved{t: t, splitter: d.splitter}
-				} else {
-					r = resolved{t: NewUnknownType(), deferred: true}
+				// default split type for the data type …
+				t, cerr := d.ctor(n.argVals[i])
+				if cerr != nil {
+					return fail(fmt.Errorf("mozart: %s: param %s: default constructor: %w", n.sa.FuncName, p.Name, cerr))
 				}
-				generics[p.Type.Generic] = r
+				r = resolved{t: t, splitter: d.splitter}
+			} else {
+				// … or defer to execution time when the value is still lazy.
+				r = resolved{t: NewUnknownType(), deferred: true}
 			}
 		case KindUnknown:
-			return nil, resolved{}, fmt.Errorf("mozart: %s: param %s: unknown is only valid as a return type", n.sa.FuncName, p.Name)
+			return fail(fmt.Errorf("mozart: %s: param %s: unknown is only valid as a return type", n.sa.FuncName, p.Name))
 		}
 		args[i] = r
-		if !r.broadcast {
-			// The value is (or becomes) split this way within the stage;
-			// the same holds after mutation.
-			updates[b.id] = r
-		}
+		anySplit = anySplit || !r.broadcast
 	}
 
 	// A mut argument with the missing "_" type is only sound when the whole
 	// call runs unsplit: inside a split stage every pipeline would mutate
 	// the same full value concurrently.
-	anySplit := false
-	for _, r := range args {
-		if !r.broadcast {
-			anySplit = true
-			break
-		}
-	}
 	if anySplit {
-		for i, p := range n.sa.Params {
+		for i, p := range params {
 			if p.Mut && args[i].broadcast {
-				return nil, resolved{}, fmt.Errorf("mozart: %s: param %s: mut with missing split type would race across pipelines", n.sa.FuncName, p.Name)
+				return fail(fmt.Errorf("mozart: %s: param %s: mut with missing split type would race across pipelines", n.sa.FuncName, p.Name))
 			}
 		}
 	}
@@ -181,16 +227,16 @@ func resolveNode(n *node, ctx, updates map[int]resolved, generics map[string]res
 		rt := *n.sa.Ret
 		switch rt.Kind {
 		case KindMissing:
-			return nil, resolved{}, fmt.Errorf("mozart: %s: return type cannot be missing; use a void function", n.sa.FuncName)
+			return fail(fmt.Errorf("mozart: %s: return type cannot be missing; use a void function", n.sa.FuncName))
 		case KindConcrete:
 			t, cerr := rt.Ctor(n.argVals)
 			if cerr != nil {
-				return nil, resolved{}, fmt.Errorf("mozart: %s: return: constructor: %w", n.sa.FuncName, cerr)
+				return fail(fmt.Errorf("mozart: %s: return: constructor: %w", n.sa.FuncName, cerr))
 			}
 			ret = resolved{t: t, splitter: rt.Splitter}
 		case KindGeneric:
-			if g, bound := generics[rt.Generic]; bound {
-				ret = g
+			if g := generic(rt.Generic, len(params)); g != nil {
+				ret = *g
 			} else {
 				// Unconstrained return generic: pieces merge via the
 				// default splitter for their dynamic type.
@@ -199,9 +245,8 @@ func resolveNode(n *node, ctx, updates map[int]resolved, generics map[string]res
 		case KindUnknown:
 			ret = resolved{t: NewUnknownType(), deferred: true}
 		}
-		updates[n.ret.id] = ret
 	}
-	return args, ret, nil
+	return ret, anySplit, nil
 }
 
 // buildPlan converts the pending dataflow graph into stages per §5.1: two
@@ -214,20 +259,34 @@ func resolveNode(n *node, ctx, updates map[int]resolved, generics map[string]res
 // and no binding is marked discarded, so a peeked plan never perturbs a
 // later evaluation.
 func (s *Session) buildPlan(peek bool) (*plan, error) {
-	p := &plan{}
-	ctx := map[int]resolved{}
-	updates, generics := map[int]resolved{}, map[string]resolved{}
-	var cur []planCall
+	slots := 0
+	for _, n := range s.nodes {
+		slots += len(n.args)
+		if n.ret != nil {
+			slots++
+		}
+	}
+	p := &plan{res: make([]resolved, slots)}
+	rest := p.res
+	// Stages are runs of calls, in program order: calls[lo:] is the open one.
+	calls := make([]planCall, 0, len(s.nodes))
+	lo := 0
+	open := s.nextEpoch()
 
 	flush := func() {
-		if len(cur) > 0 {
-			p.stages = append(p.stages, planStage{calls: cur})
-			cur = nil
+		if len(calls) > lo {
+			p.stages = append(p.stages, planStage{calls: calls[lo:len(calls):len(calls)]})
+			lo = len(calls)
 		}
-		clear(ctx)
+		open = s.nextEpoch()
 	}
 
 	for _, n := range s.nodes {
+		off := len(p.res) - len(rest)
+		args := carve(&rest, len(n.args))
+		if n.ret != nil {
+			rest = rest[1:] // p.res[off+len(args)], filled in on commit below
+		}
 		// Annotations with an open circuit breaker (FallbackQuarantine)
 		// are not split: each runs whole, in its own stage, exactly like
 		// a function Mozart cannot split. planWhole also moves a cooled-
@@ -243,49 +302,48 @@ func (s *Session) buildPlan(peek bool) (*plan, error) {
 				s.emitBreaker(n.sa.FuncName, "half-open")
 			}
 		}
+		ret, anySplit := resolved{broadcast: true}, false
 		if whole {
-			flush()
-			args := make([]resolved, len(n.args))
 			for i := range args {
 				args[i] = resolved{broadcast: true}
 			}
-			p.stages = append(p.stages, planStage{calls: []planCall{{n: n, args: args, ret: resolved{broadcast: true}}}})
-			continue
-		}
-		if s.opts.DisablePipelining {
-			// Table 4's Mozart(-pipe): every call is its own stage, so
-			// data is split and parallelized but never pipelined.
-			flush()
-		}
-		args, ret, err := resolveNode(n, ctx, updates, generics)
-		if err == errStageBreak {
-			flush()
-			args, ret, err = resolveNode(n, ctx, updates, generics)
-		}
-		if err != nil {
+		} else {
+			if s.opts.DisablePipelining {
+				// Table 4's Mozart(-pipe): every call is its own stage, so
+				// data is split and parallelized but never pipelined.
+				flush()
+			}
+			var err error
+			if ret, anySplit, err = resolveNode(p, open, n, args); err == errStageBreak {
+				flush()
+				ret, anySplit, err = resolveNode(p, open, n, args)
+			}
 			if err == errStageBreak {
 				return nil, fmt.Errorf("mozart: %s: conflicting split types within a single call", n.sa.FuncName)
+			} else if err != nil {
+				return nil, err
 			}
-			return nil, err
 		}
 		// A call with no split arguments cannot be batched: it executes
 		// whole, in its own stage (the way Mozart treats functions it
 		// cannot split, e.g. indexing ops, §8.2).
-		allBroadcast := true
-		for _, r := range args {
-			if !r.broadcast {
-				allBroadcast = false
-				break
-			}
-		}
-		if allBroadcast {
+		if !anySplit {
 			flush()
-			p.stages = append(p.stages, planStage{calls: []planCall{{n: n, args: args, ret: ret}}})
+			calls = append(calls, planCall{n: n, args: args, ret: ret})
+			flush()
 			continue
 		}
-		cur = append(cur, planCall{n: n, args: args, ret: ret})
-		for id, r := range updates {
-			ctx[id] = r
+		calls = append(calls, planCall{n: n, args: args, ret: ret})
+		// The node joins the open stage: its split values are (or become)
+		// split this way within it, and the same holds after mutation.
+		for i := range args {
+			if !args[i].broadcast {
+				n.args[i].pm.ctxAt, n.args[i].pm.ctx = open, int32(off+i)
+			}
+		}
+		if n.ret != nil {
+			p.res[off+len(args)] = ret
+			n.ret.pm.ctxAt, n.ret.pm.ctx = open, int32(off+len(args))
 		}
 	}
 	flush()
@@ -300,59 +358,50 @@ func (s *Session) buildPlan(peek bool) (*plan, error) {
 // must be merged at stage exit, and which are broadcast. Under peek, the
 // discarded flag of pipelined-away bindings is left untouched.
 func (s *Session) classifyStages(p *plan, peek bool) {
-	// lastConsumed[bid] = index of the last stage whose calls read binding
-	// bid; used to decide which produced values must be materialized.
-	lastConsumed := map[int]int{}
+	// A binding read by this plan has lastAt == planAt and last = the index
+	// of the last stage whose calls read it; used to decide which produced
+	// values must be materialized.
+	planAt := s.nextEpoch()
 	for si := range p.stages {
 		for _, c := range p.stages[si].calls {
 			for _, b := range c.n.args {
-				lastConsumed[b.id] = si
+				b.pm.lastAt, b.pm.last = planAt, int32(si)
 			}
 		}
 	}
 
 	for si := range p.stages {
 		st := &p.stages[si]
-		seenIn := map[int]bool{}
-		seenOut := map[int]bool{}
-		seenBC := map[int]bool{}
-		producedHere := map[int]bool{}
+		e := s.nextEpoch()
 		for _, c := range st.calls {
 			for ai, r := range c.args {
 				b := c.n.args[ai]
 				if r.broadcast {
-					if !seenBC[b.id] {
-						seenBC[b.id] = true
+					if !b.mark(e, markBC) {
 						st.broadcast = append(st.broadcast, b)
 					}
 					continue
 				}
-				if !producedHere[b.id] && !seenIn[b.id] {
-					seenIn[b.id] = true
+				if !b.marked(e, markProduced) && !b.mark(e, markIn) {
 					st.inputs = append(st.inputs, stageInput{b: b, r: r})
 				}
 				// Mutated arguments: write back merged pieces unless the
 				// splitter mutates in place (CapInPlace: the pieces alias
 				// the original storage, so it is already up to date).
-				if c.n.sa.Params[ai].Mut && !seenOut[b.id] {
-					if !CapabilitiesOf(r.splitter).Has(CapInPlace) {
-						seenOut[b.id] = true
-						st.outputs = append(st.outputs, stageOutput{b: b, r: r})
-					}
+				if c.n.sa.Params[ai].Mut && !CapabilitiesOf(r.splitter).Has(CapInPlace) && !b.mark(e, markOut) {
+					st.outputs = append(st.outputs, stageOutput{b: b, r: r})
 				}
 			}
-			if c.n.ret != nil {
-				rb := c.n.ret
-				producedHere[rb.id] = true
+			if rb := c.n.ret; rb != nil {
+				rb.mark(e, markProduced)
 				// A produced value is materialized (merged) iff the user
 				// demanded it, a later stage reads it, or nothing reads it
 				// at all (it is a user-visible result). Values consumed
 				// only downstream within this stage are pipelined
 				// intermediates and never materialized.
-				last, consumed := lastConsumed[rb.id]
-				need := rb.keep || !consumed || last > si
-				if need && !seenOut[rb.id] {
-					seenOut[rb.id] = true
+				consumed := rb.pm.lastAt == planAt
+				need := rb.keep || !consumed || int(rb.pm.last) > si
+				if need && !rb.mark(e, markOut) {
 					st.outputs = append(st.outputs, stageOutput{b: rb, r: c.ret})
 				} else if !need && !peek {
 					rb.discarded = true

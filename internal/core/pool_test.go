@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -40,29 +41,128 @@ func TestWorkerPoolReuse(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolSaturationOverflow: a full pool never blocks Run; excess
-// tasks run on plain goroutines and are counted as spawns.
-func TestWorkerPoolSaturationOverflow(t *testing.T) {
+// Queued is the number of tasks waiting for a worker (for tests, in this
+// package and in core_test).
+func (p *WorkerPool) Queued() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.queue)
+}
+
+// HoldPool occupies every worker p may have until the returned release is
+// called, so whatever is offered to p meanwhile queues (for tests, in this
+// package and in core_test).
+func HoldPool(p *WorkerPool) (release func()) {
+	hold := make(chan struct{})
+	var started sync.WaitGroup
+	for i := 0; i < p.max; i++ {
+		started.Add(1)
+		p.Run(func() { started.Done(); <-hold })
+	}
+	started.Wait()
+	return sync.OnceFunc(func() { close(hold) })
+}
+
+// TestWorkerPoolQueuesWhenSaturated: a full pool never blocks Run, never
+// drops a task and never runs one on a goroutine of its own — excess tasks
+// wait, and run oldest first on the worker that frees up.
+func TestWorkerPoolQueuesWhenSaturated(t *testing.T) {
 	p := NewWorkerPool(1)
+	release := HoldPool(p)
+	var mu sync.Mutex
+	var order []int
 	var wg sync.WaitGroup
-	release := make(chan struct{})
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		wg.Add(1)
-		p.Run(func() {
-			<-release
-			wg.Done()
-		})
+		if p.Run(func() { mu.Lock(); order = append(order, i); mu.Unlock(); wg.Done() }) {
+			t.Errorf("task %d on a saturated pool reported a spawn", i)
+		}
 	}
-	close(release) // if Run blocked on saturation we'd deadlock before this
+	if q := p.Queued(); q != 5 {
+		t.Errorf("Queued = %d with the only worker held, want 5", q)
+	}
+	release() // if Run blocked on saturation we'd deadlock before this
 	wg.Wait()
-	if got := p.Spawns(); got != 4 {
-		t.Errorf("Spawns = %d, want 4 (1 pooled + 3 overflow)", got)
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("queued tasks ran in order %v, want oldest first", order)
+		}
 	}
+	waitParked(t, p, 1)
 	p.mu.Lock()
 	workers := p.workers
 	p.mu.Unlock()
-	if workers != 1 {
-		t.Errorf("resident workers = %d, want 1 (overflow goroutines are not retained)", workers)
+	if p.Spawns() != 1 || workers != 1 || p.Tasks() != 6 || p.Queued() != 0 {
+		t.Errorf("Spawns = %d, workers = %d, Tasks = %d, Queued = %d; want one worker for all 6 tasks and an empty queue",
+			p.Spawns(), workers, p.Tasks(), p.Queued())
+	}
+}
+
+// TestWorkerPoolNeverQueuesBesideAParkedWorker: under concurrent submission
+// every task runs, on at most max goroutines, and no observer ever finds a
+// task waiting while a worker sits parked.
+func TestWorkerPoolNeverQueuesBesideAParkedWorker(t *testing.T) {
+	const submitters, each = 4, 500
+	p := NewWorkerPool(2)
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p.mu.Lock()
+			parked, queued := len(p.idle), len(p.queue)
+			p.mu.Unlock()
+			if parked > 0 && queued > 0 {
+				t.Errorf("%d tasks queued beside %d parked workers", queued, parked)
+				return
+			}
+		}
+	}()
+	var ran atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				p.Run(func() { ran.Add(1) })
+			}
+		}()
+	}
+	wg.Wait()
+	if !eventually(func() bool { return ran.Load() == submitters*each }) {
+		t.Errorf("%d of %d tasks ran", ran.Load(), submitters*each)
+	}
+	close(stop)
+	<-watched
+	if got := p.Spawns(); got > 2 {
+		t.Errorf("Spawns = %d on a pool of 2", got)
+	}
+}
+
+// TestWorkerPoolRetirementNeverStrandsATask: a Run racing a worker's
+// retirement either revives the worker, spawns its replacement, or finds the
+// pool still full and queues — in which case the retiring worker must not
+// leave. Whichever way each race goes, the task runs.
+func TestWorkerPoolRetirementNeverStrandsATask(t *testing.T) {
+	p := &WorkerPool{max: 1, idleTimeout: 200 * time.Microsecond}
+	for i := 0; i < 300; i++ {
+		done := make(chan struct{})
+		p.Run(func() { close(done) })
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("task %d never ran: Queued = %d", i, p.Queued())
+		}
+		time.Sleep(p.idleTimeout) // land the next Run on the worker's timer
+	}
+	if p.Tasks() != 300 || p.Queued() != 0 {
+		t.Errorf("Tasks = %d, Queued = %d; want 300 and 0", p.Tasks(), p.Queued())
 	}
 }
 
@@ -111,10 +211,12 @@ func fillPool(t *testing.T, p *WorkerPool, n int) {
 }
 
 // TestSteadyStateZeroSpawns pins the fan-out contract: a stage of W workers
-// puts W−1 tasks on the pool (worker 0 runs on the caller), parked helpers
+// offers W−1 tasks to the pool (share 0 runs on the caller), parked helpers
 // are reused so Stats.WorkerSpawns stays flat, one worker touches the pool
-// not at all, and a second fresh session on the process-wide default pool
-// spawns nothing once the first has parked its helper.
+// not at all, a second fresh session on the process-wide default pool spawns
+// nothing once the first has parked its helper, and a tight loop of tiny
+// evaluations — each done before the last one's helper has woken — neither
+// spawns nor lets unclaimed offers pile up.
 func TestSteadyStateZeroSpawns(t *testing.T) {
 	a, b := seq(1000), seq(1000)
 	run := func(s *Session) StatsSnapshot {
@@ -154,6 +256,39 @@ func TestSteadyStateZeroSpawns(t *testing.T) {
 				t.Errorf("dynamic=%v: PoolTasks = %d, WorkerSpawns = %d, pool tasks %d; want all zero",
 					dyn, st.PoolTasks, st.WorkerSpawns, pool.Tasks())
 			}
+		}
+	})
+
+	t.Run("back-to-back tiny evaluations", func(t *testing.T) {
+		const evals = 10000
+		pool := NewWorkerPool(2)
+		fillPool(t, pool, 2)
+		warm := pool.Spawns()
+		x, y := seq(64), seq(64)
+		var spawns int64
+		maxQueued := 0
+		for i := 0; i < evals; i++ {
+			s := NewSession(Options{Workers: 2, WorkerPool: pool})
+			s.Call(testAdd, saBinary("add"), 64, x, y, x)
+			if err := s.EvaluateContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			spawns += s.Stats().WorkerSpawns
+			maxQueued = max(maxQueued, pool.Queued())
+		}
+		if spawns != 0 || pool.Spawns() != warm {
+			t.Errorf("WorkerSpawns = %d, pool spawns %d -> %d over %d evaluations; want none (a saturated pool queues)",
+				spawns, warm, pool.Spawns(), evals)
+		}
+		// Unclaimed offers cost a worker one atomic add each, so they drain
+		// as soon as a worker runs: the backlog is what one scheduler quantum
+		// of evaluations leaves when a lone processor never yields to the
+		// workers, not something that grows with the number of evaluations.
+		if maxQueued > evals/4 || !eventually(func() bool { return pool.Queued() == 0 }) {
+			t.Errorf("up to %d offers queued at once, %d left; want a backlog that stays bounded and drains", maxQueued, pool.Queued())
+		}
+		if pool.Tasks() != evals+2 {
+			t.Errorf("pool Tasks = %d, want %d (one offer per evaluation)", pool.Tasks(), evals+2)
 		}
 	})
 

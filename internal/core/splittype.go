@@ -58,18 +58,19 @@ func (t SplitType) Equal(o SplitType) bool {
 	return true
 }
 
-// String renders the split type as Name<p0, p1, ...>, in one allocation.
+// String renders the split type as Name<p0, p1, ...> (unknown#N for an
+// unknown), in one allocation.
 func (t SplitType) String() string {
 	if t.IsZero() {
 		return "<none>"
 	}
+	var buf [64]byte
 	if t.unknownID != 0 {
-		return "unknown#" + strconv.FormatUint(t.unknownID, 10)
+		return string(strconv.AppendUint(append(buf[:0], "unknown#"...), t.unknownID, 10))
 	}
 	if len(t.Params) == 0 {
 		return t.Name
 	}
-	var buf [64]byte
 	b := append(buf[:0], t.Name...)
 	b = append(b, '<')
 	for i, p := range t.Params {

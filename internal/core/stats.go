@@ -42,8 +42,8 @@ type StatsSnapshot struct {
 	SpilledFrames  int64 // merge-partial frames written to the spill store
 
 	// Zero-copy hot-path counters (Options.WorkerPool, ViewSplitter).
-	WorkerSpawns int64 // goroutines created for stage work (pool misses + overflow)
-	PoolTasks    int64 // stage-worker tasks dispatched onto the worker pool
+	WorkerSpawns int64 // goroutines created for stage work (the pool was under its cap with nobody parked)
+	PoolTasks    int64 // stage shares offered to the worker pool (W−1 per fan-out, whoever ends up running them)
 	ViewSplits   int64 // input splits served by SplitView (aliasing, reuse-slotted)
 	PlacedPieces int64 // output pieces copied straight into their merged destination (PlaceSplitter)
 }

@@ -8,24 +8,30 @@ import (
 )
 
 // WorkerPool is a persistent pool of worker goroutines that the static,
-// dynamic, and streaming executors take a stage's helper workers from
-// (Session.fanOut: worker 0 runs on the evaluating goroutine, workers 1…W−1
-// here). Once its workers are parked, evaluations run entirely on them —
-// zero goroutine spawns in steady state (Stats.WorkerSpawns counts the
+// dynamic, and streaming executors offer a stage's shares 1…W−1 to
+// (Session.fanOut: share 0 runs on the evaluating goroutine, and so does any
+// share no helper has claimed by the time the evaluating goroutine gets to
+// it). Once its workers are parked, evaluations run entirely on them — zero
+// goroutine spawns in steady state (Stats.WorkerSpawns counts the
 // exceptions). A WorkerPool is safe for concurrent use. Sessions share one
 // process-wide pool unless Options.WorkerPool names another: a pool private
 // to each session would park its workers for idleTimeout with nothing left
 // to run on them, which under a session per request is a goroutine leak.
 //
-// The design is a LIFO parking lot: each idle worker owns a one-slot task
-// channel and sits on the idle stack. Run pops a parked worker and hands it
-// the task (never blocking — the slot is guaranteed free), spawns a new
-// worker while under the cap, and falls back to a plain goroutine when the
-// pool is saturated, so callers can never deadlock on the pool itself.
-// Workers that sit idle past idleTimeout retire; retirement races with a
-// concurrent Run popping the worker, which is resolved by checking whether
-// the worker is still on the stack — if not, a task is already in flight
-// on its channel and the worker runs it instead of exiting.
+// The design is a LIFO parking lot with a FIFO queue behind it: each idle
+// worker owns a one-slot task channel and sits on the idle stack. Run pops a
+// parked worker and hands it the task (never blocking — the slot is
+// guaranteed free), spawns a new worker while under the cap, and otherwise
+// queues the task for the next worker to finish, which drains the queue
+// before it parks. So max bounds the goroutines the pool ever runs, and Run
+// neither blocks nor drops a task: callers cannot deadlock on the pool or
+// lose work to it, but a queued task waits, which is why fanOut lets the
+// caller claim its shares. Queueing and parking share one lock, so a task is
+// never queued beside a parked worker. Workers that sit idle past
+// idleTimeout retire; retirement races with a concurrent Run popping the
+// worker, which is resolved by checking whether the worker is still on the
+// stack — if not, a task is already in flight on its channel and the worker
+// runs it instead of exiting.
 type WorkerPool struct {
 	max         int
 	idleTimeout time.Duration
@@ -33,6 +39,7 @@ type WorkerPool struct {
 	mu      sync.Mutex
 	idle    []*poolWorker
 	workers int
+	queue   []func() // tasks waiting for a worker, oldest first
 
 	spawns atomic.Int64
 	tasks  atomic.Int64
@@ -47,8 +54,8 @@ type poolWorker struct {
 // accumulate goroutines, long enough to span back-to-back evaluations.
 const defaultPoolIdleTimeout = 2 * time.Second
 
-// NewWorkerPool returns a pool that keeps at most max workers parked.
-// max <= 0 is treated as 1.
+// NewWorkerPool returns a pool of at most max workers. max <= 0 is treated
+// as 1.
 func NewWorkerPool(max int) *WorkerPool {
 	if max <= 0 {
 		max = 1
@@ -57,63 +64,68 @@ func NewWorkerPool(max int) *WorkerPool {
 }
 
 // defaultWorkerPool is the process-wide pool, created at first use and sized
-// at GOMAXPROCS; evaluations wanting more helpers at once overflow onto
-// plain goroutines, as with any saturated pool.
+// at GOMAXPROCS: more helpers than processors never ran anything sooner.
 var defaultWorkerPool = sync.OnceValue(func() *WorkerPool {
 	return NewWorkerPool(runtime.GOMAXPROCS(0))
 })
 
-// Run executes task on a pool worker, reviving a parked one when possible.
-// It reports whether a new goroutine had to be spawned (pool miss or
-// saturation overflow); in steady state it returns false. Run never blocks
-// waiting for a worker.
+// Run hands task to a pool worker: a parked one when there is one, a new one
+// while the pool is under its cap, and otherwise the next worker to finish
+// what it is running. It reports whether a new goroutine had to be spawned;
+// in steady state it returns false. Run never blocks waiting for a worker.
 func (p *WorkerPool) Run(task func()) (spawned bool) {
 	p.tasks.Add(1)
-	if w := p.popIdle(); w != nil {
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		w := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
 		w.ch <- task
 		return false
 	}
-	p.mu.Lock()
-	under := p.workers < p.max
-	if under {
+	if p.workers < p.max {
 		p.workers++
+		p.mu.Unlock()
+		p.spawns.Add(1)
+		go p.workerLoop(&poolWorker{ch: make(chan func(), 1)}, task)
+		return true
 	}
+	p.queue = append(p.queue, task)
 	p.mu.Unlock()
-	p.spawns.Add(1)
-	if under {
-		w := &poolWorker{ch: make(chan func(), 1)}
-		go p.workerLoop(w, task)
-	} else {
-		go task()
-	}
-	return true
+	return false
 }
 
-// Spawns returns the cumulative number of goroutines the pool has created,
-// including saturation overflows. A flat Spawns count across evaluations
-// is the steady-state proof.
+// Spawns returns the cumulative number of goroutines the pool has created.
+// A flat Spawns count across evaluations is the steady-state proof.
 func (p *WorkerPool) Spawns() int64 { return p.spawns.Load() }
 
 // Tasks returns the cumulative number of tasks submitted via Run.
 func (p *WorkerPool) Tasks() int64 { return p.tasks.Load() }
 
-func (p *WorkerPool) popIdle() *poolWorker {
+// nextOrPark is a worker between tasks: it returns the oldest queued task,
+// or parks w on the idle stack and returns nil when nothing is queued. (The
+// queue is a few offers long; shifting it keeps its backing array.)
+func (p *WorkerPool) nextOrPark(w *poolWorker) func() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(p.idle)
-	if n == 0 {
+	if len(p.queue) == 0 {
+		p.idle = append(p.idle, w)
 		return nil
 	}
-	w := p.idle[n-1]
-	p.idle[n-1] = nil
-	p.idle = p.idle[:n-1]
-	return w
+	task := p.queue[0]
+	n := copy(p.queue, p.queue[1:])
+	p.queue[n] = nil
+	p.queue = p.queue[:n]
+	return task
 }
 
-// removeIdle takes w off the idle stack if it is still there, reporting
-// whether it was. A false return means a Run call already popped w and a
+// retire takes w off the idle stack and out of the pool if it is still
+// parked, reporting whether it was — in one critical section, so Run never
+// sees a full pool whose last worker is about to leave and queues a task
+// nobody will drain. A false return means a Run call already popped w and a
 // task is (or is about to be) in its channel.
-func (p *WorkerPool) removeIdle(w *poolWorker) bool {
+func (p *WorkerPool) retire(w *poolWorker) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, cand := range p.idle {
@@ -122,22 +134,21 @@ func (p *WorkerPool) removeIdle(w *poolWorker) bool {
 			p.idle[i] = p.idle[last]
 			p.idle[last] = nil
 			p.idle = p.idle[:last]
+			p.workers--
 			return true
 		}
 	}
 	return false
 }
 
-func (p *WorkerPool) workerLoop(w *poolWorker, first func()) {
-	task := first
+func (p *WorkerPool) workerLoop(w *poolWorker, task func()) {
 	timer := time.NewTimer(p.idleTimeout)
 	defer timer.Stop()
 	for {
 		task()
-		task = nil
-		p.mu.Lock()
-		p.idle = append(p.idle, w)
-		p.mu.Unlock()
+		if task = p.nextOrPark(w); task != nil {
+			continue
+		}
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
@@ -148,10 +159,7 @@ func (p *WorkerPool) workerLoop(w *poolWorker, first func()) {
 		select {
 		case task = <-w.ch:
 		case <-timer.C:
-			if p.removeIdle(w) {
-				p.mu.Lock()
-				p.workers--
-				p.mu.Unlock()
+			if p.retire(w) {
 				return
 			}
 			// Popped by a racing Run: the task is guaranteed to arrive on

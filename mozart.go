@@ -112,15 +112,18 @@ type CapsDeclarer = core.CapsDeclarer
 // CapsDeclarer wins, otherwise the set derives from the optional interfaces.
 func CapabilitiesOf(s Splitter) SplitterCaps { return core.CapabilitiesOf(s) }
 
-// WorkerPool is a persistent pool of evaluation workers: worker 0 of a stage
-// runs on the goroutine that called EvaluateContext, workers 1…W−1 on
-// goroutines that park in the pool between stages instead of being
-// respawned, so steady-state evaluations spawn zero goroutines. Every
-// session shares one process-wide pool unless Options.WorkerPool names
+// WorkerPool is a persistent pool of evaluation helpers: share 0 of a stage
+// runs on the goroutine that called EvaluateContext, and shares 1…W−1 are
+// offered to goroutines that park in the pool between stages instead of
+// being respawned, so steady-state evaluations spawn zero goroutines. A share
+// no helper has started by the time the evaluating goroutine is free runs on
+// that goroutine instead, so an evaluation never waits for a helper to wake.
+// Every session shares one process-wide pool unless Options.WorkerPool names
 // another.
 type WorkerPool = core.WorkerPool
 
-// NewWorkerPool creates a worker pool that parks at most max idle workers.
+// NewWorkerPool creates a worker pool of at most max helper goroutines;
+// offers beyond that wait in the pool for a helper to free up.
 func NewWorkerPool(max int) *WorkerPool { return core.NewWorkerPool(max) }
 
 // Func is the calling convention for registered library functions.
@@ -411,9 +414,13 @@ func WithTracer(opts Options, t Tracer) Options {
 // pool instead of the process-wide default, to bound or isolate a group of
 // sessions (a tenant, a test):
 //
-//	pool := mozart.NewWorkerPool(4) // at most 4 parked helpers for this group
+//	pool := mozart.NewWorkerPool(4) // at most 4 helper goroutines for this group
 //	s1 := mozart.NewSession(mozart.WithWorkerPool(mozart.Options{Workers: 4}, pool))
 //	s2 := mozart.NewSession(mozart.WithWorkerPool(mozart.Options{Workers: 4}, pool))
+//
+// The cap bounds the helpers, not the work: under a NewWorkerPool(1) a
+// Workers: 4 stage runs on the caller plus one helper, which between them
+// take all four shares.
 //
 // A session without an explicit pool uses the process-wide one (created at
 // first use, sized at GOMAXPROCS), which is what a session built per request
