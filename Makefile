@@ -53,24 +53,27 @@ race:
 # The obs packages ride along for the tracing/SLO surfaces (concurrent span
 # recording, exemplar stamping, burn-rate windows) exercised by the serve
 # tests, and the root package for the tuner loop, whose outcome depends on
-# measured timings. The worker pool and the fan-out onto it then run ten
-# times at each of 1, 2 and 4 processors: what they pin (who parks, who
-# queues, which goroutine claims which share) is scheduling-dependent and
-# must hold whatever the core count.
+# measured timings. The worker pool, the fan-out onto it and the reuse of
+# dead pieces as destinations then run ten times at each of 1, 2 and 4
+# processors: what they pin (who parks, who queues, which goroutine claims
+# which share, whose scratch a late share starts on) is scheduling-dependent
+# and must hold whatever the core count.
 flaky:
 	$(GO) test -race -count=3 . ./internal/core ./internal/faultinject ./internal/serve ./internal/spill ./internal/annotations/imagesa ./internal/annotations/framesa ./internal/annotations/checksuite ./internal/tune ./internal/obs ./internal/obs/httpdebug
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -count=10 -run '$(POOL_TESTS)|TestFanOut|TestTracerWorkerZeroLane' ./internal/core || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -count=10 -run '$(POOL_TESTS)|TestFanOut|TestReuseSlots|TestTracerWorkerZeroLane' ./internal/core || exit 1; done
 
 # Zero-copy hot-path gate: the AllocsPerRun == 0 assertions on the warm
 # view-split loops, the pointer-identity alias and stitch checks, the
 # pooled-buffer leak suite (poison mode) and steady-state zero-spawn proof,
 # the allocation ceilings on a whole fresh-session evaluation (the fixed cost
-# tiny_pipeline measures) and on planning alone, and the aliasing recovery regressions
-# (retry/fallback restoring storage that pieces alias).
+# tiny_pipeline measures), on planning alone and on the out-of-place frame_clean
+# chain (whose intermediates are rewritten in place, not reallocated per batch),
+# and the aliasing recovery regressions (retry/fallback restoring storage that
+# pieces alias).
 pool-smoke:
 	$(GO) test -count=1 -run 'ZeroAllocs|Stitch|MergeFallback|ViewSplitsCounted' ./internal/annotations/vmathsa
 	$(GO) test -count=1 -run '$(POOL_TESTS)|TestPoison' ./internal/core
-	$(GO) test -count=1 -run 'TestRuntimeOverheadAllocCeiling|TestPlanAllocCeiling' .
+	$(GO) test -count=1 -run 'TestRuntimeOverheadAllocCeiling|TestPlanAllocCeiling|TestFrameCleanAllocCeiling' .
 	$(GO) test -count=1 -run 'TestRetryRestoresAliasedBands|TestFallbackRestoresAliasedBands|TestWriteBackAliasesValue|TestCopySplitterKeepsCopySemantics' ./internal/annotations/imagesa
 
 # mozartd's end-to-end smoke: boot on an ephemeral port, evaluate for a

@@ -10,6 +10,7 @@ package mozart_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mozart"
@@ -188,6 +189,98 @@ func TestRuntimeOverheadAllocCeiling(t *testing.T) {
 		t.Errorf("RuntimeOverhead pipeline: %v allocations per evaluation, ceiling is %d", n, ceiling)
 	}
 	t.Logf("RuntimeOverhead pipeline: %v allocations per evaluation", n)
+}
+
+// captureFrameClean captures benchmark/'s frame_clean: the 8-call
+// data-cleaning chain over one dirty zip-code column. Every call is out of
+// place; the cleaned column, two masks nobody reads and a count come out.
+func captureFrameClean(s *mozart.Session, zips *frame.Series) {
+	sliced := framesa.StrSlice(s, zips, 0, 5)
+	junk := framesa.InStrings(s, sliced, "NO CL", "N/A")
+	zero := framesa.EqString(s, sliced, "0")
+	bad := framesa.Or(s, junk, zero)
+	cleaned := framesa.MaskToNull(s, sliced, bad).Keep()
+	framesa.StrLenGt(s, cleaned, 4)
+	framesa.IsNull(s, cleaned)
+	framesa.CountValid(s, cleaned)
+}
+
+const frameCleanRows = 1 << 16
+
+func frameCleanInput() *frame.Series {
+	return data.ServiceRequests(frameCleanRows, 1).Col("Incident Zip")
+}
+
+// BenchmarkFrameClean is one fresh-session evaluation of the chain on two
+// workers: what is left once a batch's intermediates are rewritten in place
+// (destination-taking functions, DESIGN.md §13) is the three placed
+// destinations and each worker's first batch.
+func BenchmarkFrameClean(b *testing.B) {
+	zips := frameCleanInput()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := mozart.NewSession(mozart.Options{Workers: 2})
+		captureFrameClean(s, zips)
+		if err := s.EvaluateContext(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestFrameCleanAllocCeiling keeps the chain's intermediates off the heap
+// (make pool-smoke). An evaluation used to allocate every call's result anew
+// for every batch: 415 allocations and 3.9 MB here. Now a call is handed its
+// previous piece back, so what remains is the three placed destinations, which
+// are the result, plus the pieces of each worker's first batch — 1.7 MB: the
+// ceiling on bytes is the destinations and four batches' worth of pieces (two
+// workers, and as much again for a share whose claimant starts on a scratch of
+// its own), on allocations the most measured plus five — 228 to 236 at 1, 2
+// and 4 processors, 248 under the race detector, where sync.Pool drops some of
+// what it is handed. One call going back to a fresh result per batch is 24
+// allocations more.
+func TestFrameCleanAllocCeiling(t *testing.T) {
+	const (
+		allocCeiling = 253
+		// Bytes per row: the cleaned strings and their mask (16+1) and two
+		// masks (1+1) are placed; a batch's pieces are those and sliced (16)
+		// and junk, zero, bad (1 each).
+		placedRow, pieceRow = 19, 38
+	)
+	zips := frameCleanInput()
+	session := func() *mozart.Session {
+		s := mozart.NewSession(mozart.Options{Workers: 2})
+		captureFrameClean(s, zips)
+		return s
+	}
+	run := func() {
+		if err := session().EvaluateContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := session().Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &p.Stages[0]
+	batch := p.Batch.Elems(st.WorkingSetBytes(), st.Elems())
+	byteCeiling := uint64(frameCleanRows*placedRow + 4*batch*pieceRow)
+
+	allocs := testing.AllocsPerRun(20, run) // also warms the worker pool
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if allocs > allocCeiling || bytes > byteCeiling {
+		t.Errorf("frame_clean chain: %v allocations and %d bytes per evaluation; ceilings are %d and %d (batches of %d rows)",
+			allocs, bytes, allocCeiling, byteCeiling, batch)
+	}
+	t.Logf("frame_clean chain: %v allocations and %d bytes per evaluation (ceilings %d and %d, batches of %d rows)",
+		allocs, bytes, allocCeiling, byteCeiling, batch)
 }
 
 // blackScholesBuffers returns the 12 full-length buffers of the 31-call

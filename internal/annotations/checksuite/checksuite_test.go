@@ -101,6 +101,146 @@ func TestPlaceMatchesMerge(t *testing.T) {
 	}
 }
 
+// TestFuncIntoContract checks, for every check case registered through
+// CallInto, what the runtime takes on trust when it hands a call one of its
+// earlier pieces as a destination (core.FuncInto): whatever it is offered — an
+// earlier result of its own that is larger, the same size or smaller, an
+// earlier result of any other case (another dtype, a scalar), values of other
+// Go types — the function returns exactly what it returns when offered
+// nothing; the result shares its backing arrays with the destination when the
+// destination had the room, with none of it otherwise, and never with an
+// argument. Destinations are dirty: they were computed from other data.
+func TestFuncIntoContract(t *testing.T) {
+	type intoCase struct {
+		name string
+		checksuite.Case
+	}
+	var cases []intoCase
+	for _, g := range allCases() {
+		for _, c := range g.cases {
+			if c.FnInto != nil {
+				cases = append(cases, intoCase{g.pkg + "/" + c.Name, c})
+			}
+		}
+	}
+	if len(cases) == 0 {
+		t.Fatal("no check case is registered through CallInto")
+	}
+	// result runs c offered nothing, over the first num/den of the rows of
+	// the arguments generated for seed.
+	result := func(c intoCase, seed int64, num, den int64) (args []any, ret any) {
+		t.Helper()
+		args = c.Gen(seed)
+		if num != den {
+			args = leadingRows(t, c.Case, args, num, den)
+		}
+		ret, err := c.FnInto(args, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		return args, ret
+	}
+	const (
+		shares = iota // the destination has the room: the result is its storage
+		fresh         // it has not: the result shares nothing with it
+		either        // all of it or none of it, never a part
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, seed := range []int64{1, 2} { // framesa: without and with a null mask
+				offer := func(what string, num, den int64, out any, expect int) {
+					t.Helper()
+					args, want := result(c, seed, num, den)
+					before := shallowCopy(out)
+					got, err := c.FnInto(args, out)
+					if err != nil {
+						t.Fatalf("seed %d, offered %s: %v", seed, what, err)
+					}
+					if g, w := render(got), render(want); g != w {
+						t.Fatalf("seed %d, offered %s: result differs from the one computed with no destination:\n got %s\nwant %s", seed, what, g, w)
+					}
+					for i, a := range args {
+						if _, some := core.SharedStorage(got, a); some {
+							t.Fatalf("seed %d, offered %s: result shares storage with argument %d", seed, what, i)
+						}
+					}
+					every, some := core.SharedStorage(got, before)
+					if _, buffers := core.SharedStorage(got, got); !buffers {
+						return // a scalar has no storage to share
+					}
+					switch {
+					case expect == shares && !every:
+						t.Fatalf("seed %d, offered %s: the destination had the room but the result is not its storage", seed, what)
+					case expect == fresh && some:
+						t.Fatalf("seed %d, offered %s: the destination did not fit but the result shares storage with it", seed, what)
+					case some && !every:
+						t.Fatalf("seed %d, offered %s: the result shares storage with part of the destination", seed, what)
+					}
+				}
+				_, whole := result(c, seed+100, 1, 1)
+				offer("a larger earlier result", 1, 2, whole, shares)
+				_, whole = result(c, seed+100, 1, 1)
+				offer("an earlier result of the same size", 1, 1, whole, shares)
+				_, third := result(c, seed+100, 1, 3)
+				offer("a smaller earlier result", 1, 1, third, fresh)
+				for _, other := range cases {
+					if other.name != c.name {
+						_, foreign := result(other, seed+200, 1, 1)
+						offer("a result of "+other.name, 1, 1, foreign, either)
+					}
+				}
+				for _, foreign := range []any{7, "seven", []float64{1, 2, 3}, struct{}{}, (*frame.Series)(nil), &frame.DataFrame{}} {
+					offer(fmt.Sprintf("a %T", foreign), 1, 1, foreign, fresh)
+				}
+			}
+		})
+	}
+}
+
+// leadingRows splits every split argument of a case down to its first
+// num/den of the rows, the way the runtime would cut a batch.
+func leadingRows(t *testing.T, c checksuite.Case, args []any, num, den int64) []any {
+	t.Helper()
+	out := make([]any, len(args))
+	for i, p := range c.Annotation.Params {
+		sp, st, ok := paramSplitter(p, args, i)
+		if !ok {
+			out[i] = args[i] // a whole ("_") argument
+			continue
+		}
+		info, err := sp.Info(args[i], st)
+		if err == nil {
+			out[i], err = sp.Split(args[i], st, 0, info.Elems*num/den)
+		}
+		if err != nil {
+			t.Fatalf("%s: splitting %s: %v", c.Name, p.Name, err)
+		}
+	}
+	return out
+}
+
+// shallowCopy copies the value a pointer points at, so that what its fields
+// referred to before a call can be compared with what the call returned even
+// when the call rewrote the value in place. Other values are returned as is.
+func shallowCopy(v any) any {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return v
+	}
+	c := reflect.New(rv.Type().Elem())
+	c.Elem().Set(rv.Elem())
+	return c.Interface()
+}
+
+// render prints a result bit for bit (NaN equal to itself), following one
+// pointer.
+func render(v any) string {
+	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Pointer && !rv.IsNil() {
+		v = rv.Elem().Interface()
+	}
+	return fmt.Sprintf("%T%+v", v, v)
+}
+
 // paramSplitter resolves the splitter and split type of one annotated
 // parameter the way the planner does for a fresh input.
 func paramSplitter(p core.Param, args []any, i int) (core.Splitter, core.SplitType, bool) {

@@ -7,209 +7,182 @@ import (
 
 func retExpr(t core.TypeExpr) *core.TypeExpr { return &t }
 
-// makeSeriesBinary wraps f(a, b) -> Series as @splittable(a: S, b: S) -> S.
-func makeSeriesBinary(name string, f func(a, b *frame.Series) *frame.Series) (core.Func, *core.Annotation) {
-	fn := func(args []any) (any, error) {
-		return f(args[0].(*frame.Series), args[1].(*frame.Series)), nil
-	}
-	sa := &core.Annotation{FuncName: name, Params: []core.Param{
-		{Name: "a", Type: core.Generic("S")},
-		{Name: "b", Type: core.Generic("S")},
-	}, Ret: retExpr(core.Generic("S"))}
-	return fn, sa
+// The element-wise series functions are registered through CallInto: each has
+// a destination-taking form in the library (frame.XInto), so inside a stage
+// the runtime hands a call the Series it returned for the previous batch as
+// soon as that piece is dead, and a batch's intermediates are rewritten in
+// cache instead of allocated anew.
+
+// dest is the destination the runtime offered, as the library wants it: nil
+// when there is none or it is not a Series (frame.XInto checks the rest:
+// dtype, room, mask).
+func dest(out any) *frame.Series {
+	dst, _ := out.(*frame.Series)
+	return dst
 }
 
-// makeSeriesUnary wraps f(a) -> Series as @splittable(a: S) -> S.
-func makeSeriesUnary(name string, f func(a *frame.Series) *frame.Series) (core.Func, *core.Annotation) {
-	fn := func(args []any) (any, error) {
-		return f(args[0].(*frame.Series)), nil
-	}
-	sa := &core.Annotation{FuncName: name, Params: []core.Param{
-		{Name: "a", Type: core.Generic("S")},
-	}, Ret: retExpr(core.Generic("S"))}
-	return fn, sa
+// seriesSA is @splittable(<params>) -> S.
+func seriesSA(name string, params ...core.Param) *core.Annotation {
+	return &core.Annotation{FuncName: name, Params: params, Ret: retExpr(core.Generic("S"))}
 }
 
-// makeSeriesFloatScalar wraps f(a, c) -> Series as
-// @splittable(a: S, c: _) -> S.
-func makeSeriesFloatScalar(name string, f func(a *frame.Series, c float64) *frame.Series) (core.Func, *core.Annotation) {
-	fn := func(args []any) (any, error) {
-		return f(args[0].(*frame.Series), args[1].(float64)), nil
+// split is a parameter of split type S, whole one of the missing type "_".
+func split(name string) core.Param { return core.Param{Name: name, Type: core.Generic("S")} }
+func whole(name string) core.Param { return core.Param{Name: name, Type: core.Missing()} }
+
+// makeSeriesBinary wraps f(dst, a, b) -> Series as @splittable(a: S, b: S) -> S.
+func makeSeriesBinary(name string, f func(dst, a, b *frame.Series) *frame.Series) (core.FuncInto, *core.Annotation) {
+	fn := func(args []any, out any) (any, error) {
+		return f(dest(out), args[0].(*frame.Series), args[1].(*frame.Series)), nil
 	}
-	sa := &core.Annotation{FuncName: name, Params: []core.Param{
-		{Name: "a", Type: core.Generic("S")},
-		{Name: "c", Type: core.Missing()},
-	}, Ret: retExpr(core.Generic("S"))}
-	return fn, sa
+	return fn, seriesSA(name, split("a"), split("b"))
+}
+
+// makeSeriesUnary wraps f(dst, a) -> Series as @splittable(a: S) -> S.
+func makeSeriesUnary(name string, f func(dst, a *frame.Series) *frame.Series) (core.FuncInto, *core.Annotation) {
+	fn := func(args []any, out any) (any, error) {
+		return f(dest(out), args[0].(*frame.Series)), nil
+	}
+	return fn, seriesSA(name, split("a"))
+}
+
+// makeSeriesScalar wraps f(dst, a, c) -> Series, c of any one type, as
+// @splittable(a: S, <param>: _) -> S.
+func makeSeriesScalar[C any](name, param string, f func(dst, a *frame.Series, c C) *frame.Series) (core.FuncInto, *core.Annotation) {
+	fn := func(args []any, out any) (any, error) {
+		return f(dest(out), args[0].(*frame.Series), args[1].(C)), nil
+	}
+	return fn, seriesSA(name, split("a"), whole(param))
 }
 
 var (
-	addFn, addSA = makeSeriesBinary("sr.add", frame.AddSeries)
-	subFn, subSA = makeSeriesBinary("sr.sub", frame.SubSeries)
-	mulFn, mulSA = makeSeriesBinary("sr.mul", frame.MulSeries)
-	divFn, divSA = makeSeriesBinary("sr.div", frame.DivSeries)
-	andFn, andSA = makeSeriesBinary("sr.and", frame.And)
-	orFn, orSA   = makeSeriesBinary("sr.or", frame.Or)
-	m2nFn, m2nSA = makeSeriesBinary("sr.maskToNull", frame.MaskToNull)
+	addFn, addSA = makeSeriesBinary("sr.add", frame.AddSeriesInto)
+	subFn, subSA = makeSeriesBinary("sr.sub", frame.SubSeriesInto)
+	mulFn, mulSA = makeSeriesBinary("sr.mul", frame.MulSeriesInto)
+	divFn, divSA = makeSeriesBinary("sr.div", frame.DivSeriesInto)
+	andFn, andSA = makeSeriesBinary("sr.and", frame.AndInto)
+	orFn, orSA   = makeSeriesBinary("sr.or", frame.OrInto)
+	m2nFn, m2nSA = makeSeriesBinary("sr.maskToNull", frame.MaskToNullInto)
 
-	notFn, notSA       = makeSeriesUnary("sr.not", frame.Not)
-	isNullFn, isNullSA = makeSeriesUnary("sr.isnull", frame.IsNull)
+	notFn, notSA       = makeSeriesUnary("sr.not", frame.NotInto)
+	isNullFn, isNullSA = makeSeriesUnary("sr.isnull", frame.IsNullInto)
 
-	addSclFn, addSclSA = makeSeriesFloatScalar("sr.add.s", frame.AddScalar)
-	subSclFn, subSclSA = makeSeriesFloatScalar("sr.sub.s", frame.SubScalar)
-	mulSclFn, mulSclSA = makeSeriesFloatScalar("sr.mul.s", frame.MulScalar)
-	divSclFn, divSclSA = makeSeriesFloatScalar("sr.div.s", frame.DivScalar)
-	gtFn, gtSA         = makeSeriesFloatScalar("sr.gt", frame.GtScalar)
-	ltFn, ltSA         = makeSeriesFloatScalar("sr.lt", frame.LtScalar)
-	geFn, geSA         = makeSeriesFloatScalar("sr.ge", frame.GeScalar)
-	fillNaFn, fillNaSA = makeSeriesFloatScalar("sr.fillna", frame.FillNullFloat)
+	addSclFn, addSclSA = makeSeriesScalar("sr.add.s", "c", frame.AddScalarInto)
+	subSclFn, subSclSA = makeSeriesScalar("sr.sub.s", "c", frame.SubScalarInto)
+	mulSclFn, mulSclSA = makeSeriesScalar("sr.mul.s", "c", frame.MulScalarInto)
+	divSclFn, divSclSA = makeSeriesScalar("sr.div.s", "c", frame.DivScalarInto)
+	gtFn, gtSA         = makeSeriesScalar("sr.gt", "c", frame.GtScalarInto)
+	ltFn, ltSA         = makeSeriesScalar("sr.lt", "c", frame.LtScalarInto)
+	geFn, geSA         = makeSeriesScalar("sr.ge", "c", frame.GeScalarInto)
+	fillNaFn, fillNaSA = makeSeriesScalar("sr.fillna", "c", frame.FillNullFloatInto)
+
+	eqStrFn, eqStrSA             = makeSeriesScalar("sr.eq", "v", frame.EqStringInto)
+	strStartsFn, strStartsSA     = makeSeriesScalar("sr.str.startswith", "prefix", frame.StrStartsWithInto)
+	strContainsFn, strContainsSA = makeSeriesScalar("sr.str.contains", "sub", frame.StrContainsInto)
+	strLenGtFn, strLenGtSA       = makeSeriesScalar("sr.str.len.gt", "n", frame.StrLenGtInto)
+	inStrFn, inStrSA             = makeSeriesScalar("sr.isin", "vals", func(dst, a *frame.Series, vals []string) *frame.Series {
+		return frame.InStringsInto(dst, a, vals...)
+	})
 )
 
 // AddSeries registers a + b.
-func AddSeries(s *core.Session, a, b any) *core.Future { return s.Call(addFn, addSA, a, b) }
+func AddSeries(s *core.Session, a, b any) *core.Future { return s.CallInto(addFn, addSA, a, b) }
 
 // SubSeries registers a - b.
-func SubSeries(s *core.Session, a, b any) *core.Future { return s.Call(subFn, subSA, a, b) }
+func SubSeries(s *core.Session, a, b any) *core.Future { return s.CallInto(subFn, subSA, a, b) }
 
 // MulSeries registers a * b.
-func MulSeries(s *core.Session, a, b any) *core.Future { return s.Call(mulFn, mulSA, a, b) }
+func MulSeries(s *core.Session, a, b any) *core.Future { return s.CallInto(mulFn, mulSA, a, b) }
 
 // DivSeries registers a / b.
-func DivSeries(s *core.Session, a, b any) *core.Future { return s.Call(divFn, divSA, a, b) }
+func DivSeries(s *core.Session, a, b any) *core.Future { return s.CallInto(divFn, divSA, a, b) }
 
 // And registers the conjunction of two masks.
-func And(s *core.Session, a, b any) *core.Future { return s.Call(andFn, andSA, a, b) }
+func And(s *core.Session, a, b any) *core.Future { return s.CallInto(andFn, andSA, a, b) }
 
 // Or registers the disjunction of two masks.
-func Or(s *core.Session, a, b any) *core.Future { return s.Call(orFn, orSA, a, b) }
+func Or(s *core.Session, a, b any) *core.Future { return s.CallInto(orFn, orSA, a, b) }
 
 // Not registers the negation of a mask.
-func Not(s *core.Session, a any) *core.Future { return s.Call(notFn, notSA, a) }
+func Not(s *core.Session, a any) *core.Future { return s.CallInto(notFn, notSA, a) }
 
 // IsNull registers the null mask of a series.
-func IsNull(s *core.Session, a any) *core.Future { return s.Call(isNullFn, isNullSA, a) }
+func IsNull(s *core.Session, a any) *core.Future { return s.CallInto(isNullFn, isNullSA, a) }
 
 // MaskToNull registers nulling of rows selected by mask.
-func MaskToNull(s *core.Session, a, mask any) *core.Future { return s.Call(m2nFn, m2nSA, a, mask) }
+func MaskToNull(s *core.Session, a, mask any) *core.Future {
+	return s.CallInto(m2nFn, m2nSA, a, mask)
+}
 
 // AddScalar registers a + c.
 func AddScalar(s *core.Session, a any, c float64) *core.Future {
-	return s.Call(addSclFn, addSclSA, a, c)
+	return s.CallInto(addSclFn, addSclSA, a, c)
 }
 
 // SubScalar registers a - c.
 func SubScalar(s *core.Session, a any, c float64) *core.Future {
-	return s.Call(subSclFn, subSclSA, a, c)
+	return s.CallInto(subSclFn, subSclSA, a, c)
 }
 
 // MulScalar registers a * c.
 func MulScalar(s *core.Session, a any, c float64) *core.Future {
-	return s.Call(mulSclFn, mulSclSA, a, c)
+	return s.CallInto(mulSclFn, mulSclSA, a, c)
 }
 
 // DivScalar registers a / c.
 func DivScalar(s *core.Session, a any, c float64) *core.Future {
-	return s.Call(divSclFn, divSclSA, a, c)
+	return s.CallInto(divSclFn, divSclSA, a, c)
 }
 
 // GtScalar registers the a > c mask.
-func GtScalar(s *core.Session, a any, c float64) *core.Future { return s.Call(gtFn, gtSA, a, c) }
+func GtScalar(s *core.Session, a any, c float64) *core.Future { return s.CallInto(gtFn, gtSA, a, c) }
 
 // LtScalar registers the a < c mask.
-func LtScalar(s *core.Session, a any, c float64) *core.Future { return s.Call(ltFn, ltSA, a, c) }
+func LtScalar(s *core.Session, a any, c float64) *core.Future { return s.CallInto(ltFn, ltSA, a, c) }
 
 // GeScalar registers the a >= c mask.
-func GeScalar(s *core.Session, a any, c float64) *core.Future { return s.Call(geFn, geSA, a, c) }
+func GeScalar(s *core.Session, a any, c float64) *core.Future { return s.CallInto(geFn, geSA, a, c) }
 
 // FillNullFloat registers fillna(c).
 func FillNullFloat(s *core.Session, a any, c float64) *core.Future {
-	return s.Call(fillNaFn, fillNaSA, a, c)
+	return s.CallInto(fillNaFn, fillNaSA, a, c)
 }
 
 // EqString registers the a == v mask.
 func EqString(s *core.Session, a any, v string) *core.Future {
-	return s.Call(eqStrFn, eqStrSA, a, v)
+	return s.CallInto(eqStrFn, eqStrSA, a, v)
 }
-
-var eqStrFn core.Func = func(args []any) (any, error) {
-	return frame.EqString(args[0].(*frame.Series), args[1].(string)), nil
-}
-
-var eqStrSA = &core.Annotation{FuncName: "sr.eq", Params: []core.Param{
-	{Name: "a", Type: core.Generic("S")},
-	{Name: "v", Type: core.Missing()},
-}, Ret: retExpr(core.Generic("S"))}
 
 // InStrings registers the membership mask for vals.
 func InStrings(s *core.Session, a any, vals ...string) *core.Future {
-	return s.Call(inStrFn, inStrSA, a, vals)
+	return s.CallInto(inStrFn, inStrSA, a, vals)
 }
-
-var inStrFn core.Func = func(args []any) (any, error) {
-	return frame.InStrings(args[0].(*frame.Series), args[1].([]string)...), nil
-}
-
-var inStrSA = &core.Annotation{FuncName: "sr.isin", Params: []core.Param{
-	{Name: "a", Type: core.Generic("S")},
-	{Name: "vals", Type: core.Missing()},
-}, Ret: retExpr(core.Generic("S"))}
 
 // StrSlice registers str.slice(from, to).
 func StrSlice(s *core.Session, a any, from, to int) *core.Future {
-	return s.Call(strSliceFn, strSliceSA, a, from, to)
+	return s.CallInto(strSliceFn, strSliceSA, a, from, to)
 }
 
-var strSliceFn core.Func = func(args []any) (any, error) {
-	return frame.StrSlice(args[0].(*frame.Series), args[1].(int), args[2].(int)), nil
+var strSliceFn core.FuncInto = func(args []any, out any) (any, error) {
+	return frame.StrSliceInto(dest(out), args[0].(*frame.Series), args[1].(int), args[2].(int)), nil
 }
 
-var strSliceSA = &core.Annotation{FuncName: "sr.str.slice", Params: []core.Param{
-	{Name: "a", Type: core.Generic("S")},
-	{Name: "from", Type: core.Missing()},
-	{Name: "to", Type: core.Missing()},
-}, Ret: retExpr(core.Generic("S"))}
+var strSliceSA = seriesSA("sr.str.slice", split("a"), whole("from"), whole("to"))
 
 // StrStartsWith registers the str.startswith mask.
 func StrStartsWith(s *core.Session, a any, prefix string) *core.Future {
-	return s.Call(strStartsFn, strStartsSA, a, prefix)
+	return s.CallInto(strStartsFn, strStartsSA, a, prefix)
 }
-
-var strStartsFn core.Func = func(args []any) (any, error) {
-	return frame.StrStartsWith(args[0].(*frame.Series), args[1].(string)), nil
-}
-
-var strStartsSA = &core.Annotation{FuncName: "sr.str.startswith", Params: []core.Param{
-	{Name: "a", Type: core.Generic("S")},
-	{Name: "prefix", Type: core.Missing()},
-}, Ret: retExpr(core.Generic("S"))}
 
 // StrContains registers the str.contains mask.
 func StrContains(s *core.Session, a any, sub string) *core.Future {
-	return s.Call(strContainsFn, strContainsSA, a, sub)
+	return s.CallInto(strContainsFn, strContainsSA, a, sub)
 }
-
-var strContainsFn core.Func = func(args []any) (any, error) {
-	return frame.StrContains(args[0].(*frame.Series), args[1].(string)), nil
-}
-
-var strContainsSA = &core.Annotation{FuncName: "sr.str.contains", Params: []core.Param{
-	{Name: "a", Type: core.Generic("S")},
-	{Name: "sub", Type: core.Missing()},
-}, Ret: retExpr(core.Generic("S"))}
 
 // StrLenGt registers the len(a) > n mask.
 func StrLenGt(s *core.Session, a any, n int) *core.Future {
-	return s.Call(strLenGtFn, strLenGtSA, a, n)
+	return s.CallInto(strLenGtFn, strLenGtSA, a, n)
 }
-
-var strLenGtFn core.Func = func(args []any) (any, error) {
-	return frame.StrLenGt(args[0].(*frame.Series), args[1].(int)), nil
-}
-
-var strLenGtSA = &core.Annotation{FuncName: "sr.str.len.gt", Params: []core.Param{
-	{Name: "a", Type: core.Generic("S")},
-	{Name: "n", Type: core.Missing()},
-}, Ret: retExpr(core.Generic("S"))}
 
 // Filter registers boolean-mask filtering of a frame; its output split is
 // unknown (§3.2).
@@ -271,9 +244,13 @@ var withColSA = &core.Annotation{FuncName: "df.withColumn", Params: []core.Param
 }, Ret: retExpr(core.Generic("S"))}
 
 // SumFloat registers the sum reduction of a float series.
-func SumFloat(s *core.Session, a any) *core.Future { return s.Call(sumFn, sumSA, a) }
+func SumFloat(s *core.Session, a any) *core.Future { return s.CallInto(sumFn, sumSA, a) }
 
-var sumFn core.Func = func(args []any) (any, error) {
+// The reductions return a scalar, so they have no use for a destination; they
+// are registered through CallInto for what it promises about their argument —
+// no view of it is returned or kept — which lets the call that produced the
+// argument reuse its piece.
+var sumFn core.FuncInto = func(args []any, _ any) (any, error) {
 	return frame.SumFloat(args[0].(*frame.Series)), nil
 }
 
@@ -282,9 +259,9 @@ var sumSA = &core.Annotation{FuncName: "sr.sum", Params: []core.Param{
 }, Ret: retExpr(core.Concrete("AddReduce", AddReduceSplitter{}, core.FixedCtor(core.NewSplitType("AddReduce"))))}
 
 // CountValid registers the non-null count reduction.
-func CountValid(s *core.Session, a any) *core.Future { return s.Call(countFn, countSA, a) }
+func CountValid(s *core.Session, a any) *core.Future { return s.CallInto(countFn, countSA, a) }
 
-var countFn core.Func = func(args []any) (any, error) {
+var countFn core.FuncInto = func(args []any, _ any) (any, error) {
 	return frame.CountValid(args[0].(*frame.Series)), nil
 }
 
@@ -294,9 +271,9 @@ var countSA = &core.Annotation{FuncName: "sr.count", Params: []core.Param{
 
 // Mean registers the mean reduction; the result future holds a
 // frame.MeanPartial — use MeanValue to read it as a float64.
-func Mean(s *core.Session, a any) *core.Future { return s.Call(meanFn, meanSA, a) }
+func Mean(s *core.Session, a any) *core.Future { return s.CallInto(meanFn, meanSA, a) }
 
-var meanFn core.Func = func(args []any) (any, error) {
+var meanFn core.FuncInto = func(args []any, _ any) (any, error) {
 	return frame.Mean(args[0].(*frame.Series)), nil
 }
 

@@ -110,3 +110,19 @@ func (a *Annotation) Validate() error {
 // fn returns the produced value, or nil for void functions. Functions must
 // be side-effect free apart from mutating arguments marked mut (§2.2).
 type Func func(args []any) (any, error)
+
+// FuncInto is the calling convention for a registered function that can
+// write its result into storage it is handed (NumPy's out=), registered
+// through Session.CallInto. args is as for Func. out is a destination the
+// runtime offers: nil, or a value this same call returned for an earlier batch
+// that nothing can observe any more — its contents are unspecified, and it may
+// be the wrong shape, dtype or even Go type for this batch, so fn must check
+// it the way a SplitView checks its reuse slot, build its result in out's
+// storage only when out fits, and allocate otherwise. Whole-call execution
+// and fallback re-execution pass nil.
+//
+// Registering a function this way is a promise the runtime relies on: the
+// result shares storage with none of the arguments (it is out's storage or
+// fresh), and the function keeps no reference to an argument or to out after
+// it returns. A function that may return a view of an argument stays on Func.
+type FuncInto func(args []any, out any) (any, error)

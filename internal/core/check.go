@@ -38,8 +38,10 @@ func (c CheckConfig) withDefaults() CheckConfig {
 // keeps call sites self-describing and lets future knobs ride along without
 // breaking them.
 type CheckSpec struct {
-	// Fn is the function under check.
-	Fn Func
+	// Fn is the function under check, or FnInto when it is registered
+	// through CallInto; exactly one is set.
+	Fn     Func
+	FnInto FuncInto
 	// Annotation is Fn's split annotation.
 	Annotation *Annotation
 	// Gen generates one argument list per seed. It must return an
@@ -51,6 +53,16 @@ type CheckSpec struct {
 	Eq func(got, want any) bool
 	// Config tunes trials, randomization bounds, and the seed.
 	Config CheckConfig
+}
+
+// whole runs the function under check once over args, the way the runtime
+// runs a call it does not split: a destination-taking function is offered
+// no destination.
+func (spec CheckSpec) whole(args []any) (any, error) {
+	if spec.FnInto != nil {
+		return spec.FnInto(args, nil)
+	}
+	return spec.Fn(args)
 }
 
 // CheckAnnotation fuzz-checks the §3.4 soundness condition of a split
@@ -69,7 +81,10 @@ type CheckSpec struct {
 // soundness, but it reliably catches annotations like a row-split over a
 // function with cross-row behaviour (see the imagesa Blur tests).
 func CheckAnnotation(spec CheckSpec) error {
-	fn, sa, gen, eq := spec.Fn, spec.Annotation, spec.Gen, spec.Eq
+	sa, gen, eq := spec.Annotation, spec.Gen, spec.Eq
+	if (spec.Fn == nil) == (spec.FnInto == nil) {
+		return fmt.Errorf("mozart: check: %s: exactly one of Fn and FnInto must be set", sa.FuncName)
+	}
 	if err := sa.Validate(); err != nil {
 		return err
 	}
@@ -86,7 +101,7 @@ func CheckAnnotation(spec CheckSpec) error {
 			return fmt.Errorf("mozart: check: gen returned %d args, annotation has %d params", len(wholeArgs), len(sa.Params))
 		}
 
-		wantRet, err := fn(wholeArgs)
+		wantRet, err := spec.whole(wholeArgs)
 		if err != nil {
 			return fmt.Errorf("mozart: check: trial %d: whole run failed: %w", trial, err)
 		}
@@ -102,7 +117,12 @@ func CheckAnnotation(spec CheckSpec) error {
 		}
 		callArgs := make([]any, len(splitArgs))
 		copy(callArgs, splitArgs)
-		retFut := s.Call(fn, sa, callArgs...)
+		var retFut *Future
+		if spec.FnInto != nil {
+			retFut = s.CallInto(spec.FnInto, sa, callArgs...)
+		} else {
+			retFut = s.Call(spec.Fn, sa, callArgs...)
+		}
 		if err := s.EvaluateContext(context.Background()); err != nil {
 			return fmt.Errorf("mozart: check: trial %d (workers=%d batch=%d): %w", trial, workers, batch, err)
 		}
@@ -273,28 +293,39 @@ func (s bufferRange) contains(p bufferRange) bool {
 		p.base+uintptr(p.n)*p.size <= s.base+uintptr(s.n)*s.size
 }
 
-// viewAliases reports whether every backing array of piece lies within one
-// of src's backing arrays — the pointer-identity aliasing check for CapView.
+// overlaps reports whether the two address ranges share a byte.
+func (s bufferRange) overlaps(p bufferRange) bool {
+	return p.base < s.base+uintptr(s.n)*s.size && s.base < p.base+uintptr(p.n)*p.size
+}
+
+// SharedStorage relates the backing arrays reachable from a — through
+// pointers, exported fields and slices — to those reachable from b, by
+// address: every reports that a has backing arrays and each lies within one
+// of b's (a is a view of b), some that at least one overlaps one of b's.
+// Annotation test suites use it to check what the runtime has to take on
+// trust: that a CapView piece aliases its source, and that a FuncInto result
+// is its destination's storage or fresh, never an argument's.
+func SharedStorage(a, b any) (every, some bool) {
+	var ab, bb []bufferRange
+	collectBuffers(reflect.ValueOf(a), 0, &ab)
+	collectBuffers(reflect.ValueOf(b), 0, &bb)
+	every = len(ab) > 0
+	for _, p := range ab {
+		within := false
+		for _, s := range bb {
+			within = within || s.contains(p)
+			some = some || s.overlaps(p)
+		}
+		every = every && within
+	}
+	return every, some
+}
+
+// viewAliases is the pointer-identity aliasing check for CapView: every
+// backing array of piece lies within one of src's.
 func viewAliases(piece, src any) bool {
-	var pb, sb []bufferRange
-	collectBuffers(reflect.ValueOf(piece), 0, &pb)
-	collectBuffers(reflect.ValueOf(src), 0, &sb)
-	if len(pb) == 0 {
-		return false
-	}
-	for _, p := range pb {
-		ok := false
-		for _, s := range sb {
-			if s.contains(p) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	every, _ := SharedStorage(piece, src)
+	return every
 }
 
 // mutationVisible pokes the first scalar buffer of piece and reads the same

@@ -156,9 +156,17 @@ func (s *Session) recoverPanic(err *error) {
 	}
 }
 
-func (s *Session) safeCall(fn Func, args []any) (ret any, err error) {
+// safeCall runs call n's one registered function, whichever convention it
+// was registered under — the only place either is invoked, so nothing wrapped
+// around the function (fault injection, tracing) is ever bypassed. out is the
+// destination offered to a FuncInto: a dead piece of its own on the split
+// path, nil everywhere else.
+func (s *Session) safeCall(n *node, args []any, out any) (ret any, err error) {
 	defer s.recoverPanic(&err)
-	return fn(args)
+	if n.into != nil {
+		return n.into(args, out)
+	}
+	return n.fn(args)
 }
 
 func (s *Session) safeInfo(sp Splitter, v any, t SplitType) (info RuntimeInfo, err error) {
@@ -316,6 +324,13 @@ func (ex *stageExec) placedAt(i int) *placedOutput {
 		return nil
 	}
 	return ex.placed[i]
+}
+
+// reusable reports whether a piece whose producer the plan marked reuse is
+// dead once its batch has been delivered: stage-local scratch always is, an
+// output only when deliver copies it out (placement) instead of keeping it.
+func (ex *stageExec) reusable(reuse int32) bool {
+	return reuse == reuseScratch || (reuse > reuseNever && ex.placedAt(int(reuse)-1) != nil)
 }
 
 // newStageExec bundles stage si with its resolved inputs. The split label
@@ -644,8 +659,10 @@ func (s *Session) mergePieces(r resolved, pieces []any) (any, error) {
 // deliver is the one place a finished batch's output pieces leave the batch
 // loop, for the static and the dynamic scheduler alike. A placed output's
 // piece is copied into its final destination at [start, end) right away,
-// while it is still cache-hot, and is garbage afterwards; every other piece
-// goes to the scheduler's collect for the merge at stage exit. It returns
+// while it is still cache-hot, and nothing refers to it afterwards — which is
+// what lets runBatch hand it back to its producer as the next batch's
+// destination; every other piece goes to the scheduler's collect, which keeps
+// it for the merge at stage exit. It returns
 // the time spent placing, which the caller accounts as its merge time.
 func (s *Session) deliver(ex *stageExec, out map[int]any, start, end int64, collect func(id int, piece any)) (time.Duration, error) {
 	var t0 time.Time
@@ -811,12 +828,14 @@ func (s *Session) noteWorkerMerge(ex *stageExec, w int, d time.Duration) {
 
 // runBatch splits inputs for [start, end), pipelines the batch through the
 // stage's calls, and returns the pieces of stage outputs. sc is the pooled
-// per-worker scratch (env map, argument buffers, SplitView reuse slots).
-// It is the single batch body for both static and dynamic scheduling, so
-// panic isolation and Pedantic checks behave identically under either
-// scheduler. w is the worker lane and attempt the retry attempt number,
-// both only used for the batch span event. The returned output map is
-// scratch-owned: callers must consume it before the worker's next batch.
+// per-worker scratch (env map, argument buffers, SplitView reuse slots,
+// destination slots). It is the single batch body for static, dynamic and
+// streaming execution, so panic isolation, Pedantic checks and destination
+// reuse behave identically under each. w is the worker lane and attempt the
+// retry attempt number, both only used for the batch span event. The
+// returned output map is scratch-owned, and so are the pieces in it that came
+// from a reusable call: callers must consume both before the worker's next
+// batch.
 func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w int, start, end int64, attempt int) (map[int]any, error) {
 	st, inputs := ex.st, ex.inputs
 	batchErr := func(origin FaultOrigin, call string, err error) *StageError {
@@ -863,6 +882,7 @@ func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w int, start, end i
 	}
 
 	var taskDur time.Duration
+	reused := 0
 	for ci, c := range st.calls {
 		args := sc.argsFor(ci, len(c.n.args))
 		for i, r := range c.args {
@@ -883,8 +903,20 @@ func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w int, start, end i
 		if s.opts.Logf != nil {
 			s.opts.Logf("mozart: call %s on elements [%d,%d)", c.n.name, start, end)
 		}
+		// The piece this call returned for the worker's previous batch is its
+		// destination now, if nothing can still see it. The slot is empty
+		// while the call runs: a call that fails leaves nothing half-written
+		// behind for the replay.
+		var slot *any
+		var dst any
+		if ex.reusable(c.reuse) {
+			slot = sc.slot(ci, len(st.calls))
+			if dst, *slot = *slot, nil; dst != nil {
+				reused++
+			}
+		}
 		t1 := time.Now()
-		ret, err := s.safeCall(c.n.fn, args)
+		ret, err := s.safeCall(c.n, args, dst)
 		d := time.Since(t1)
 		taskDur += d
 		s.stats.add(&s.stats.TaskNS, d)
@@ -892,9 +924,15 @@ func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w int, start, end i
 		if err != nil {
 			return nil, batchErr(OriginCall, c.n.name, fmt.Errorf("%s: %w", c.n.name, err))
 		}
+		if slot != nil {
+			*slot = ret
+		}
 		if c.n.ret != nil {
 			env[c.n.ret.id] = ret
 		}
+	}
+	if reused > 0 {
+		s.stats.add(&s.stats.ReusedPieces, time.Duration(reused))
 	}
 	var out map[int]any
 	if len(st.outputs) > 0 {
@@ -907,7 +945,8 @@ func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w int, start, end i
 		}
 	}
 	if tr := s.opts.Tracer; tr != nil {
-		tr.Emit(obs.Event{Kind: obs.EvBatch, Time: time.Now(), Dur: time.Since(t0),
+		now := time.Now() // read once: a span ends where it says and began Dur before
+		tr.Emit(obs.Event{Kind: obs.EvBatch, Time: now, Dur: now.Sub(t0),
 			Stage: ex.si, Worker: w, Start: start, End: end,
 			Calls: ex.calls, Split: ex.split,
 			SplitNS: int64(splitDur), TaskNS: int64(taskDur),
@@ -998,7 +1037,7 @@ func (s *Session) executeWhole(st *planStage) error {
 			s.opts.Logf("mozart: call %s (whole)", c.n.name)
 		}
 		t0 := time.Now()
-		ret, err := s.safeCall(c.n.fn, args)
+		ret, err := s.safeCall(c.n, args, nil)
 		s.stats.add(&s.stats.TaskNS, time.Since(t0))
 		s.stats.add(&s.stats.Calls, 1)
 		if err != nil {

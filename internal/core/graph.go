@@ -29,11 +29,12 @@ type binding struct {
 	pm        planMark // planner scratch, valid per epoch (planner.go)
 }
 
-// node is one captured annotated call.
+// node is one captured annotated call. Exactly one of fn and into is set:
+// the one function every execution mode of the call runs (Session.safeCall).
 type node struct {
-	id      int
 	name    string
-	fn      Func
+	fn      Func     // registered through Call
+	into    FuncInto // registered through CallInto
 	sa      *Annotation
 	args    []*binding
 	argVals []any // captured raw argument values (nil for unresolved lazy args)
@@ -188,6 +189,19 @@ func (s *Session) Guard(v any, bytes int64) {
 // returns a Future for its result (nil for void functions). The arguments
 // may be raw values or Futures from the same session.
 func (s *Session) Call(fn Func, sa *Annotation, args ...any) *Future {
+	return s.capture(fn, nil, sa, args)
+}
+
+// CallInto is Call for a destination-taking function (see FuncInto): inside a
+// split stage the runtime hands fn the piece it returned for the worker's
+// previous batch as soon as nothing else can see that piece, so a batch's
+// intermediates are rewritten in cache instead of allocated anew.
+func (s *Session) CallInto(fn FuncInto, sa *Annotation, args ...any) *Future {
+	return s.capture(nil, fn, sa, args)
+}
+
+// capture records one call of fn or into (whichever is non-nil).
+func (s *Session) capture(fn Func, into FuncInto, sa *Annotation, args []any) *Future {
 	start := time.Now()
 	defer func() { s.stats.add(&s.stats.ClientNS, time.Since(start)) }()
 
@@ -195,9 +209,9 @@ func (s *Session) Call(fn Func, sa *Annotation, args ...any) *Future {
 		panic(fmt.Sprintf("mozart: %s: got %d args, annotation has %d params", sa.FuncName, len(args), len(sa.Params)))
 	}
 	n := &node{
-		id:      len(s.nodes),
 		name:    sa.FuncName,
 		fn:      fn,
+		into:    into,
 		sa:      sa,
 		args:    make([]*binding, len(args)),
 		argVals: make([]any, len(args)),

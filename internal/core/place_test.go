@@ -6,11 +6,12 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mozart/internal/annotations/framesa"
-	_ "mozart/internal/annotations/vmathsa" // default splitters for []float64 and *vmath.Matrix
+	"mozart/internal/annotations/vmathsa" // and its default splitters for []float64 and *vmath.Matrix
 	"mozart/internal/core"
 	"mozart/internal/faultinject"
 	"mozart/internal/frame"
@@ -47,10 +48,7 @@ var negateFn core.Func = func(args []any) (any, error) {
 	return out, nil
 }
 
-func unarySA(name string) *core.Annotation {
-	return &core.Annotation{FuncName: name,
-		Params: []core.Param{{Name: "a", Type: genericS}}, Ret: &genericS}
-}
+func unarySA(name string) *core.Annotation { return typedSA(name, genericS) }
 
 // placedInputs is one input set of n elements for the pipeline below.
 type placedInputs struct {
@@ -352,5 +350,373 @@ func TestStreamingNeverPlaces(t *testing.T) {
 	checkAgainstWhole(t, in.capture(s, scaleFn), in.whole(), false)
 	if st := s.Stats(); st.StreamedStages != 1 || st.PlacedPieces != 0 {
 		t.Fatalf("StreamedStages = %d, PlacedPieces = %d; want 1 and 0", st.StreamedStages, st.PlacedPieces)
+	}
+}
+
+// ---- destination reuse (core.FuncInto) ------------------------------------
+//
+// The §3.4 oracle for reuse slots: a chain of out-of-place calls registered
+// through CallInto must produce exactly what the unsplit calls produce while
+// each call is handed its previous piece back — and must be handed it only
+// when nothing can still see it: never the piece of a collected output, never
+// a piece some reader registered through Call may have returned a view of.
+// Everything runs under PoisonPools, so a slot that outlived its stage would
+// reach a function as a sentinel of another type.
+
+// intoCall is one destination-taking (a: S) -> S over []float64: f applied
+// element-wise, into the destination when that is a []float64 with room.
+type intoCall struct {
+	name    string
+	f       func(float64) float64
+	offered atomic.Int64 // destinations offered that were earlier pieces
+}
+
+func (c *intoCall) fn(args []any, out any) (any, error) {
+	a := args[0].([]float64)
+	dst, piece := out.([]float64) // else nil, or the PoisonPools sentinel
+	if piece {
+		c.offered.Add(1)
+	}
+	if cap(dst) < len(a) {
+		dst = make([]float64, len(a))
+	}
+	dst = dst[:len(a)]
+	for i, x := range a {
+		dst[i] = c.f(x)
+	}
+	return dst, nil
+}
+
+func (c *intoCall) whole(a []float64) []float64 {
+	out, _ := c.fn([]any{a}, nil)
+	return out.([]float64)
+}
+
+// reuseChain is scale -> shift -> square. scale's result is read by shift
+// alone: stage-local scratch. shift's is kept and read by square, square's
+// is read by nobody: the stage's two outputs.
+type reuseChain struct{ scale, shift, square intoCall }
+
+func newReuseChain() *reuseChain {
+	return &reuseChain{
+		scale:  intoCall{name: "test.scale", f: func(x float64) float64 { return 1.5*x + 1 }},
+		shift:  intoCall{name: "test.shift", f: func(x float64) float64 { return x - 7 }},
+		square: intoCall{name: "test.square", f: func(x float64) float64 { return x * x }},
+	}
+}
+
+func (ch *reuseChain) whole(xs []float64) []any {
+	shifted := ch.shift.whole(ch.scale.whole(xs))
+	return []any{shifted, ch.square.whole(shifted)}
+}
+
+// typedSA is (a: typ) -> typ.
+func typedSA(name string, typ core.TypeExpr) *core.Annotation {
+	return &core.Annotation{FuncName: name, Params: []core.Param{{Name: "a", Type: typ}}, Ret: &typ}
+}
+
+// capture registers the chain over xs under split type typ; shift is the
+// chain's own, or a wrapper around it.
+func (ch *reuseChain) capture(s *core.Session, typ core.TypeExpr, xs []float64, shift core.FuncInto) []*core.Future {
+	scaled := s.CallInto(ch.scale.fn, typedSA(ch.scale.name, typ), xs)
+	shifted := s.CallInto(shift, typedSA(ch.shift.name, typ), scaled).Keep()
+	return []*core.Future{shifted, s.CallInto(ch.square.fn, typedSA(ch.square.name, typ), shifted)}
+}
+
+// collectedArrays is ArraySplit over n elements with CapPlace hidden behind a
+// CapsDeclarer (faultinject's splitter shim withholds it, with nothing
+// armed): outputs of this type are collected and merged by every executor.
+func collectedArrays(n int) core.TypeExpr {
+	return core.Concrete("ArraySplit", faultinject.New(0).WrapSplitter("xs", vmathsa.ArraySplitter{}),
+		core.FixedCtor(core.NewSplitType("ArraySplit", int64(n))))
+}
+
+// checkOffered fails unless call c was offered between lo and hi pieces.
+func checkOffered(t *testing.T, c *intoCall, lo, hi int64) {
+	t.Helper()
+	if n := c.offered.Load(); n < lo || n > hi {
+		t.Fatalf("%s was offered %d of its earlier pieces, want %d to %d", c.name, n, lo, hi)
+	}
+}
+
+// offeredBounds is how many of its earlier pieces a call whose result is dead
+// after every batch is offered: every piece it returned but each worker's
+// last; a streaming window starts every worker afresh.
+func offeredBounds(st core.StatsSnapshot, executor string, opts core.Options) (lo, hi int64) {
+	lo, hi = st.Batches-int64(opts.Workers), max(st.Batches-1, 0)
+	if executor == "streaming" {
+		lo = 0
+		if opts.Workers == 1 && opts.BatchElems == 1 && st.Batches > 0 {
+			lo = 1
+		}
+	}
+	return max(lo, 0), hi
+}
+
+// Placed outputs and scratch are handed back — each call gets every piece but
+// the first of each worker — collected outputs never are, and either way the
+// results are the unsplit calls'. Afterwards no pooled scratch refers to a
+// piece, no governor byte is held, and no goroutine is left over.
+func TestReuseSlotsMatchUnsplitCalls(t *testing.T) {
+	pool := core.NewWorkerPool(2)
+	goroutines := runtime.NumGoroutine()
+	forEachExecutorCell(t, func(t *testing.T, in placedInputs, executor string, opts core.Options) {
+		opts.PoisonPools, opts.WorkerPool = true, pool
+		for _, typ := range []struct {
+			name      string
+			expr      core.TypeExpr
+			collected bool
+		}{
+			{"placed", genericS, executor == "streaming"},
+			{"place hidden", collectedArrays(len(in.xs)), true},
+		} {
+			ch := newReuseChain()
+			s := core.NewSession(opts)
+			checkAgainstWhole(t, ch.capture(s, typ.expr, in.xs, ch.shift.fn), ch.whole(in.xs), len(in.xs) == 0)
+			st := s.Stats()
+			lo, hi := offeredBounds(st, executor, opts)
+			checkOffered(t, &ch.scale, lo, hi)
+			if typ.collected {
+				lo, hi = 0, 0
+			}
+			checkOffered(t, &ch.shift, lo, hi)
+			checkOffered(t, &ch.square, lo, hi)
+			offered := ch.scale.offered.Load() + ch.shift.offered.Load() + ch.square.offered.Load()
+			// (More is fine: a scratch a sibling returned mid-stage comes back
+			// poisoned, and the sentinels handed over count too.)
+			if st.ReusedPieces < offered || st.ReusedPieces > 3*st.Batches || (!typ.collected && st.ReusedPieces < 3*lo) {
+				t.Fatalf("%s: ReusedPieces = %d, the calls counted %d over %d batches", typ.name, st.ReusedPieces, offered, st.Batches)
+			}
+			if held := core.HeldPieces(s); held != 0 {
+				t.Fatalf("%s: %d pieces still referenced from pooled scratch after the evaluation", typ.name, held)
+			}
+			if opts.Governor != nil && opts.Governor.InUse() != 0 {
+				t.Fatalf("%s: governor still holds %d bytes", typ.name, opts.Governor.InUse())
+			}
+		}
+	})
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines+2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines+2 {
+		t.Errorf("goroutines %d -> %d; want at most the pool's 2 parked workers more", goroutines, n)
+	}
+}
+
+// identityFn is registered through Call and returns its argument itself: the
+// kind of reader (df.col, df.withColumn) whose result may be a view.
+var identityFn core.Func = func(args []any) (any, error) { return args[0], nil }
+
+// A reader registered through Call pins what it reads: here its result — the
+// very piece scale returned — is kept, so handing that piece back to scale for
+// the next batch would overwrite an output still being delivered. scale must
+// be offered nothing, whether the stage's outputs are placed or collected,
+// while shift, whose result only square reads, still is. (Without the reader
+// rule in classifyStages this fails on both counts.)
+func TestReuseSlotsCallReaderPinsItsInput(t *testing.T) {
+	forEachExecutorCell(t, func(t *testing.T, in placedInputs, executor string, opts core.Options) {
+		opts.PoisonPools = true
+		for _, typ := range []struct {
+			name      string
+			expr      core.TypeExpr
+			collected bool
+		}{
+			{"placed", genericS, executor == "streaming"},
+			{"place hidden", collectedArrays(len(in.xs)), true},
+		} {
+			ch := newReuseChain()
+			s := core.NewSession(opts)
+			scaled := s.CallInto(ch.scale.fn, typedSA(ch.scale.name, typ.expr), in.xs)
+			same := s.Call(identityFn, typedSA("test.identity", typ.expr), scaled).Keep()
+			shifted := s.CallInto(ch.shift.fn, typedSA(ch.shift.name, typ.expr), same)
+			squared := s.CallInto(ch.square.fn, typedSA(ch.square.name, typ.expr), shifted)
+
+			wantScaled := ch.scale.whole(in.xs)
+			want := []any{wantScaled, ch.square.whole(ch.shift.whole(wantScaled))}
+			checkAgainstWhole(t, []*core.Future{same, squared}, want, len(in.xs) == 0)
+			st := s.Stats()
+			lo, hi := offeredBounds(st, executor, opts)
+			checkOffered(t, &ch.scale, 0, 0)
+			checkOffered(t, &ch.shift, lo, hi)
+			if typ.collected {
+				lo, hi = 0, 0
+			}
+			checkOffered(t, &ch.square, lo, hi)
+			// The identity takes no destination: it is never counted.
+			if st.ReusedPieces > 2*st.Batches {
+				t.Fatalf("%s: ReusedPieces = %d over %d batches, want at most shift's and square's", typ.name, st.ReusedPieces, st.Batches)
+			}
+		}
+	})
+}
+
+// The same in a stage that mixes the two deliveries: output 0 (square's, read
+// by shift) is placed wherever anything is, while the identity's result is of
+// unknown type and therefore collected — and it is the very piece scale
+// returned. A pinned producer must not be mistaken for the producer of the
+// placed output 0: scale is offered nothing and the collected pieces survive.
+func TestReuseSlotsPinnedProducerBesidePlacedOutput(t *testing.T) {
+	unknown := core.Unknown()
+	forEachExecutorCell(t, func(t *testing.T, in placedInputs, executor string, opts core.Options) {
+		if len(in.xs) == 0 {
+			t.Skip("an output of unknown type cannot be merged from no pieces")
+		}
+		opts.PoisonPools = true
+		ch := newReuseChain()
+		s := core.NewSession(opts)
+		squared := s.CallInto(ch.square.fn, unarySA(ch.square.name), in.xs).Keep()
+		scaled := s.CallInto(ch.scale.fn, unarySA(ch.scale.name), in.xs)
+		same := s.Call(identityFn, &core.Annotation{FuncName: "test.identity",
+			Params: []core.Param{{Name: "a", Type: genericS}}, Ret: &unknown}, scaled).Keep()
+		shifted := s.CallInto(ch.shift.fn, unarySA(ch.shift.name), squared)
+
+		wantSquared := ch.square.whole(in.xs)
+		want := []any{wantSquared, ch.scale.whole(in.xs), ch.shift.whole(wantSquared)}
+		checkAgainstWhole(t, []*core.Future{squared, same, shifted}, want, false)
+		st := s.Stats()
+		if st.Stages > 1 {
+			t.Fatalf("%d stages, want the four calls in one", st.Stages)
+		}
+		lo, hi := offeredBounds(st, executor, opts)
+		if executor == "streaming" {
+			lo, hi = 0, 0 // every output is collected there
+		}
+		checkOffered(t, &ch.scale, 0, 0)
+		checkOffered(t, &ch.square, lo, hi)
+		checkOffered(t, &ch.shift, lo, hi)
+		if st.ReusedPieces > 2*st.Batches {
+			t.Fatalf("ReusedPieces = %d over %d batches, want at most square's and shift's", st.ReusedPieces, st.Batches)
+		}
+	})
+}
+
+// Functions registered through Call take no destination: a chain of them with
+// placed outputs builds no slot table and counts nothing reused.
+func TestCallRegisteredChainReusesNothing(t *testing.T) {
+	in := newPlacedInputs(103)
+	for _, dynamic := range []bool{false, true} {
+		s := core.NewSession(core.Options{Workers: 2, BatchElems: 10, DynamicScheduling: dynamic, PoisonPools: true})
+		futs := []*core.Future{s.Call(scaleFn, unarySA("test.scale"), in.xs), s.Call(negateFn, unarySA("test.negate"), in.m)}
+		checkAgainstWhole(t, futs, in.whole()[3:], false)
+		if st := s.Stats(); st.PlacedPieces != 2*st.Batches || st.ReusedPieces != 0 {
+			t.Fatalf("PlacedPieces = %d, ReusedPieces = %d over %d batches; want 2 per batch and 0", st.PlacedPieces, st.ReusedPieces, st.Batches)
+		}
+	}
+}
+
+// A transient fault in the middle of the chain replays the batch: the calls
+// before it are handed the pieces of the failed attempt, which nobody saw,
+// and the results are unchanged. The injected fault is in the one function
+// the call has, so it fires on the replay like anywhere else.
+func TestReuseSlotsSurviveBatchRetry(t *testing.T) {
+	in := newPlacedInputs(103)
+	for _, dynamic := range []bool{false, true} {
+		inj := faultinject.New(1)
+		inj.TransientErrorOnCalls("shift", 4, 4)
+		ch := newReuseChain()
+		s := core.NewSession(core.Options{Workers: 2, BatchElems: 10, DynamicScheduling: dynamic, PoisonPools: true,
+			RetryPolicy: core.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}})
+		checkAgainstWhole(t, ch.capture(s, genericS, in.xs, inj.WrapFuncInto("shift", ch.shift.fn)), ch.whole(in.xs), false)
+		// Batches counts attempts, and so does the injector.
+		if st := s.Stats(); st.RetriedBatches != 1 || inj.Count("shift", faultinject.AspectCall) != st.Batches || st.ReusedPieces == 0 {
+			t.Fatalf("RetriedBatches = %d, shift ran %d times over %d attempts, ReusedPieces = %d; want 1 retry, one run per attempt, reuse",
+				st.RetriedBatches, inj.Count("shift", faultinject.AspectCall), st.Batches, st.ReusedPieces)
+		}
+	}
+}
+
+// A panic injected into a destination-taking call falls back to the whole
+// call like any other annotation fault, and the whole call runs the same
+// wrapped function, offered no destination.
+func TestReuseSlotsFallBackWhole(t *testing.T) {
+	in := newPlacedInputs(103)
+	inj := faultinject.New(1)
+	inj.PanicOnNthCall("shift", 6)
+	ch := newReuseChain()
+	shift := func(args []any, out any) (any, error) {
+		if len(args[0].([]float64)) == len(in.xs) && out != nil {
+			t.Errorf("the whole call was offered a destination: %T", out)
+		}
+		return ch.shift.fn(args, out)
+	}
+	s := core.NewSession(core.Options{Workers: 1, BatchElems: 10, PoisonPools: true, FallbackPolicy: core.FallbackWholeCall})
+	checkAgainstWhole(t, ch.capture(s, genericS, in.xs, inj.WrapFuncInto("shift", shift)), ch.whole(in.xs), false)
+	// Six split runs, the sixth of which panicked, and the whole call.
+	if st := s.Stats(); st.FallbackStages != 1 || inj.Count("shift", faultinject.AspectCall) != 7 {
+		t.Fatalf("FallbackStages = %d, shift ran %d times; want 1 and 7", st.FallbackStages, inj.Count("shift", faultinject.AspectCall))
+	}
+}
+
+// A panic inside a destination-taking function is the StageError a panic
+// inside any call is, and leaves the call's slot empty: the function may have
+// been half way through its destination, so the replay is offered nothing.
+func TestReuseSlotsPanicLeavesSlotEmpty(t *testing.T) {
+	in := newPlacedInputs(103)
+	for _, retry := range []bool{false, true} {
+		ch := newReuseChain()
+		var runs int
+		var afterPanic []any // what shift was offered on the run after it panicked
+		shift := func(args []any, out any) (any, error) {
+			if runs++; runs == 4 {
+				if dst, ok := out.([]float64); ok && len(dst) > 0 {
+					dst[0] = -1
+				}
+				panic("shift exploded")
+			} else if runs == 5 {
+				afterPanic = append(afterPanic, out)
+			}
+			return ch.shift.fn(args, out)
+		}
+		opts := core.Options{Workers: 1, BatchElems: 10, PoisonPools: true}
+		if retry {
+			opts.RetryPolicy = core.RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {},
+				Classify: func(error) bool { return true }}
+		}
+		s := core.NewSession(opts)
+		futs := ch.capture(s, genericS, in.xs, shift)
+		if retry {
+			checkAgainstWhole(t, futs, ch.whole(in.xs), false)
+			if len(afterPanic) != 1 || afterPanic[0] != nil {
+				t.Fatalf("the replay after the panic was offered %v, want one run offered nil", afterPanic)
+			}
+			continue
+		}
+		_, err := futs[0].Get()
+		var se *core.StageError
+		if !errors.As(err, &se) || se.Origin != core.OriginCall || se.Call != "test.shift" ||
+			se.PanicValue != "shift exploded" || se.Start != 30 || se.End != 40 {
+			t.Fatalf("want a call-origin StageError for test.shift over [30,40) carrying the panic, got %v", err)
+		}
+		if held := core.HeldPieces(s); held != 0 {
+			t.Fatalf("%d pieces still referenced from pooled scratch after the failed evaluation", held)
+		}
+	}
+}
+
+// Two stages on one session whose call 0 returns different Go types, on one
+// worker and so on one pooled scratch: the second stage's call must not be
+// handed the first's piece. Slots are emptied between stages (poisoned, here)
+// and a function checks what it is offered anyway.
+func TestReuseSlotsDoNotOutliveTheirStage(t *testing.T) {
+	in, col := newPlacedInputs(103), newPlacedInputs(64).a
+	ch := newReuseChain()
+	var leaked atomic.Int64
+	gt50 := func(args []any, out any) (any, error) {
+		if _, ok := out.([]float64); ok {
+			leaked.Add(1)
+		}
+		dst, _ := out.(*frame.Series)
+		return frame.GtScalarInto(dst, args[0].(*frame.Series), 50), nil
+	}
+	for _, poison := range []bool{true, false} {
+		s := core.NewSession(core.Options{Workers: 1, BatchElems: 10, PoisonPools: poison})
+		scaled := s.CallInto(ch.scale.fn, unarySA(ch.scale.name), in.xs)
+		checkAgainstWhole(t, []*core.Future{scaled}, []any{ch.scale.whole(in.xs)}, false)
+		mask := s.CallInto(gt50, unarySA("test.gt50"), col)
+		checkAgainstWhole(t, []*core.Future{mask}, []any{frame.GtScalar(col, 50)}, false)
+		if st := s.Stats(); st.Stages != 2 || st.ReusedPieces == 0 || leaked.Load() != 0 {
+			t.Fatalf("poison=%v: %d stages, %d pieces reused, and the second stage was handed %d pieces of the first",
+				poison, st.Stages, st.ReusedPieces, leaked.Load())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	ir "mozart/internal/plan"
 )
@@ -9,10 +10,12 @@ import (
 // resolved is the planner's resolution of one argument or return value: how
 // (and whether) the value is split within the current stage.
 type resolved struct {
+	t        SplitType
+	splitter Splitter // nil when deferred
+	// The two flags sit together so that planCall's reuse field fits in the
+	// bytes they used to pad: a plan is no larger for carrying it.
 	broadcast bool
-	t         SplitType
-	splitter  Splitter // nil when deferred
-	deferred  bool     // splitter (and real type) resolved from the default
+	deferred  bool // splitter (and real type) resolved from the default
 	// registry at execution time; t is then a placeholder unknown used
 	// only for compatibility decisions.
 }
@@ -32,7 +35,21 @@ type planCall struct {
 	n    *node
 	args []resolved // carved from plan.res
 	ret  resolved   // valid iff n.ret != nil
+	// reuse says when the piece this call returned for a worker's previous
+	// batch may be handed back to it as the next batch's destination
+	// (classifyStages): reuseNever, reuseScratch, or 1 + the index in the
+	// stage's outputs of the output that must be delivered by placement.
+	reuse int32
 }
+
+const (
+	// reuseNever: the function takes no destination, or someone may still
+	// hold the piece (a reader that may have returned a view of it). It is
+	// the zero value, so a call classifyStages says nothing about is safe.
+	reuseNever int32 = 0
+	// reuseScratch: the value lives and dies inside the batch.
+	reuseScratch int32 = -1
+)
 
 // stageInput is a binding the stage must split at entry.
 type stageInput struct {
@@ -96,6 +113,7 @@ const (
 	markBC                         // used whole within the stage
 	markProduced                   // returned by a call of the stage
 	markLive                       // counted in the stage's §5.2 working set
+	markPinned                     // read by a call of the stage that may keep a view of it
 )
 
 func (s *Session) nextEpoch() uint32 {
@@ -355,7 +373,17 @@ func (s *Session) buildPlan(peek bool) (*plan, error) {
 }
 
 // classifyStages computes, per stage, which bindings are split inputs, which
-// must be merged at stage exit, and which are broadcast. Under peek, the
+// must be merged at stage exit, and which are broadcast — and, for each call
+// registered through CallInto, whether the piece it returns is dead by the
+// worker's next batch (planCall.reuse). That takes three things. The producer
+// takes a destination. Every reader of the value inside the stage was
+// registered through CallInto as well, so none returns or keeps a view of it:
+// a reader still on Call (df.col, df.withColumn, an identity) pins what it
+// reads for the whole stage, because its result may alias it and be collected.
+// And the value is either not a stage output, or an output the executor
+// delivers by placement, which copies the piece out before the batch ends;
+// only the executor knows which outputs those are (streaming places none), so
+// for an output the plan records its index and runBatch asks. Under peek, the
 // discarded flag of pipelined-away bindings is left untouched.
 func (s *Session) classifyStages(p *plan, peek bool) {
 	// A binding read by this plan has lastAt == planAt and last = the index
@@ -376,6 +404,9 @@ func (s *Session) classifyStages(p *plan, peek bool) {
 		for _, c := range st.calls {
 			for ai, r := range c.args {
 				b := c.n.args[ai]
+				if c.n.into == nil {
+					b.mark(e, markPinned)
+				}
 				if r.broadcast {
 					if !b.mark(e, markBC) {
 						st.broadcast = append(st.broadcast, b)
@@ -406,6 +437,18 @@ func (s *Session) classifyStages(p *plan, peek bool) {
 				} else if !need && !peek {
 					rb.discarded = true
 				}
+			}
+		}
+		// Readers come after producers, and a later mut use can still make
+		// a produced value an output: the marks are complete only now.
+		for ci, c := range st.calls {
+			rb := c.n.ret
+			if c.n.into == nil || rb == nil || c.ret.broadcast || rb.marked(e, markPinned) {
+				continue
+			}
+			st.calls[ci].reuse = reuseScratch
+			if rb.marked(e, markOut) {
+				st.calls[ci].reuse = 1 + int32(slices.IndexFunc(st.outputs, func(o stageOutput) bool { return o.b == rb }))
 			}
 		}
 	}

@@ -45,7 +45,8 @@ type viewKey struct {
 
 // workerScratch is the reusable per-worker state for the batch hot loop:
 // the env map threading pieces between pipelined calls, the per-batch
-// output map, per-call argument buffers, and the SplitView reuse slots.
+// output map, per-call argument buffers, the SplitView reuse slots, and the
+// destination slots of calls registered through CallInto.
 // Scratches are pooled across stages and evaluations; the views map is
 // deliberately never cleared — stale entries are revalidated by the
 // splitter (a view of the wrong storage or range fails the alias check and
@@ -55,6 +56,20 @@ type workerScratch struct {
 	out   map[int]any
 	args  [][]any
 	views map[viewKey]any
+	// slots[ci] is the piece call ci of the stage returned for this worker's
+	// previous batch, kept only while planCall.reuse says it is dead: the
+	// call's destination for the next batch. The table exists only on workers
+	// that ran a stage with such a call, and is emptied when the scratch goes
+	// back to the pool, so a piece outlives its stage by nothing.
+	slots []any
+}
+
+// slot returns the destination slot of call ci in a stage of n calls.
+func (sc *workerScratch) slot(ci, n int) *any {
+	if len(sc.slots) < n {
+		sc.slots = make([]any, n)
+	}
+	return &sc.slots[ci]
 }
 
 // argsFor returns the scratch argument slice for call index ci, sized n.
@@ -84,16 +99,23 @@ func (p *sessionPools) putScratch(sc *workerScratch) {
 	clear(sc.env)
 	clear(sc.out)
 	for _, args := range sc.args {
-		for i := range args {
-			if p.poison {
-				args[i] = poisonedBuffer{}
-			} else {
-				args[i] = nil
-			}
-		}
+		p.scrub(args)
 	}
+	p.scrub(sc.slots)
 	// sc.views intentionally survives: entries are revalidated on reuse.
 	p.scratch.Put(sc)
+}
+
+// scrub empties a buffer on its way back to a pool: every slot nil, or the
+// sentinel under poison mode.
+func (p *sessionPools) scrub(buf []any) {
+	var empty any
+	if p.poison {
+		empty = poisonedBuffer{}
+	}
+	for i := range buf {
+		buf[i] = empty
+	}
 }
 
 // getOuts returns a zeroed []workerOut of length n.
@@ -130,13 +152,7 @@ func (p *sessionPools) getAnys(n int) []any {
 }
 
 func (p *sessionPools) putAnys(buf []any) {
-	for i := range buf {
-		if p.poison {
-			buf[i] = poisonedBuffer{}
-		} else {
-			buf[i] = nil
-		}
-	}
+	p.scrub(buf)
 	p.anys.Put(&buf)
 }
 

@@ -63,6 +63,23 @@ func HoldPool(p *WorkerPool) (release func()) {
 	return sync.OnceFunc(func() { close(hold) })
 }
 
+// HeldPieces drains s's pooled worker scratches and counts the pieces their
+// destination slots still refer to: none, once an evaluation has returned
+// (for tests, in this package and in core_test).
+func HeldPieces(s *Session) (held int) {
+	for {
+		sc, ok := s.pools.scratch.Get().(*workerScratch)
+		if !ok {
+			return held
+		}
+		for _, piece := range sc.slots {
+			if piece != nil && piece != (poisonedBuffer{}) {
+				held++
+			}
+		}
+	}
+}
+
 // TestWorkerPoolQueuesWhenSaturated: a full pool never blocks Run, never
 // drops a task and never runs one on a goroutine of its own — excess tasks
 // wait, and run oldest first on the worker that frees up.

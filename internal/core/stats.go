@@ -46,6 +46,7 @@ type StatsSnapshot struct {
 	PoolTasks    int64 // stage shares offered to the worker pool (W−1 per fan-out, whoever ends up running them)
 	ViewSplits   int64 // input splits served by SplitView (aliasing, reuse-slotted)
 	PlacedPieces int64 // output pieces copied straight into their merged destination (PlaceSplitter)
+	ReusedPieces int64 // dead pieces handed back to their producer as a destination (FuncInto)
 }
 
 // Total returns the sum of all phase times.
@@ -141,5 +142,6 @@ func (s *stats) Snapshot() StatsSnapshot {
 		PoolTasks:    atomic.LoadInt64(&s.PoolTasks),
 		ViewSplits:   atomic.LoadInt64(&s.ViewSplits),
 		PlacedPieces: atomic.LoadInt64(&s.PlacedPieces),
+		ReusedPieces: atomic.LoadInt64(&s.ReusedPieces),
 	}
 }

@@ -296,13 +296,32 @@ func (in *Injector) delayFor(f Fault) time.Duration {
 // WrapFunc intercepts a library function registered with Session.Call.
 func (in *Injector) WrapFunc(site string, fn core.Func) core.Func {
 	return func(args []any) (any, error) {
-		if f, ok := in.fire(site, AspectCall); ok {
-			if err := in.act(f, site, AspectCall); err != nil {
-				return nil, err
-			}
+		if err := in.onCall(site); err != nil {
+			return nil, err
 		}
 		return fn(args)
 	}
+}
+
+// WrapFuncInto intercepts a destination-taking function registered with
+// Session.CallInto. The runtime has one function per call, so the fault fires
+// wherever the call runs: on the split path, on a retry replay and in
+// whole-call fallback alike.
+func (in *Injector) WrapFuncInto(site string, fn core.FuncInto) core.FuncInto {
+	return func(args []any, out any) (any, error) {
+		if err := in.onCall(site); err != nil {
+			return nil, err
+		}
+		return fn(args, out)
+	}
+}
+
+// onCall counts one invocation at site and acts out the fault due, if any.
+func (in *Injector) onCall(site string) error {
+	if f, ok := in.fire(site, AspectCall); ok {
+		return in.act(f, site, AspectCall)
+	}
+	return nil
 }
 
 // WrapSplitter intercepts a splitter's Info/Split/Merge. The wrapper

@@ -370,3 +370,69 @@ func TestSqueezeBudgetOnNthCall(t *testing.T) {
 		t.Fatal("TryAdmit above the squeezed budget succeeded")
 	}
 }
+
+// doubleInto is a destination-taking (a: S) -> S that doubles a []float64.
+func doubleInto(args []any, out any) (any, error) {
+	a := args[0].([]float64)
+	dst, _ := out.([]float64)
+	if cap(dst) < len(a) {
+		dst = make([]float64, len(a))
+	}
+	dst = dst[:len(a)]
+	for i, x := range a {
+		dst[i] = 2 * x
+	}
+	return dst, nil
+}
+
+// A call registered through CallInto has one function, so a fault wrapped
+// around it fires wherever the call runs: on the split path (handed a
+// destination or not), on the replay of a retried batch, and in the whole
+// call the stage falls back to. Each firing is counted.
+func TestWrapFuncIntoFiresOnEveryPath(t *testing.T) {
+	const n, batch = 64, 8
+	typ := core.Concrete("Chunk", chunkSplitter{}, core.FixedCtor(core.NewSplitType("Chunk")))
+	sa := &core.Annotation{FuncName: "double", Params: []core.Param{{Name: "a", Type: typ}}, Ret: &typ}
+	in := make([]float64, n)
+	for i := range in {
+		in[i] = float64(i)
+	}
+	run := func(inj *faultinject.Injector, opts core.Options) (core.StatsSnapshot, error) {
+		opts.Workers, opts.BatchElems = 1, batch
+		s := core.NewSession(opts)
+		// The first result is read by the second call only: scratch, so the
+		// first call is handed its earlier pieces.
+		out := s.CallInto(inj.WrapFuncInto("double", doubleInto), sa, s.CallInto(inj.WrapFuncInto("double", doubleInto), sa, in))
+		got, err := out.Float64s()
+		for i := range got {
+			if got[i] != 4*in[i] {
+				t.Fatalf("element %d = %v, want %v", i, got[i], 4*in[i])
+			}
+		}
+		return s.Stats(), err
+	}
+	const splitRuns = 2 * n / batch // two calls a batch
+
+	inj := faultinject.New(0)
+	st, err := run(inj, core.Options{})
+	if err != nil || inj.Count("double", faultinject.AspectCall) != splitRuns || st.ReusedPieces == 0 {
+		t.Fatalf("split path: err %v, %d firings (want %d), %d pieces reused (want some)",
+			err, inj.Count("double", faultinject.AspectCall), splitRuns, st.ReusedPieces)
+	}
+
+	inj = faultinject.New(0)
+	inj.TransientErrorOnCalls("double", 6, 6) // the second call of the third batch
+	st, err = run(inj, core.Options{RetryPolicy: core.RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}}})
+	if err != nil || st.RetriedBatches != 1 || inj.Count("double", faultinject.AspectCall) != splitRuns+2 {
+		t.Fatalf("retry replay: err %v, %d retried batches, %d firings (want %d: the replay runs both calls again)",
+			err, st.RetriedBatches, inj.Count("double", faultinject.AspectCall), splitRuns+2)
+	}
+
+	inj = faultinject.New(0)
+	inj.PanicOnNthCall("double", 6)
+	st, err = run(inj, core.Options{FallbackPolicy: core.FallbackWholeCall})
+	if err != nil || st.FallbackStages != 1 || inj.Count("double", faultinject.AspectCall) != 6+2 {
+		t.Fatalf("whole-call fallback: err %v, %d fallback stages, %d firings (want 8: six split runs and the two whole calls)",
+			err, st.FallbackStages, inj.Count("double", faultinject.AspectCall))
+	}
+}

@@ -120,25 +120,85 @@ func (s *Series) Slice(r0, r1 int) *Series {
 
 // Clone deep copies the series.
 func (s *Series) Clone() *Series {
-	out := &Series{Name: s.Name, Dtype: s.Dtype}
-	out.F = append([]float64(nil), s.F...)
-	out.I = append([]int64(nil), s.I...)
-	out.S = append([]string(nil), s.S...)
-	out.B = append([]bool(nil), s.B...)
-	if s.Valid != nil {
-		out.Valid = append([]bool(nil), s.Valid...)
-	}
+	out := shape(nil, s.Name, s.Dtype, s.Len(), s.Valid != nil)
+	out.copyRows(s)
 	return out
 }
 
-// withValidCopy returns a copy of the mask, allocating one if needed.
-func (s *Series) withValidCopy() []bool {
-	if s.Valid != nil {
-		return append([]bool(nil), s.Valid...)
+// copyRows copies src's rows, and its mask when the receiver has one (all
+// valid when src has none), into a receiver shaped for them.
+func (s *Series) copyRows(src *Series) {
+	copy(s.F, src.F)
+	copy(s.I, src.I)
+	copy(s.S, src.S)
+	copy(s.B, src.B)
+	if s.Valid == nil {
+		return
 	}
-	v := make([]bool, s.Len())
-	fillTrue(v)
-	return v
+	if src.Valid != nil {
+		copy(s.Valid, src.Valid)
+	} else {
+		fillTrue(s.Valid)
+	}
+}
+
+// shape readies the result of an out-of-place function: a series called name
+// of n rows of dtype dt, with a null mask iff masked. It is the one place such
+// a result is allocated. dst, when it is a series whose buffers have the room,
+// is rewritten in place and returned, so a caller that hands back an earlier
+// result it no longer needs allocates nothing; otherwise (nil, too small,
+// another dtype, no mask to reuse) every buffer is fresh and dst is left alone
+// — a result never shares storage with only part of dst. The rows' contents
+// are unspecified either way: the caller writes every one. Buffers of the
+// other dtypes are nil, as Series requires. A result of no rows has an empty,
+// non-nil dtype buffer (and mask, when masked), as make gives — Clone
+// included. Nil or empty, no function here computes anything different: with
+// no rows there is nothing to read, and ConcatSeries drops a mask over none.
+func shape(dst *Series, name string, dt DType, n int, masked bool) *Series {
+	fit := dst != nil && (!masked || room(dst.Valid, n))
+	if fit {
+		switch dt {
+		case Float:
+			fit = room(dst.F, n)
+		case Int:
+			fit = room(dst.I, n)
+		case String:
+			fit = room(dst.S, n)
+		case Bool:
+			fit = room(dst.B, n)
+		}
+	}
+	if !fit {
+		dst = &Series{}
+	}
+	out := Series{Name: name, Dtype: dt}
+	switch dt {
+	case Float:
+		out.F = sized(dst.F, n, fit)
+	case Int:
+		out.I = sized(dst.I, n, fit)
+	case String:
+		out.S = sized(dst.S, n, fit)
+	case Bool:
+		out.B = sized(dst.B, n, fit)
+	}
+	if masked {
+		out.Valid = sized(dst.Valid, n, fit)
+	}
+	*dst = out
+	return dst
+}
+
+// room reports whether buf can hold n elements where it is. A nil buffer
+// holds none, so that an empty result is shaped like a fresh one.
+func room[T any](buf []T, n int) bool { return buf != nil && cap(buf) >= n }
+
+// sized returns n elements of buf when it fits, of a fresh buffer otherwise.
+func sized[T any](buf []T, n int, fit bool) []T {
+	if fit {
+		return buf[:n]
+	}
+	return make([]T, n)
 }
 
 // ConcatSeries stacks series of the same name and dtype. Every buffer of the

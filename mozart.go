@@ -126,8 +126,17 @@ type WorkerPool = core.WorkerPool
 // offers beyond that wait in the pool for a helper to free up.
 func NewWorkerPool(max int) *WorkerPool { return core.NewWorkerPool(max) }
 
-// Func is the calling convention for registered library functions.
+// Func is the calling convention for registered library functions
+// (Session.Call).
 type Func = core.Func
+
+// FuncInto is the calling convention for a library function that can write
+// its result into storage it is handed and whose result shares storage with
+// none of its arguments (NumPy's out=), registered through Session.CallInto:
+// inside a stage the runtime hands such a call the piece it returned for the
+// previous batch once nothing can see it any more, so a batch's intermediates
+// are rewritten in cache instead of allocated per call per batch.
+type FuncInto = core.FuncInto
 
 // StatsSnapshot is the per-phase time breakdown and counter set of a
 // session, as returned by Session.Stats: a plain value with no live fields.
