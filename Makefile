@@ -68,9 +68,11 @@ flaky:
 # the allocation ceilings on a whole fresh-session evaluation (the fixed cost
 # tiny_pipeline measures), on planning alone and on the out-of-place frame_clean
 # chain (whose intermediates are rewritten in place, not reallocated per batch),
-# and the aliasing recovery regressions (retry/fallback restoring storage that
-# pieces alias).
+# the aliasing recovery regressions (retry/fallback restoring storage that
+# pieces alias), and the per-call ceiling of the vmath kernels (parallelFor's
+# body closure and nothing else).
 pool-smoke:
+	$(GO) test -count=1 -run 'TestKernelAllocs' ./internal/vmath
 	$(GO) test -count=1 -run 'ZeroAllocs|Stitch|MergeFallback|ViewSplitsCounted' ./internal/annotations/vmathsa
 	$(GO) test -count=1 -run '$(POOL_TESTS)|TestPoison' ./internal/core
 	$(GO) test -count=1 -run 'TestRuntimeOverheadAllocCeiling|TestPlanAllocCeiling|TestFrameCleanAllocCeiling' .

@@ -1,8 +1,8 @@
 // Wall-clock benchmarks, one family per paper table/figure. The multicore
 // *shapes* of the figures are regenerated by cmd/sabench on the memsim
-// machine model (this container has one core); these testing.B benches
-// measure the real runtime and substrates end to end at bench-friendly
-// scales. Run with:
+// machine model (a 2-core host cannot show 16 threads); these testing.B
+// benches measure the real runtime and substrates end to end at
+// bench-friendly scales. Run with:
 //
 //	go test -bench=. -benchmem
 package mozart_test

@@ -340,7 +340,7 @@ func table4(int) {
 
 // wall runs real end-to-end measurements on this host.
 func wall(scaleDiv int) {
-	fmt.Printf("=== Wall clock on this host (GOMAXPROCS-bound; single-core container => 1-thread comparison) ===\n")
+	fmt.Printf("=== Wall clock on this host (GOMAXPROCS-bound; every variant at 1 thread) ===\n")
 	w := tw()
 	fmt.Fprintln(w, "workload\tbase\tmozart\tweld\tmozart vs base")
 	for _, spec := range workloads.All() {

@@ -1,12 +1,12 @@
 // Package memsim is a trace-driven machine model: a multi-level
 // set-associative LRU cache hierarchy plus a roofline cost model
 // (compute cycles vs. DRAM bandwidth). It substitutes for the 40-core Xeon
-// the paper evaluates on — this container has one core — by executing the
-// memory-access patterns of the real execution plans (per-function full
-// scans for the base libraries, cache-sized pipelined batches for Mozart,
-// fused single passes for the compilers) and reporting simulated runtimes
-// and the hardware-counter statistics Table 4 reports. DESIGN.md documents
-// the substitution.
+// the paper evaluates on, whose scaling a 2-core host cannot show, by
+// executing the memory-access patterns of the real execution plans
+// (per-function full scans for the base libraries, cache-sized pipelined
+// batches for Mozart, fused single passes for the compilers) and reporting
+// simulated runtimes and the hardware-counter statistics Table 4 reports.
+// DESIGN.md documents the substitution.
 package memsim
 
 // CacheConfig sizes one cache level.

@@ -94,7 +94,20 @@ func MatAddC(a *Matrix, c float64, out *Matrix) {
 // MatPowC computes out = a^c elementwise.
 func MatPowC(a *Matrix, c float64, out *Matrix) {
 	sameShape(a, out)
-	unary(len(a.Data), a.Data, out.Data, func(x float64) float64 { return math.Pow(x, c) })
+	n, x, y := len(a.Data), a.Data, out.Data
+	checkLen(n, x, y)
+	parallelFor(n, func(lo, hi int) {
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			y[i] = math.Pow(x[i], c)
+			y[i+1] = math.Pow(x[i+1], c)
+			y[i+2] = math.Pow(x[i+2], c)
+			y[i+3] = math.Pow(x[i+3], c)
+		}
+		for ; i < hi; i++ {
+			y[i] = math.Pow(x[i], c)
+		}
+	})
 }
 
 // MatCopy copies a into out.

@@ -9,7 +9,7 @@
 //   - Weld: the weldsim fused-IR comparator, where expressible.
 //
 // Each workload also exposes a memsim plan model so the multicore figures
-// can be regenerated on a single-core host (see DESIGN.md).
+// can be regenerated on a host with far fewer cores than 16 (see DESIGN.md).
 package workloads
 
 import (
