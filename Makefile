@@ -1,5 +1,6 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
-# workflow runs: vet (fail fast), the deprecation gate, build, plain tests,
+# workflow runs: the gate-name check (every `-run` pattern of the pool and
+# flakiness gates still names a test), vet (fail fast), the deprecation gate, build, plain tests,
 # the race detector over the runtime-heavy packages, the flakiness gate (the
 # fault-tolerance suites and the root package three times under -race, so a
 # nondeterministic retry/breaker/admission/tuner test cannot land green), the zero-copy pool
@@ -18,9 +19,23 @@ GO ?= go
 # GOMAXPROCS sweep).
 POOL_TESTS = TestWorkerPool|TestSteadyState|TestSharedWorkerPool
 
-.PHONY: ci vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-quick bench-snapshot bench serve-smoke slo-smoke spill-smoke tune-smoke soak
+.PHONY: ci gate-names vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-quick bench-snapshot bench serve-smoke slo-smoke spill-smoke tune-smoke soak
 
-ci: vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke tune-smoke serve-smoke slo-smoke bench-quick
+ci: gate-names vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke tune-smoke serve-smoke slo-smoke bench-quick
+
+# `go test -run P` passes when P matches nothing, so a renamed test would
+# silently leave its gate. Every |-alternative of every -run pattern in
+# pool-smoke and flaky (read from their recipes, as make would run them) must
+# match at least one test in its package.
+gate-names:
+	@$(MAKE) -s -n pool-smoke flaky | grep -o -- "-run '[^']*' [^ ]*" | while read -r _ pat pkg; do \
+		pat=$${pat#\'}; pat=$${pat%\'}; \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			n=$$($(GO) test -list "$$alt" $$pkg | grep -c '^\(Test\|Benchmark\|Example\|Fuzz\)'); \
+			if [ "$$n" -eq 0 ]; then echo "gate-names: -run $$alt matches no test in $$pkg" >&2; exit 1; fi; \
+			echo "gate-names: $$pkg: $$alt matches $$n"; \
+		done; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -581,30 +581,3 @@ func BenchmarkZeroCopyFrameSplitMerge(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkScheduling is the static-vs-dynamic partitioning ablation
-// (§5.2 Step 1 discusses the choice; the paper found similar results, and
-// so do we).
-func BenchmarkScheduling(b *testing.B) {
-	const n = 1 << 17
-	a := data.Vector(n, 5, 0.1, 4)
-	c := data.Vector(n, 6, 0.1, 4)
-	out := make([]float64, n)
-	for _, dyn := range []bool{false, true} {
-		name := "static"
-		if dyn {
-			name = "dynamic"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := mozart.NewSession(mozart.Options{Workers: 4, DynamicScheduling: dyn})
-				vmathsa.Log1p(s, n, a, out)
-				vmathsa.Add(s, n, out, c, out)
-				vmathsa.Div(s, n, out, c, out)
-				if err := s.EvaluateContext(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

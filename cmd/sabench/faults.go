@@ -173,14 +173,14 @@ func faults(scaleDiv int) {
 	inj.TransientErrorOnSplits("vdLog1p", 1, 1)
 	sec, st, d1 = runPipeline(inj, core.Options{
 		FallbackPolicy: core.FallbackQuarantine,
-		Breaker:        core.BreakerPolicy{Threshold: 1, Cooldown: time.Millisecond},
+		Breakers:       core.NewBreakerGroup(core.BreakerPolicy{Threshold: 1, Cooldown: time.Millisecond}),
 	}, 3)
 	rows = append(rows, row{"split outage -> breaker heals (3 rounds)", sec, st, "n/a (iterated)"})
 
 	// Memory-budget admission: the governor caps the modeled working set at
 	// a quarter of the arrays, so stages shrink their batches to fit.
 	sec, st, d1 = runPipeline(faultinject.New(0), core.Options{
-		MemoryBudgetBytes: int64(n) * 8,
+		Governor: core.NewGovernor(int64(n) * 8),
 	}, 1)
 	rows = append(rows, row{"admission (budget = n*8 bytes)", sec, st, match(d1)})
 

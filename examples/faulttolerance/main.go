@@ -204,7 +204,7 @@ func main() {
 	a, out = inputs(n)
 	s = mozart.NewSession(mozart.Options{Workers: 4, BatchElems: 1 << 13,
 		FallbackPolicy: mozart.FallbackQuarantine,
-		Breaker:        mozart.BreakerPolicy{Threshold: 1, Cooldown: time.Millisecond}})
+		Breakers:       mozart.NewBreakerGroup(mozart.BreakerPolicy{Threshold: 1, Cooldown: time.Millisecond})})
 	s.Call(fn, sa, n, a, out)
 	if err := s.EvaluateContext(context.Background()); err != nil {
 		log.Fatalf("breaker run failed: %v", err)

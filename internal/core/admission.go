@@ -42,7 +42,7 @@ func (l PressureLevel) String() string {
 // against the L2 cache — and a stage only starts once that footprint fits
 // under the budget. A Governor can be shared by any number of sessions
 // (Options.Governor) to bound the process-wide working set of concurrent
-// Evaluates; Options.MemoryBudgetBytes creates a session-private one.
+// Evaluates, or held by one session alone for a private budget.
 type Governor struct {
 	mu        sync.Mutex
 	cond      *sync.Cond

@@ -427,13 +427,9 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 	// Batch and worker count come from the plan IR, so a Tuner's overrides
 	// (plan.BatchSource) apply here exactly as Explain renders them.
 	batch := s.planBatchSize(p, sumElemBytes, total)
-	workers := s.planWorkers(p)
-	if int64(workers) > total && total > 0 {
-		workers = int(total)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// A stage runs no more workers than it has elements, and a zero-element
+	// stage runs one: a worker without a batch would be an offer for nothing.
+	workers := int(clamp64(int64(s.planWorkers(p)), 1, max(total, 1)))
 	// Accumulate the split-stage actuals the post-evaluation tuner
 	// observation reports (stages run sequentially; no atomics needed).
 	p.obsElems += total
@@ -466,32 +462,14 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 			CacheBytes: s.opts.cacheTargetBytes()})
 	}
 
-	if s.opts.DynamicScheduling {
-		return s.executeDynamic(ctx, ex, total, batch, workers)
-	}
-
 	results, err := s.runStatic(ctx, ex, 0, total, batch, workers)
 	if err != nil {
 		return err
 	}
-
 	// Final merge on the main thread (§5.2 Step 3), then write back.
-	err = s.mergeOutputs(ex, func(id int) []any {
-		n := 0
-		for _, r := range results {
-			n += len(r.partials[id])
-		}
-		pieces := s.pools.getAnys(n)[:0]
-		for _, r := range results {
-			pieces = append(pieces, r.partials[id]...)
-		}
-		return pieces
-	})
-	if err != nil {
-		return err
-	}
+	err = s.mergeOutputs(ex, results)
 	s.pools.putOuts(results)
-	return nil
+	return err
 }
 
 // runStatic executes [lo, hi) of a stage with static partitioning: workers
@@ -514,7 +492,7 @@ func (s *Session) runStatic(ctx context.Context, ex *stageExec, lo, hi, batch in
 			whi++
 		}
 		s.workerLoop(wctx, ex, func() {
-			results[w] = s.runWorker(wctx, ex, w, wlo, whi, batch)
+			results[w].partials, results[w].err = s.runWorker(wctx, ex, w, wlo, whi, batch, results[w].partials)
 		})
 		if results[w].err != nil {
 			cancel()
@@ -657,14 +635,14 @@ func (s *Session) mergePieces(r resolved, pieces []any) (any, error) {
 }
 
 // deliver is the one place a finished batch's output pieces leave the batch
-// loop, for the static and the dynamic scheduler alike. A placed output's
-// piece is copied into its final destination at [start, end) right away,
-// while it is still cache-hot, and nothing refers to it afterwards — which is
-// what lets runBatch hand it back to its producer as the next batch's
-// destination; every other piece goes to the scheduler's collect, which keeps
-// it for the merge at stage exit. It returns
-// the time spent placing, which the caller accounts as its merge time.
-func (s *Session) deliver(ex *stageExec, out map[int]any, start, end int64, collect func(id int, piece any)) (time.Duration, error) {
+// loop. A placed output's piece is copied into its final destination at
+// [start, end) right away, while it is still cache-hot, and nothing refers to
+// it afterwards — which is what lets runBatch hand it back to its producer as
+// the next batch's destination; every other output's piece is appended to
+// pieces[oi], the worker's list for that output, for the pre-merge at the end
+// of its range. It returns the time spent placing, which the caller accounts
+// as its merge time.
+func (s *Session) deliver(ex *stageExec, out map[int]any, start, end int64, pieces [][]any) (time.Duration, error) {
 	var t0 time.Time
 	n := 0
 	for oi, o := range ex.st.outputs {
@@ -674,7 +652,7 @@ func (s *Session) deliver(ex *stageExec, out map[int]any, start, end int64, coll
 		}
 		pl := ex.placedAt(oi)
 		if pl == nil {
-			collect(o.b.id, piece)
+			pieces[oi] = append(pieces[oi], piece)
 			continue
 		}
 		if n == 0 {
@@ -699,30 +677,37 @@ func (s *Session) deliver(ex *stageExec, out map[int]any, start, end int64, coll
 	return time.Since(t0), nil
 }
 
-// mergeOutputs is stage exit on the coordinating thread (§5.2 Step 3),
-// shared by both schedulers: a placed output is already whole in its
-// destination and is handed off by pointer; every other output (and a
-// placed one no batch ran for) merges the pieces gather returns for it, in
-// element order, from a pooled slice.
-func (s *Session) mergeOutputs(ex *stageExec, gather func(id int) []any) error {
+// mergePartials merges output oi's worker partials in worker order, which
+// is element order: workers own contiguous ranges, and a worker that ran no
+// batch has none.
+func (s *Session) mergePartials(r resolved, results []workerOut, oi int) (any, error) {
+	pieces := s.pools.getAnys(len(results))[:0]
+	for _, res := range results {
+		if p := res.partials[oi]; p != nil {
+			pieces = append(pieces, p)
+		}
+	}
+	merged, err := s.mergePieces(r, pieces)
+	s.pools.putAnys(pieces[:cap(pieces)])
+	return merged, err
+}
+
+// mergeOutputs is stage exit on the coordinating thread (§5.2 Step 3): a
+// placed output is already whole in its destination and is handed off by
+// pointer; every other output (and a placed one no batch ran for) merges its
+// worker partials.
+func (s *Session) mergeOutputs(ex *stageExec, results []workerOut) error {
 	t0 := time.Now()
 	for oi, out := range ex.st.outputs {
-		var merged any
 		if pl := ex.placedAt(oi); pl != nil && pl.dst != nil {
-			merged = pl.dst
-		} else {
-			pieces := gather(out.b.id)
-			var err error
-			merged, err = s.mergePieces(out.r, pieces)
-			s.pools.putAnys(pieces[:cap(pieces)])
-			if err != nil {
-				return s.stageErr(ex.st, OriginMerge, fmt.Errorf("merge output %d: %w", oi, err))
-			}
+			out.b.set(pl.dst)
+			continue
 		}
-		out.b.val = merged
-		out.b.hasVal = true
-		out.b.ready = true
-		out.b.discarded = false
+		merged, err := s.mergePartials(out.r, results, oi)
+		if err != nil {
+			return s.stageErr(ex.st, OriginMerge, fmt.Errorf("merge output %d: %w", oi, err))
+		}
+		out.b.set(merged)
 	}
 	d := time.Since(t0)
 	s.stats.add(&s.stats.MergeNS, d)
@@ -743,79 +728,6 @@ func (s *Session) finishStageBindings(st *planStage) {
 	}
 }
 
-// executeDynamic is the work-stealing-style alternative to static
-// partitioning: workers atomically claim the next unprocessed batch, and
-// stop claiming as soon as any worker records an error (the stage context
-// is canceled). Output pieces are collected per batch index so merges see
-// them in order and results match static scheduling exactly.
-func (s *Session) executeDynamic(ctx context.Context, ex *stageExec, total, batch int64, workers int) error {
-	st := ex.st
-	nBatches := (total + batch - 1) / batch
-	pieces := map[int][]any{} // collected output binding id -> piece per batch index
-	for oi, o := range st.outputs {
-		if ex.placedAt(oi) == nil {
-			pieces[o.b.id] = s.pools.getAnys(int(nBatches))
-		}
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var next atomic.Int64
-	errs := make([]error, workers)
-	s.fanOut(workers, func(w int) {
-		s.workerLoop(wctx, ex, func() {
-			sc := s.pools.getScratch()
-			defer s.pools.putScratch(sc)
-			var idx int64
-			collect := func(id int, piece any) { pieces[id][idx] = piece }
-			var placeDur time.Duration
-			defer func() { s.noteWorkerMerge(ex, w, placeDur) }()
-			for {
-				if err := wctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				idx = next.Add(1) - 1
-				if idx >= nBatches {
-					return
-				}
-				start := idx * batch
-				end := start + batch
-				if end > total {
-					end = total
-				}
-				out, err := s.runBatchResilient(wctx, ex, sc, w, start, end)
-				var d time.Duration
-				if err == nil {
-					d, err = s.deliver(ex, out, start, end, collect)
-				}
-				if err != nil {
-					errs[w] = err
-					cancel()
-					return
-				}
-				placeDur += d
-			}
-		})
-	})
-	if err := s.firstWorkerError(st, errs); err != nil {
-		return err
-	}
-
-	return s.mergeOutputs(ex, func(id int) []any {
-		all := pieces[id]
-		ps := s.pools.getAnys(len(all))[:0]
-		for _, p := range all {
-			if p != nil {
-				ps = append(ps, p)
-			}
-		}
-		if all != nil {
-			s.pools.putAnys(all)
-		}
-		return ps
-	})
-}
-
 // noteWorkerMerge accounts a worker's merge-side time for a stage — its
 // placements plus any pre-merge — as merge time and one merge span on the
 // worker's lane, however many batches it ran.
@@ -829,9 +741,9 @@ func (s *Session) noteWorkerMerge(ex *stageExec, w int, d time.Duration) {
 // runBatch splits inputs for [start, end), pipelines the batch through the
 // stage's calls, and returns the pieces of stage outputs. sc is the pooled
 // per-worker scratch (env map, argument buffers, SplitView reuse slots,
-// destination slots). It is the single batch body for static, dynamic and
+// destination slots). It is the single batch body for in-memory and
 // streaming execution, so panic isolation, Pedantic checks and destination
-// reuse behave identically under each. w is the worker lane and attempt the
+// reuse behave identically under both. w is the worker lane and attempt the
 // retry attempt number, both only used for the batch span event. The
 // returned output map is scratch-owned, and so are the pieces in it that came
 // from a reusable call: callers must consume both before the worker's next
@@ -955,69 +867,63 @@ func (s *Session) runBatch(ex *stageExec, sc *workerScratch, w int, start, end i
 	return out, nil
 }
 
+// workerOut is one worker's share of a stage: partials[oi] is its pre-merged
+// piece of output oi (nil for a placed output or a worker that ran no batch).
 type workerOut struct {
-	partials map[int][]any
+	partials []any
 	err      error
 }
 
 // runWorker is the per-worker driver loop (§5.2 Step 2): for each batch in
 // the worker's element range, run the batch through the stage and deliver
 // its output pieces; at the end the worker pre-merges the pieces it
-// collected. The worker checks the stage context between batches and aborts
-// promptly once a sibling has failed or the stage deadline passed.
-func (s *Session) runWorker(ctx context.Context, ex *stageExec, w int, lo, hi, batch int64) workerOut {
+// collected into partials, which it reuses and returns. The worker checks the
+// stage context between batches and aborts promptly once a sibling has
+// failed or the stage deadline passed.
+func (s *Session) runWorker(ctx context.Context, ex *stageExec, w int, lo, hi, batch int64, partials []any) ([]any, error) {
 	st := ex.st
 	sc := s.pools.getScratch()
 	defer s.pools.putScratch(sc)
-	raw := s.pools.getRaw() // collected output binding id -> pieces
-	defer s.pools.putRaw(raw)
-	collect := func(id int, piece any) { raw[id] = append(raw[id], piece) }
+	pieces := sc.collected(len(st.outputs))
 	var mergeDur time.Duration
 	defer func() { s.noteWorkerMerge(ex, w, mergeDur) }()
 
 	for start := lo; start < hi; start += batch {
 		if err := ctx.Err(); err != nil {
-			return workerOut{err: err}
+			return partials, err
 		}
-		end := start + batch
-		if end > hi {
-			end = hi
-		}
+		end := min(start+batch, hi)
 		out, err := s.runBatchResilient(ctx, ex, sc, w, start, end)
 		if err != nil {
-			return workerOut{err: err}
+			return partials, err
 		}
-		d, err := s.deliver(ex, out, start, end, collect)
+		d, err := s.deliver(ex, out, start, end, pieces)
 		if err != nil {
-			return workerOut{err: err}
+			return partials, err
 		}
 		mergeDur += d
 	}
 
 	// Per-worker pre-merge (§5.2 Step 3) of the collected outputs keeps the
-	// main-thread merge cheap and is valid because Merge is associative. The
-	// partials map (and its piece slices) go back to the pool after the
-	// main-thread final merge.
-	partials := s.pools.getRaw()
+	// main-thread merge cheap and is valid because Merge is associative.
+	partials = resize(partials, len(st.outputs))
 	t2 := time.Now()
 	merges := 0
-	for _, o := range st.outputs {
-		pieces := raw[o.b.id]
-		if len(pieces) == 0 {
+	for oi, o := range st.outputs {
+		if len(pieces[oi]) == 0 {
 			continue
 		}
-		merged, err := s.mergePieces(o.r, pieces)
+		merged, err := s.mergePieces(o.r, pieces[oi])
 		if err != nil {
-			s.pools.putRaw(partials)
-			return workerOut{err: s.stageErr(st, OriginMerge, fmt.Errorf("worker merge: %w", err))}
+			return partials, s.stageErr(st, OriginMerge, fmt.Errorf("worker merge: %w", err))
 		}
-		partials[o.b.id] = append(partials[o.b.id], merged)
+		partials[oi] = merged
 		merges++
 	}
 	if merges > 0 {
 		mergeDur += time.Since(t2)
 	}
-	return workerOut{partials: partials}
+	return partials, nil
 }
 
 // executeWhole runs a stage that has no split inputs — or a stage being
@@ -1046,10 +952,7 @@ func (s *Session) executeWhole(st *planStage) error {
 			return se
 		}
 		if c.n.ret != nil {
-			c.n.ret.val = ret
-			c.n.ret.hasVal = true
-			c.n.ret.ready = true
-			c.n.ret.discarded = false
+			c.n.ret.set(ret)
 		}
 		for i, p := range c.n.sa.Params {
 			if p.Mut {

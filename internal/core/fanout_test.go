@@ -51,7 +51,7 @@ func TestFanOutLeavesNoGoroutines(t *testing.T) {
 	a, b := seq(256), seq(256)
 	run := func(workers int) {
 		for i := 0; i < 1000; i++ {
-			s := NewSession(Options{Workers: workers, BatchElems: 16, DynamicScheduling: i%2 == 1})
+			s := NewSession(Options{Workers: workers, BatchElems: 16})
 			s.Call(fnAddNew, saAddNew, a, b)
 			if err := s.EvaluateContext(context.Background()); err != nil {
 				t.Fatal(err)
@@ -148,9 +148,9 @@ func TestFanOutPanicOnCallerIsIsolated(t *testing.T) {
 	origins := map[string]FaultOrigin{"call": OriginCall, "split": OriginSplit, "place": OriginMerge}
 	for site, origin := range origins {
 		for _, workers := range []int{1, 2, 3} {
-			schedulerVariants(t, func(t *testing.T, dynamic bool) {
+			schedulerVariants(t, func(t *testing.T, poison bool) {
 				f := newCallerFault(site, func() { panic("boom on the caller") })
-				s := NewSession(Options{Workers: workers, BatchElems: 4, DynamicScheduling: dynamic})
+				s := NewSession(Options{Workers: workers, BatchElems: 4, PoisonPools: poison})
 				out := captureCopy(s, f, seq(64))
 				err := s.EvaluateContext(context.Background())
 				var serr *StageError
@@ -189,10 +189,10 @@ func TestFanOutStopsAtBatchBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			schedulerVariants(t, func(t *testing.T, dynamic bool) {
+			schedulerVariants(t, func(t *testing.T, poison bool) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				opts := Options{Workers: 2, BatchElems: 1, DynamicScheduling: dynamic}
+				opts := Options{Workers: 2, BatchElems: 1, PoisonPools: poison}
 				if tc.origin == OriginTimeout {
 					opts.StageTimeout = 20 * time.Millisecond
 				}
@@ -216,8 +216,8 @@ func TestFanOutStopsAtBatchBoundary(t *testing.T) {
 				if !errors.As(err, &serr) || serr.Origin != tc.origin {
 					t.Fatalf("want a %v-origin StageError, got %v", tc.origin, err)
 				}
-				// Each side owns (static) or would claim (dynamic) half of the
-				// batches; one that kept going would push Calls past n/2.
+				// Each side owns half of the batches; one that kept going
+				// would push Calls past n/2.
 				if got := s.Stats().Calls; got >= n/2 {
 					t.Errorf("Calls = %d of %d batches: a worker did not stop at its batch boundary", got, n)
 				}
@@ -266,19 +266,17 @@ func TestFanOutRestoresProfileLabels(t *testing.T) {
 			}
 			return fnAddNew(args)
 		}
-		for _, dynamic := range []bool{false, true} {
-			s := NewSession(Options{Workers: 2, BatchElems: 8, ProfileLabels: true, DynamicScheduling: dynamic})
-			s.Call(fn, saAddNew, seq(64), seq(64))
-			if err := s.EvaluateContext(ctx); err != nil {
-				t.Fatal(err)
-			}
-			d, _ := during.Load().(string)
-			if !strings.Contains(d, `"mozart_stage":"0"`) || !strings.Contains(d, `"who":"caller"`) {
-				t.Errorf("dynamic=%v: labels inside worker 0 = %q, want the stage's labels on top of the caller's", dynamic, d)
-			}
-			if after := goroutineLabels(t); after != before {
-				t.Errorf("dynamic=%v: labels after the evaluation = %q, want %q", dynamic, after, before)
-			}
+		s := NewSession(Options{Workers: 2, BatchElems: 8, ProfileLabels: true})
+		s.Call(fn, saAddNew, seq(64), seq(64))
+		if err := s.EvaluateContext(ctx); err != nil {
+			t.Fatal(err)
+		}
+		d, _ := during.Load().(string)
+		if !strings.Contains(d, `"mozart_stage":"0"`) || !strings.Contains(d, `"who":"caller"`) {
+			t.Errorf("labels inside worker 0 = %q, want the stage's labels on top of the caller's", d)
+		}
+		if after := goroutineLabels(t); after != before {
+			t.Errorf("labels after the evaluation = %q, want %q", after, before)
 		}
 	})
 }
@@ -358,9 +356,7 @@ func TestFanOutOfferIsQueuedNotDropped(t *testing.T) {
 // share 0 is a stage worker like any other. A panic, a cancellation or the
 // stage timeout inside it surfaces as the same StageError, naming the batch,
 // and stops the sibling a helper claimed at its next batch boundary — and a
-// fault in the helper's share stops the caller's claimed one. (Static only:
-// under dynamic claiming share 0 ends when the batches do, so a share claimed
-// afterwards never runs one.)
+// fault in the helper's share stops the caller's claimed one.
 func TestFanOutClaimedShareFaults(t *testing.T) {
 	const n, share = 300, 100 // three shares of 100 one-element batches
 	cases := []struct {

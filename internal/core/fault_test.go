@@ -83,7 +83,12 @@ func saFlakyUnary(name string, sp Splitter) *Annotation {
 	}
 }
 
-func schedulerVariants(t *testing.T, f func(t *testing.T, dynamic bool)) {
+// schedulerVariants runs f twice: "static" with the session's buffer pools
+// as they are, "dynamic" with them poisoned (Options.PoisonPools). The
+// executor has one batch scheduler; the second cell keeps the name it had
+// when there were two, so the suite's test ids stay stable, and now makes
+// every fault path a leak check of the pooled collect path too.
+func schedulerVariants(t *testing.T, f func(t *testing.T, poison bool)) {
 	t.Run("static", func(t *testing.T) { f(t, false) })
 	t.Run("dynamic", func(t *testing.T) { f(t, true) })
 }
@@ -92,8 +97,8 @@ func schedulerVariants(t *testing.T, f func(t *testing.T, dynamic bool)) {
 // process; with fallback off, Evaluate returns a StageError identifying the
 // stage, the call, and the batch range, carrying the panic value and stack.
 func TestPanicIsolation(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
-		s := NewSession(Options{Workers: 2, BatchElems: 16, DynamicScheduling: dynamic})
+	schedulerVariants(t, func(t *testing.T, poison bool) {
+		s := NewSession(Options{Workers: 2, BatchElems: 16, PoisonPools: poison})
 		n := 64
 		a, out := seq(n), make([]float64, n)
 		s.Call(panicOnNth(testLog1p, 2, "boom in annotated call"), saUnary("log1p"), n, a, out)
@@ -143,7 +148,7 @@ func TestPanicIsolation(t *testing.T) {
 // function degrades to whole-call execution and produces output identical
 // to the plain library, including undoing partial in-place mutation.
 func TestFallbackWholeCall(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+	schedulerVariants(t, func(t *testing.T, poison bool) {
 		n := 64
 		a, out := seq(n), make([]float64, n)
 		// Serial reference: scale in place, then out = a + 1.
@@ -154,7 +159,7 @@ func TestFallbackWholeCall(t *testing.T) {
 			wantOut[i] = 2*x + 1
 		}
 
-		s := NewSession(Options{Workers: 2, BatchElems: 8, DynamicScheduling: dynamic, FallbackPolicy: FallbackWholeCall})
+		s := NewSession(Options{Workers: 2, BatchElems: 8, PoisonPools: poison, FallbackPolicy: FallbackWholeCall})
 		s.Call(fnScale, saScale, a, 2.0)
 		// Panic mid-stage, after some batches already scaled a in place.
 		s.Call(panicOnNth(fnUnary(func(x float64) float64 { return x + 1 }), 3, "late panic"), saUnary("plus1"), n, a, out)
@@ -180,13 +185,13 @@ func TestFallbackWholeCall(t *testing.T) {
 // TestFallbackOnSplitError: an error returned by annotator splitting code is
 // an annotation fault and triggers fallback.
 func TestFallbackOnSplitError(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+	schedulerVariants(t, func(t *testing.T, poison bool) {
 		n := 64
 		a, out := seq(n), make([]float64, n)
 		var calls atomic.Int64
 		sp := flakySplitter{calls: &calls, failN: 3, mode: "error"}
 
-		s := NewSession(Options{Workers: 2, BatchElems: 8, DynamicScheduling: dynamic, FallbackPolicy: FallbackWholeCall})
+		s := NewSession(Options{Workers: 2, BatchElems: 8, PoisonPools: poison, FallbackPolicy: FallbackWholeCall})
 		s.Call(fnUnary(func(x float64) float64 { return x * x }), saFlakyUnary("square", sp), n, a, out)
 		if err := s.EvaluateContext(context.Background()); err != nil {
 			t.Fatalf("Evaluate with fallback: %v", err)
@@ -205,10 +210,10 @@ func TestFallbackOnSplitError(t *testing.T) {
 // TestNoFallbackForLibraryError: an error returned by the library function
 // is not an annotation fault; the fallback policy must not mask it.
 func TestNoFallbackForLibraryError(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+	schedulerVariants(t, func(t *testing.T, poison bool) {
 		n := 64
 		a, out := seq(n), make([]float64, n)
-		s := NewSession(Options{Workers: 2, BatchElems: 8, DynamicScheduling: dynamic, FallbackPolicy: FallbackWholeCall})
+		s := NewSession(Options{Workers: 2, BatchElems: 8, PoisonPools: poison, FallbackPolicy: FallbackWholeCall})
 		s.Call(errorOnNth(testLog1p, 2, "library says no"), saUnary("log1p"), n, a, out)
 		err := s.EvaluateContext(context.Background())
 		if err == nil {
@@ -288,7 +293,7 @@ func TestQuarantine(t *testing.T) {
 // the canceled stage context and stop claiming/processing batches instead of
 // grinding through the whole input.
 func TestCancellationStopsSiblings(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+	schedulerVariants(t, func(t *testing.T, poison bool) {
 		n := 200
 		a, out := seq(n), make([]float64, n)
 		slowThenFail := func() Func {
@@ -301,7 +306,7 @@ func TestCancellationStopsSiblings(t *testing.T) {
 				return testLog1p(args)
 			}
 		}
-		s := NewSession(Options{Workers: 4, BatchElems: 1, DynamicScheduling: dynamic})
+		s := NewSession(Options{Workers: 4, BatchElems: 1, PoisonPools: poison})
 		s.Call(slowThenFail(), saUnary("slow"), n, a, out)
 		err := s.EvaluateContext(context.Background())
 		if err == nil {
@@ -455,16 +460,16 @@ var saRetNil = &Annotation{
 
 // TestPedantic: the §7.1 debugging mode must report exact, descriptive
 // errors for mismatched element counts, zero elements, and nil pieces —
-// identically under static and dynamic scheduling — and must never be
+// identically with and without poisoned pools — and must never be
 // masked by the fallback policy.
 func TestPedantic(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+	schedulerVariants(t, func(t *testing.T, poison bool) {
 		t.Run("mismatched element counts", func(t *testing.T) {
 			// size says 32 but b only has 16 elements: ArraySplit infos
 			// disagree before any batch runs.
 			n := 32
 			a, b, out := seq(n), seq(n/2), make([]float64, n)
-			s := NewSession(Options{Workers: 2, Pedantic: true, DynamicScheduling: dynamic})
+			s := NewSession(Options{Workers: 2, Pedantic: true, PoisonPools: poison})
 			s.Call(testAdd, saBinary("add"), n, a, b, out)
 			err := s.EvaluateContext(context.Background())
 			if err == nil {
@@ -481,7 +486,7 @@ func TestPedantic(t *testing.T) {
 		})
 
 		t.Run("zero elements", func(t *testing.T) {
-			s := NewSession(Options{Workers: 2, Pedantic: true, DynamicScheduling: dynamic})
+			s := NewSession(Options{Workers: 2, Pedantic: true, PoisonPools: poison})
 			s.Call(testLog1p, saUnary("log1p"), 0, []float64{}, []float64{})
 			err := s.EvaluateContext(context.Background())
 			if err == nil {
@@ -507,7 +512,7 @@ func TestPedantic(t *testing.T) {
 					})},
 				},
 			}
-			s := NewSession(Options{Workers: 2, Pedantic: true, DynamicScheduling: dynamic})
+			s := NewSession(Options{Workers: 2, Pedantic: true, PoisonPools: poison})
 			s.Call(func(args []any) (any, error) { return nil, nil }, sa, 16, seq(16))
 			err := s.EvaluateContext(context.Background())
 			if err == nil {
@@ -521,7 +526,7 @@ func TestPedantic(t *testing.T) {
 		t.Run("nil piece into downstream call", func(t *testing.T) {
 			n := 16
 			a := seq(n)
-			s := NewSession(Options{Workers: 2, Pedantic: true, DynamicScheduling: dynamic})
+			s := NewSession(Options{Workers: 2, Pedantic: true, PoisonPools: poison})
 			mid := s.Call(func(args []any) (any, error) { return nil, nil }, saRetNil, a)
 			s.Call(fnAddNew, saAddNew, mid, a).Keep()
 			err := s.EvaluateContext(context.Background())
@@ -534,7 +539,7 @@ func TestPedantic(t *testing.T) {
 		})
 
 		t.Run("pedantic errors never fall back", func(t *testing.T) {
-			s := NewSession(Options{Workers: 2, Pedantic: true, DynamicScheduling: dynamic, FallbackPolicy: FallbackWholeCall})
+			s := NewSession(Options{Workers: 2, Pedantic: true, PoisonPools: poison, FallbackPolicy: FallbackWholeCall})
 			s.Call(testLog1p, saUnary("log1p"), 0, []float64{}, []float64{})
 			if err := s.EvaluateContext(context.Background()); err == nil {
 				t.Fatal("fallback policy masked a pedantic error")
@@ -678,7 +683,7 @@ func noSleep(time.Duration) {}
 // the accumulate applies exactly once. With retries disabled the same run
 // fails.
 func TestRetryTransientCallReplaysBatch(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+	schedulerVariants(t, func(t *testing.T, poison bool) {
 		const n = 64
 		const failOn = 3
 
@@ -686,7 +691,7 @@ func TestRetryTransientCallReplaysBatch(t *testing.T) {
 			var calls atomic.Int64
 			a, out := seq(n), make([]float64, n)
 			s := NewSession(Options{Workers: 2, BatchElems: 8,
-				DynamicScheduling: dynamic, RetryPolicy: retry})
+				PoisonPools: poison, RetryPolicy: retry})
 			s.Call(accumulateOnce(failOn, &calls), saUnary("acc"), n, a, out)
 			err := s.EvaluateContext(context.Background())
 			return out, s.Stats(), err
@@ -732,7 +737,7 @@ func TestRetryTransientCallReplaysBatch(t *testing.T) {
 // split-origin StageError escalates to the PR 1 fallback path: the stage
 // re-executes whole and the result is still correct.
 func TestRetryExhaustedEscalatesToFallback(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+	schedulerVariants(t, func(t *testing.T, poison bool) {
 		const n = 48
 		var splits atomic.Int64
 		sp := transientSplitter{calls: &splits, from: 1, to: -1}
@@ -756,9 +761,9 @@ func TestRetryExhaustedEscalatesToFallback(t *testing.T) {
 
 		a := seq(n)
 		s := NewSession(Options{Workers: 2, BatchElems: 8,
-			DynamicScheduling: dynamic,
-			FallbackPolicy:    FallbackWholeCall,
-			RetryPolicy:       RetryPolicy{MaxAttempts: 2, Sleep: noSleep}})
+			PoisonPools:    poison,
+			FallbackPolicy: FallbackWholeCall,
+			RetryPolicy:    RetryPolicy{MaxAttempts: 2, Sleep: noSleep}})
 		f := s.Call(fn, sa, n, a)
 		if err := s.EvaluateContext(context.Background()); err != nil {
 			t.Fatalf("fallback should absorb the exhausted retries: %v", err)
@@ -839,8 +844,8 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := NewSession(Options{Workers: 2, BatchElems: 8,
 		FallbackPolicy: FallbackQuarantine,
-		Breaker: BreakerPolicy{Threshold: 1, Cooldown: time.Minute,
-			Now: func() time.Time { return now }}})
+		Breakers: NewBreakerGroup(BreakerPolicy{Threshold: 1, Cooldown: time.Minute,
+			Now: func() time.Time { return now }})})
 
 	eval := func() {
 		t.Helper()
@@ -917,8 +922,8 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := NewSession(Options{Workers: 2, BatchElems: 8,
 		FallbackPolicy: FallbackQuarantine,
-		Breaker: BreakerPolicy{Threshold: 1, Cooldown: time.Minute,
-			Now: func() time.Time { return now }}})
+		Breakers: NewBreakerGroup(BreakerPolicy{Threshold: 1, Cooldown: time.Minute,
+			Now: func() time.Time { return now }})})
 
 	eval := func() {
 		t.Helper()
@@ -1057,9 +1062,9 @@ func TestGovernorSharedBudgetTwoSessions(t *testing.T) {
 		return nil, nil
 	}
 
-	run := func(dynamic bool) ([]float64, error) {
+	run := func() ([]float64, error) {
 		a, out := seq(n), make([]float64, n)
-		s := NewSession(Options{Workers: 2, Governor: g, DynamicScheduling: dynamic})
+		s := NewSession(Options{Workers: 2, Governor: g})
 		for round := 0; round < 2; round++ {
 			s.Call(probed, saUnary("acc"), n, a, out)
 			if err := s.EvaluateContext(context.Background()); err != nil {
@@ -1074,8 +1079,9 @@ func TestGovernorSharedBudgetTwoSessions(t *testing.T) {
 		err error
 	}
 	results := make(chan result, 2)
-	go func() { out, err := run(false); results <- result{out, err} }()
-	go func() { out, err := run(true); results <- result{out, err} }()
+	for range 2 {
+		go func() { out, err := run(); results <- result{out, err} }()
+	}
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.err != nil {

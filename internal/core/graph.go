@@ -29,6 +29,11 @@ type binding struct {
 	pm        planMark // planner scratch, valid per epoch (planner.go)
 }
 
+// set makes v the binding's current, final value.
+func (b *binding) set(v any) {
+	b.val, b.hasVal, b.ready, b.discarded = v, true, true, false
+}
+
 // node is one captured annotated call. Exactly one of fn and into is set:
 // the one function every execution mode of the call runs (Session.safeCall).
 type node struct {
@@ -62,7 +67,7 @@ type Session struct {
 // NewSession creates a session with the given options.
 func NewSession(opts Options) *Session {
 	o := opts.withDefaults()
-	breakers := newBreakerSet(o.Breaker)
+	breakers := newBreakerSet(BreakerPolicy{})
 	if o.Breakers != nil {
 		breakers = o.Breakers.set
 	}

@@ -50,12 +50,12 @@ func (r *recordingTracer) ofKind(k obs.EventKind) []obs.Event {
 // final session-end. The pipelined three-call chain plans into one stage, so
 // the batch spans must carry the full call pipeline.
 func TestTracerStageOrder(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+	schedulerVariants(t, func(t *testing.T, poison bool) {
 		const n = 64
 		tr := &recordingTracer{}
 		a, out := seq(n), make([]float64, n)
 		s := NewSession(Options{Workers: 2, BatchElems: 8,
-			DynamicScheduling: dynamic, Tracer: tr})
+			PoisonPools: poison, Tracer: tr})
 		s.Call(testLog1p, saUnary("log1p"), n, a, out)
 		s.Call(testLog1p, saUnary("log1p"), n, out, out)
 		if err := s.EvaluateContext(context.Background()); err != nil {
@@ -181,13 +181,13 @@ func TestTracerWorkerLanesDisjoint(t *testing.T) {
 // share runs its batches one after another, a lane's batch spans never
 // overlap in time.
 func TestTracerWorkerZeroLaneIsTheCaller(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+	schedulerVariants(t, func(t *testing.T, poison bool) {
 		const n, workers = 96, 3
 		tr := &recordingTracer{}
 		// Two stages (no pipelining: one per call), so that a lane can change
 		// hands between them; merged outputs, so that workers emit EvMerge too.
 		s := NewSession(Options{Workers: workers, BatchElems: 8, Tracer: tr,
-			DynamicScheduling: dynamic, DisablePipelining: true})
+			PoisonPools: poison, DisablePipelining: true})
 		s.Call(fnAddNew, saAddNew, s.Call(fnAddNew, saAddNew, seq(n), seq(n)), seq(n))
 		if err := s.EvaluateContext(context.Background()); err != nil {
 			t.Fatal(err)
@@ -234,9 +234,8 @@ func TestTracerWorkerZeroLaneIsTheCaller(t *testing.T) {
 				}
 			}
 		}
-		// Static partitioning guarantees share 0 a range (and so a pre-merge);
-		// under dynamic claiming its siblings may take every batch first.
-		if !dynamic && (kinds[obs.EvBatch] == 0 || kinds[obs.EvMerge] == 0) {
+		// Static partitioning guarantees share 0 a range, and so a pre-merge.
+		if kinds[obs.EvBatch] == 0 || kinds[obs.EvMerge] == 0 {
 			t.Errorf("lane 0 carried %d batch and %d merge spans, want both", kinds[obs.EvBatch], kinds[obs.EvMerge])
 		}
 	})
@@ -353,8 +352,8 @@ func TestTracerBreakerEvents(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := NewSession(Options{Workers: 2, BatchElems: 8, Tracer: tr,
 		FallbackPolicy: FallbackQuarantine,
-		Breaker: BreakerPolicy{Threshold: 1, Cooldown: time.Minute,
-			Now: func() time.Time { return now }}})
+		Breakers: NewBreakerGroup(BreakerPolicy{Threshold: 1, Cooldown: time.Minute,
+			Now: func() time.Time { return now }})})
 
 	eval := func() {
 		t.Helper()
@@ -414,7 +413,7 @@ func TestTracerAdmissionEvent(t *testing.T) {
 // inside a library call stops the evaluation at the next batch boundary and
 // surfaces context.Canceled through the error chain — on both schedulers.
 func TestEvaluateContextCancelMidStage(t *testing.T) {
-	schedulerVariants(t, func(t *testing.T, dynamic bool) {
+	schedulerVariants(t, func(t *testing.T, poison bool) {
 		const n = 64
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -430,7 +429,7 @@ func TestEvaluateContextCancelMidStage(t *testing.T) {
 		tr := &recordingTracer{}
 		a, out := seq(n), make([]float64, n)
 		s := NewSession(Options{Workers: 1, BatchElems: 8,
-			DynamicScheduling: dynamic, Tracer: tr})
+			PoisonPools: poison, Tracer: tr})
 		s.Call(cancelDuringCall, saUnary("log1p"), n, a, out)
 
 		err := s.EvaluateContext(ctx)

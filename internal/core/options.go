@@ -39,20 +39,9 @@ type Options struct {
 	// L2CacheBytes is the per-core L2 cache size used by the batch-size
 	// heuristic. Defaults to 256 KiB (the paper's Xeon E5-2676 v3).
 	L2CacheBytes int64
-	// BatchConstant is the constant C in batch = C * L2 / sum(elemBytes).
-	// Defaults to 4, which empirically leaves room for intermediates in
-	// the shared LLC as the paper describes.
-	BatchConstant float64
 	// BatchElems, when non-zero, overrides the batch-size heuristic with a
 	// fixed number of elements per batch (used by the Fig. 6 sweep).
 	BatchElems int64
-	// DynamicScheduling replaces the paper's static contiguous partitioning
-	// (§5.2 Step 1) with dynamic batch claiming: workers atomically take
-	// the next unprocessed batch, Cilk-style. The paper chose static
-	// partitioning for simplicity and found similar results; this option
-	// exists for the ablation. Results are identical either way — output
-	// pieces are merged in batch order.
-	DynamicScheduling bool
 	// DisablePipelining makes every annotated call its own stage: data is
 	// still split and parallelized, but merged between calls. This is the
 	// Mozart(-pipe) ablation of Table 4.
@@ -84,30 +73,23 @@ type Options struct {
 	// with its in-place-mutated pieces restored from a pre-attempt
 	// snapshot, instead of failing the stage. See RetryPolicy.
 	RetryPolicy RetryPolicy
-	// MemoryBudgetBytes, when non-zero and Governor is nil, creates a
-	// session-private Governor with this byte budget: the session's
-	// stages are admitted against the §5.2 footprint model
-	// (workers × batch × Σ elemBytes) and shrink their batches under
-	// pressure. To bound several sessions together, share a Governor.
-	MemoryBudgetBytes int64
-	// Governor, when set, gates this session's stages against a byte
-	// budget shared with every other session holding the same Governor.
-	// Takes precedence over MemoryBudgetBytes.
+	// Governor, when set, admits this session's stages against a byte
+	// budget: each stage's §5.2 footprint (workers × batch × Σ elemBytes)
+	// must fit, and stages shrink their batches under pressure. Every
+	// session holding the same Governor shares the budget; a session-private
+	// budget is Governor: NewGovernor(n).
 	Governor *Governor
 	// Breakers, when set, makes the session consult and transition a
 	// shared BreakerGroup instead of a session-private breaker set: the
 	// group's quarantine state outlives any one session, so serving
 	// setups that build a fresh Session per request keep breaker
 	// dispositions warm across requests, scoped to whoever owns the
-	// group (one group per tenant). Takes precedence over Breaker, whose
-	// policy is fixed at the group's construction.
+	// group (one group per tenant). The group's BreakerPolicy tunes the
+	// breakers (a non-zero Cooldown lets tripped annotations heal via
+	// half-open probes). Nil means a session-private set under the zero
+	// policy: one annotation fault quarantines the annotation for the rest
+	// of the session.
 	Breakers *BreakerGroup
-	// Breaker tunes the per-annotation circuit breakers used by
-	// FallbackQuarantine. The zero value reproduces the PR 1 semantics:
-	// one annotation fault quarantines the annotation for the rest of
-	// the session. A non-zero Cooldown lets tripped annotations heal via
-	// half-open probes. See BreakerPolicy.
-	Breaker BreakerPolicy
 	// Tracer, when set, receives structured execution events: session
 	// begin/end, the produced plan, stage begin/end with split-type and
 	// batch-size detail, per-batch spans with worker id and phase
@@ -155,11 +137,10 @@ type Options struct {
 	// instead of blocking — each window is split, executed, and eagerly
 	// merged before its bytes are released back to the Governor, and
 	// merge-side partials spill to a CRC-framed temp-file store when the
-	// stage's output splitters implement PieceCodec. Requires a Governor
-	// (or MemoryBudgetBytes); without one the option is inert. Inputs
-	// whose splitters implement SplitterAt stream as window views; other
-	// inputs stay materialized and only their split windows are driven
-	// incrementally.
+	// stage's output splitters implement PieceCodec. Requires a Governor;
+	// without one the option is inert. Inputs whose splitters implement
+	// SplitterAt stream as window views; other inputs stay materialized and
+	// only their split windows are driven incrementally.
 	OutOfCore bool
 	// SpillDir is the directory for out-of-core spill files. Empty means
 	// the OS temp dir. Spill files are CRC-checked, crash-safe (orphans
@@ -207,7 +188,7 @@ type Options struct {
 // shared with the modeled workloads (internal/workloads) so the two can
 // never silently fork.
 func (o Options) batchPolicy() ir.BatchPolicy {
-	return ir.BatchPolicy{FixedElems: o.BatchElems, Constant: o.BatchConstant, L2CacheBytes: o.L2CacheBytes}
+	return ir.BatchPolicy{FixedElems: o.BatchElems, Constant: ir.DefaultBatchConstant, L2CacheBytes: o.L2CacheBytes}
 }
 
 // cacheTargetBytes is the batch heuristic's C×L2 working-set target, the
@@ -222,12 +203,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.L2CacheBytes <= 0 {
 		o.L2CacheBytes = ir.DefaultL2CacheBytes
-	}
-	if o.BatchConstant <= 0 {
-		o.BatchConstant = ir.DefaultBatchConstant
-	}
-	if o.Governor == nil && o.MemoryBudgetBytes > 0 {
-		o.Governor = NewGovernor(o.MemoryBudgetBytes)
 	}
 	if o.WorkerPool == nil {
 		o.WorkerPool = defaultWorkerPool()

@@ -53,17 +53,19 @@ func unarySA(name string) *core.Annotation { return typedSA(name, genericS) }
 // placedInputs is one input set of n elements for the pipeline below.
 type placedInputs struct {
 	a, b *frame.Series // a carries nulls, b does not
+	keep *frame.Series // a boolean mask over b
 	xs   []float64
 	m    *vmath.Matrix
 }
 
 func newPlacedInputs(n int) placedInputs {
 	in := placedInputs{xs: make([]float64, n), m: vmath.NewMatrix(n, 3)}
-	av, bv, valid := make([]float64, n), make([]float64, n), make([]bool, n)
+	av, bv, valid, keep := make([]float64, n), make([]float64, n), make([]bool, n), make([]bool, n)
 	for i := 0; i < n; i++ {
-		av[i], bv[i], valid[i] = float64(i%97), float64(3*i%89), i%7 != 0
+		av[i], bv[i], valid[i], keep[i] = float64(i%97), float64(3*i%89), i%7 != 0, i%3 != 1
 		in.xs[i] = float64(i) / 8
 	}
+	in.keep = frame.NewBool("keep", keep)
 	for i := range in.m.Data {
 		in.m.Data[i] = float64(i%13) - 6
 	}
@@ -78,20 +80,31 @@ func (in placedInputs) whole() []any {
 	filled := frame.FillNullFloat(sum, -1)
 	scaled, _ := scaleFn([]any{in.xs})
 	negated, _ := negateFn([]any{in.m})
-	return []any{sum, frame.GtScalar(filled, 50), frame.CountValid(sum), scaled, negated}
+	out := []any{sum, frame.GtScalar(filled, 50), frame.CountValid(sum), scaled, negated}
+	if in.b.Len() > 0 {
+		out = append(out, frame.FilterSeries(in.b, in.keep))
+	}
+	return out
 }
 
 // capture registers the same pipeline with s: a masked float column, a
-// mask-less bool column, a reduction (merged, not placed), an array and a
-// matrix. scale is scaleFn, possibly wrapped for fault injection.
+// mask-less bool column, a reduction (merged, not placed), an array, a
+// matrix and — over a non-empty input — a filtered column, whose pieces are
+// merged, not placed, in element order. (A Merge of no pieces cannot name the
+// filter's deferred result type.) scale is scaleFn, possibly wrapped for fault
+// injection.
 func (in placedInputs) capture(s *core.Session, scale core.Func) []*core.Future {
 	sum := framesa.AddSeries(s, in.a, in.b).Keep()
 	filled := framesa.FillNullFloat(s, sum, -1)
-	return []*core.Future{
+	futs := []*core.Future{
 		sum, framesa.GtScalar(s, filled, 50), framesa.CountValid(s, sum),
 		s.Call(scale, unarySA("test.scale"), in.xs),
 		s.Call(negateFn, unarySA("test.negate"), in.m),
 	}
+	if in.b.Len() > 0 {
+		futs = append(futs, framesa.FilterSeries(s, in.b, in.keep))
+	}
+	return futs
 }
 
 // elems reports the row count of a pipeline value (-1 for scalars).
@@ -131,9 +144,11 @@ func checkAgainstWhole(t *testing.T, futs []*core.Future, want []any, empty bool
 }
 
 // forEachExecutorCell runs f in a subtest for every cell of the fan-out
-// matrix: the three executors that fan out — static, dynamic and streaming
-// (out of core under a budget far below the working set) — at one to four
-// workers and three batch sizes, over 103 elements and over none.
+// matrix: the executor in memory ("static"), the same with poisoned buffer
+// pools ("dynamic", the name the cell had when a second batch scheduler
+// existed) and streaming (out of core under a budget far below the working
+// set) — at one to four workers and three batch sizes, over 103 elements and
+// over none.
 func forEachExecutorCell(t *testing.T, f func(t *testing.T, in placedInputs, executor string, opts core.Options)) {
 	const n = 103
 	for _, total := range []int{n, 0} {
@@ -144,7 +159,7 @@ func forEachExecutorCell(t *testing.T, f func(t *testing.T, in placedInputs, exe
 					name := fmt.Sprintf("n=%d/%s/workers=%d/batch=%d", total, executor, workers, batch)
 					t.Run(name, func(t *testing.T) {
 						opts := core.Options{Workers: workers, BatchElems: batch,
-							DynamicScheduling: executor == "dynamic", Pedantic: total > 0}
+							PoisonPools: executor == "dynamic", Pedantic: total > 0}
 						if executor == "streaming" {
 							opts.OutOfCore, opts.Governor, opts.SpillDir = true, core.NewGovernor(1024), t.TempDir()
 						}
@@ -212,14 +227,14 @@ func TestFanOutOnASaturatedPool(t *testing.T) {
 // same session that is under way while they drain is unaffected. The claim
 // state is per fan-out and never reused; a recycled one would hand a late
 // helper a share of the second evaluation's stage — or, when streaming, of
-// the next window's.
+// the next window's. Every cell poisons its pools, so "dynamic", kept for its
+// test id, runs the same in-memory executor as "static".
 func TestFanOutLateHelpersFindNothing(t *testing.T) {
 	const workers = 3
 	for _, executor := range []string{"static", "dynamic", "streaming"} {
 		t.Run(executor, func(t *testing.T) {
 			run := func(pool *core.WorkerPool, between func() (release func())) core.StatsSnapshot {
-				opts := core.Options{Workers: workers, BatchElems: 10, PoisonPools: true,
-					DynamicScheduling: executor == "dynamic", WorkerPool: pool}
+				opts := core.Options{Workers: workers, BatchElems: 10, PoisonPools: true, WorkerPool: pool}
 				if executor == "streaming" {
 					opts.OutOfCore, opts.Governor, opts.SpillDir = true, core.NewGovernor(1024), t.TempDir()
 				}
@@ -261,17 +276,15 @@ func TestFanOutLateHelpersFindNothing(t *testing.T) {
 // are placed once, after the attempt that succeeded.
 func TestPlacedOutputsSurviveBatchRetry(t *testing.T) {
 	in := newPlacedInputs(103)
-	for _, dynamic := range []bool{false, true} {
-		inj := faultinject.New(1)
-		inj.TransientErrorOnCalls("scale", 4, 4)
-		s := core.NewSession(core.Options{Workers: 2, BatchElems: 10, DynamicScheduling: dynamic,
-			RetryPolicy: core.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}})
-		checkAgainstWhole(t, in.capture(s, inj.WrapFunc("scale", scaleFn)), in.whole(), false)
-		// Batches counts attempts; the failed attempt placed nothing.
-		if st := s.Stats(); st.RetriedBatches != 1 || st.PlacedPieces != 4*(st.Batches-1) {
-			t.Fatalf("RetriedBatches = %d, PlacedPieces = %d over %d attempts; want 1 retry, 4 per successful batch",
-				st.RetriedBatches, st.PlacedPieces, st.Batches)
-		}
+	inj := faultinject.New(1)
+	inj.TransientErrorOnCalls("scale", 4, 4)
+	s := core.NewSession(core.Options{Workers: 2, BatchElems: 10,
+		RetryPolicy: core.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}})
+	checkAgainstWhole(t, in.capture(s, inj.WrapFunc("scale", scaleFn)), in.whole(), false)
+	// Batches counts attempts; the failed attempt placed nothing.
+	if st := s.Stats(); st.RetriedBatches != 1 || st.PlacedPieces != 4*(st.Batches-1) {
+		t.Fatalf("RetriedBatches = %d, PlacedPieces = %d over %d attempts; want 1 retry, 4 per successful batch",
+			st.RetriedBatches, st.PlacedPieces, st.Batches)
 	}
 }
 
@@ -594,13 +607,11 @@ func TestReuseSlotsPinnedProducerBesidePlacedOutput(t *testing.T) {
 // placed outputs builds no slot table and counts nothing reused.
 func TestCallRegisteredChainReusesNothing(t *testing.T) {
 	in := newPlacedInputs(103)
-	for _, dynamic := range []bool{false, true} {
-		s := core.NewSession(core.Options{Workers: 2, BatchElems: 10, DynamicScheduling: dynamic, PoisonPools: true})
-		futs := []*core.Future{s.Call(scaleFn, unarySA("test.scale"), in.xs), s.Call(negateFn, unarySA("test.negate"), in.m)}
-		checkAgainstWhole(t, futs, in.whole()[3:], false)
-		if st := s.Stats(); st.PlacedPieces != 2*st.Batches || st.ReusedPieces != 0 {
-			t.Fatalf("PlacedPieces = %d, ReusedPieces = %d over %d batches; want 2 per batch and 0", st.PlacedPieces, st.ReusedPieces, st.Batches)
-		}
+	s := core.NewSession(core.Options{Workers: 2, BatchElems: 10, PoisonPools: true})
+	futs := []*core.Future{s.Call(scaleFn, unarySA("test.scale"), in.xs), s.Call(negateFn, unarySA("test.negate"), in.m)}
+	checkAgainstWhole(t, futs, in.whole()[3:5], false)
+	if st := s.Stats(); st.PlacedPieces != 2*st.Batches || st.ReusedPieces != 0 {
+		t.Fatalf("PlacedPieces = %d, ReusedPieces = %d over %d batches; want 2 per batch and 0", st.PlacedPieces, st.ReusedPieces, st.Batches)
 	}
 }
 
@@ -610,18 +621,16 @@ func TestCallRegisteredChainReusesNothing(t *testing.T) {
 // the call has, so it fires on the replay like anywhere else.
 func TestReuseSlotsSurviveBatchRetry(t *testing.T) {
 	in := newPlacedInputs(103)
-	for _, dynamic := range []bool{false, true} {
-		inj := faultinject.New(1)
-		inj.TransientErrorOnCalls("shift", 4, 4)
-		ch := newReuseChain()
-		s := core.NewSession(core.Options{Workers: 2, BatchElems: 10, DynamicScheduling: dynamic, PoisonPools: true,
-			RetryPolicy: core.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}})
-		checkAgainstWhole(t, ch.capture(s, genericS, in.xs, inj.WrapFuncInto("shift", ch.shift.fn)), ch.whole(in.xs), false)
-		// Batches counts attempts, and so does the injector.
-		if st := s.Stats(); st.RetriedBatches != 1 || inj.Count("shift", faultinject.AspectCall) != st.Batches || st.ReusedPieces == 0 {
-			t.Fatalf("RetriedBatches = %d, shift ran %d times over %d attempts, ReusedPieces = %d; want 1 retry, one run per attempt, reuse",
-				st.RetriedBatches, inj.Count("shift", faultinject.AspectCall), st.Batches, st.ReusedPieces)
-		}
+	inj := faultinject.New(1)
+	inj.TransientErrorOnCalls("shift", 4, 4)
+	ch := newReuseChain()
+	s := core.NewSession(core.Options{Workers: 2, BatchElems: 10, PoisonPools: true,
+		RetryPolicy: core.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}})
+	checkAgainstWhole(t, ch.capture(s, genericS, in.xs, inj.WrapFuncInto("shift", ch.shift.fn)), ch.whole(in.xs), false)
+	// Batches counts attempts, and so does the injector.
+	if st := s.Stats(); st.RetriedBatches != 1 || inj.Count("shift", faultinject.AspectCall) != st.Batches || st.ReusedPieces == 0 {
+		t.Fatalf("RetriedBatches = %d, shift ran %d times over %d attempts, ReusedPieces = %d; want 1 retry, one run per attempt, reuse",
+			st.RetriedBatches, inj.Count("shift", faultinject.AspectCall), st.Batches, st.ReusedPieces)
 	}
 }
 

@@ -52,9 +52,6 @@ func (s *Session) buildIR(p *plan) *ir.Plan {
 		Batch:      s.opts.batchPolicy(),
 		Pipelining: !s.opts.DisablePipelining,
 	}
-	if s.opts.DynamicScheduling {
-		out.Mode = ir.ScheduleDynamic
-	}
 	out.Stages = make([]ir.Stage, len(p.stages))
 	b := irBuilder{s: s, calls: make([]ir.Call, len(s.nodes)), args: make([]ir.Arg, len(p.res))}
 	for si := range p.stages {

@@ -290,7 +290,7 @@ func TestSplitTypeStringOneAllocation(t *testing.T) {
 
 // TestBatchSizeHeuristic checks the C*L2/sum(elem) formula and clamping.
 func TestBatchSizeHeuristic(t *testing.T) {
-	o := Options{L2CacheBytes: 256 << 10, BatchConstant: 4}.withDefaults()
+	o := Options{L2CacheBytes: 256 << 10}.withDefaults()
 	// 3 arrays of float64: sum = 24 bytes/elem.
 	if got := o.batchSize(24, 1<<30); got != int64(4*(256<<10)/24) {
 		t.Errorf("batch = %d", got)

@@ -4,9 +4,9 @@ import "sync"
 
 // sessionPools is the sync.Pool-backed scratch reuse layer for the hot
 // path. Every per-evaluation buffer the executor used to allocate fresh —
-// per-worker env/args scratch, piece-collection maps, workerOut result
-// slices, merge piece slices — cycles through these pools instead, so a
-// session's second and later evaluations run the split→call→merge loop
+// per-worker env/args scratch and piece lists, workerOut result slices and
+// their partials, merge piece slices — cycles through these pools instead, so
+// a session's second and later evaluations run the split→call→merge loop
 // without heap growth. Pools are per-Session (created in NewSession), so
 // buffers can never migrate between concurrent sessions by construction;
 // the poison mode exists to prove no code path *retains* a buffer after
@@ -22,7 +22,6 @@ type sessionPools struct {
 	scratch sync.Pool // *workerScratch
 	outs    sync.Pool // *[]workerOut
 	anys    sync.Pool // *[]any
-	raws    sync.Pool // *map[int][]any
 }
 
 // poisonedBuffer is the sentinel written into returned buffers under
@@ -45,17 +44,19 @@ type viewKey struct {
 
 // workerScratch is the reusable per-worker state for the batch hot loop:
 // the env map threading pieces between pipelined calls, the per-batch
-// output map, per-call argument buffers, the SplitView reuse slots, and the
-// destination slots of calls registered through CallInto.
+// output map, the per-output piece lists deliver appends to, per-call
+// argument buffers, the SplitView reuse slots, and the destination slots of
+// calls registered through CallInto.
 // Scratches are pooled across stages and evaluations; the views map is
 // deliberately never cleared — stale entries are revalidated by the
 // splitter (a view of the wrong storage or range fails the alias check and
 // is rebuilt), and hits are what make the steady state allocation-free.
 type workerScratch struct {
-	env   map[int]any
-	out   map[int]any
-	args  [][]any
-	views map[viewKey]any
+	env    map[int]any
+	out    map[int]any
+	pieces [][]any // pieces[oi]: output oi's collected pieces, in batch order
+	args   [][]any
+	views  map[viewKey]any
 	// slots[ci] is the piece call ci of the stage returned for this worker's
 	// previous batch, kept only while planCall.reuse says it is dead: the
 	// call's destination for the next batch. The table exists only on workers
@@ -70,6 +71,18 @@ func (sc *workerScratch) slot(ci, n int) *any {
 		sc.slots = make([]any, n)
 	}
 	return &sc.slots[ci]
+}
+
+// collected returns the worker's piece lists for a stage of n outputs, each
+// empty.
+func (sc *workerScratch) collected(n int) [][]any {
+	for len(sc.pieces) < n {
+		sc.pieces = append(sc.pieces, nil)
+	}
+	for oi := range sc.pieces {
+		sc.pieces[oi] = sc.pieces[oi][:0]
+	}
+	return sc.pieces[:n]
 }
 
 // argsFor returns the scratch argument slice for call index ci, sized n.
@@ -98,6 +111,10 @@ func (p *sessionPools) getScratch() *workerScratch {
 func (p *sessionPools) putScratch(sc *workerScratch) {
 	clear(sc.env)
 	clear(sc.out)
+	for oi, pieces := range sc.pieces {
+		p.scrub(pieces)
+		sc.pieces[oi] = pieces[:0]
+	}
 	for _, args := range sc.args {
 		p.scrub(args)
 	}
@@ -118,14 +135,11 @@ func (p *sessionPools) scrub(buf []any) {
 	}
 }
 
-// getOuts returns a zeroed []workerOut of length n.
+// getOuts returns a []workerOut of length n with no errors and empty
+// partials, whose storage runWorker reuses.
 func (p *sessionPools) getOuts(n int) []workerOut {
 	if bp, ok := p.outs.Get().(*[]workerOut); ok && cap(*bp) >= n {
-		buf := (*bp)[:n]
-		for i := range buf {
-			buf[i] = workerOut{}
-		}
-		return buf
+		return (*bp)[:n]
 	}
 	return make([]workerOut, n)
 }
@@ -133,8 +147,8 @@ func (p *sessionPools) getOuts(n int) []workerOut {
 // putOuts hands back a merged stage's worker results, partials included.
 func (p *sessionPools) putOuts(buf []workerOut) {
 	for i := range buf {
-		p.putRaw(buf[i].partials)
-		buf[i] = workerOut{}
+		p.scrub(buf[i].partials)
+		buf[i] = workerOut{partials: buf[i].partials[:0]}
 	}
 	p.outs.Put(&buf)
 }
@@ -156,25 +170,13 @@ func (p *sessionPools) putAnys(buf []any) {
 	p.anys.Put(&buf)
 }
 
-func (p *sessionPools) getRaw() map[int][]any {
-	if m, ok := p.raws.Get().(map[int][]any); ok {
-		return m
+// resize returns buf with length n and every slot nil, reusing its storage
+// when it is large enough.
+func resize(buf []any, n int) []any {
+	if cap(buf) < n {
+		return make([]any, n)
 	}
-	return map[int][]any{}
-}
-
-func (p *sessionPools) putRaw(m map[int][]any) {
-	if m == nil {
-		return
-	}
-	if p.poison {
-		for id, pieces := range m {
-			for i := range pieces {
-				pieces[i] = poisonedBuffer{}
-			}
-			m[id] = pieces
-		}
-	}
-	clear(m)
-	p.raws.Put(m)
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }

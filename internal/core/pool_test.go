@@ -267,12 +267,10 @@ func TestSteadyStateZeroSpawns(t *testing.T) {
 
 	t.Run("one worker never touches the pool", func(t *testing.T) {
 		pool := NewWorkerPool(1)
-		for _, dyn := range []bool{false, true} {
-			st := run(NewSession(Options{Workers: 1, BatchElems: 100, DynamicScheduling: dyn, WorkerPool: pool}))
-			if st.PoolTasks != 0 || st.WorkerSpawns != 0 || pool.Tasks() != 0 {
-				t.Errorf("dynamic=%v: PoolTasks = %d, WorkerSpawns = %d, pool tasks %d; want all zero",
-					dyn, st.PoolTasks, st.WorkerSpawns, pool.Tasks())
-			}
+		st := run(NewSession(Options{Workers: 1, BatchElems: 100, WorkerPool: pool}))
+		if st.PoolTasks != 0 || st.WorkerSpawns != 0 || pool.Tasks() != 0 {
+			t.Errorf("PoolTasks = %d, WorkerSpawns = %d, pool tasks %d; want all zero",
+				st.PoolTasks, st.WorkerSpawns, pool.Tasks())
 		}
 	})
 
@@ -380,11 +378,7 @@ func TestPoisonPoolsConcurrentSessions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			a, b := seq(n), seq(n)
-			opts := Options{Workers: 1 + g%4, BatchElems: 37, PoisonPools: true}
-			if g%2 == 1 {
-				opts.DynamicScheduling = true
-			}
-			s := NewSession(opts)
+			s := NewSession(Options{Workers: 1 + g%4, BatchElems: 37, PoisonPools: true})
 			for it := 0; it < iters; it++ {
 				c := s.Call(fnAddNew, saAddNew, a, b)
 				d := s.Call(fnAddNew, saAddNew, c, b).Keep() // read below despite in-stage consumer
@@ -422,22 +416,20 @@ func TestPoisonPoolsConcurrentSessions(t *testing.T) {
 // under poison mode: the merge scratch that carries mutated pieces back must
 // be consumed before it is poisoned and pooled.
 func TestPoisonPoolsMutWriteBack(t *testing.T) {
-	for _, dyn := range []bool{false, true} {
-		m := newTestMatrix(24, 18)
-		ref := m.clone()
-		fnNormalizeAxis([]any{ref, 1})
-		s := NewSession(Options{Workers: 3, BatchElems: 5, PoisonPools: true, DynamicScheduling: dyn})
-		fut := s.Track(m)
-		s.Call(fnNormalizeAxis, saNormalizeAxis, m, 1)
-		v, err := fut.Get()
-		if err != nil {
-			t.Fatalf("dyn=%v: %v", dyn, err)
-		}
-		got := v.(*testMatrix)
-		for i := range got.data {
-			if got.data[i] != ref.data[i] {
-				t.Fatalf("dyn=%v: write-back corrupt at %d", dyn, i)
-			}
+	m := newTestMatrix(24, 18)
+	ref := m.clone()
+	fnNormalizeAxis([]any{ref, 1})
+	s := NewSession(Options{Workers: 3, BatchElems: 5, PoisonPools: true})
+	fut := s.Track(m)
+	s.Call(fnNormalizeAxis, saNormalizeAxis, m, 1)
+	v, err := fut.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.(*testMatrix)
+	for i := range got.data {
+		if got.data[i] != ref.data[i] {
+			t.Fatalf("write-back corrupt at %d", i)
 		}
 	}
 }

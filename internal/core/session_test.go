@@ -273,7 +273,8 @@ func TestWorkerCountsAgree(t *testing.T) {
 	}
 }
 
-// TestZeroElements: empty inputs run zero batches and produce empty merges.
+// TestZeroElements: empty inputs run zero batches and produce empty merges,
+// on one worker: a zero-element stage offers the pool nothing.
 func TestZeroElements(t *testing.T) {
 	var a, b []float64
 	a, b = make([]float64, 0, 1), make([]float64, 0, 2)
@@ -285,6 +286,9 @@ func TestZeroElements(t *testing.T) {
 	}
 	if g, ok := got.([]float64); ok && len(g) != 0 {
 		t.Fatalf("want empty result, got %v", got)
+	}
+	if st := s.Stats(); st.PoolTasks != 0 || st.Batches != 0 {
+		t.Fatalf("PoolTasks = %d, Batches = %d; want 0 and 0", st.PoolTasks, st.Batches)
 	}
 }
 
@@ -490,9 +494,10 @@ func TestLogging(t *testing.T) {
 	}
 }
 
-// TestDynamicSchedulingEquivalence: work-stealing batch claiming produces
-// results identical to static partitioning, including ordered merges and
-// reductions, across worker counts.
+// TestDynamicSchedulingEquivalence: batches of 97 elements, which split
+// worker ranges mid-batch, merge in element order — an element-wise output
+// and a reduction — at 1, 3 and 8 workers. (The name is the one the test had
+// when it ran a second, dynamic scheduler.)
 func TestDynamicSchedulingEquivalence(t *testing.T) {
 	a, b := seq(2311), seq(2311)
 	ref := func() []float64 {
@@ -503,7 +508,7 @@ func TestDynamicSchedulingEquivalence(t *testing.T) {
 		return out
 	}()
 	for _, workers := range []int{1, 3, 8} {
-		s := NewSession(Options{Workers: workers, BatchElems: 97, DynamicScheduling: true})
+		s := NewSession(Options{Workers: workers, BatchElems: 97})
 		c := s.Call(fnAddNew, saAddNew, a, b)
 		d := s.Call(fnAddNew, saAddNew, c, c).Keep() // read below despite in-stage consumer
 		sum := s.Call(fnSum, saSum, d)
@@ -512,7 +517,7 @@ func TestDynamicSchedulingEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !almostEqual(got, ref) {
-			t.Fatalf("workers=%d: dynamic scheduling result mismatch", workers)
+			t.Fatalf("workers=%d: result mismatch", workers)
 		}
 		want := 0.0
 		for _, x := range ref {
@@ -523,18 +528,19 @@ func TestDynamicSchedulingEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Abs(gotSum-want) > 1e-7*(1+want) {
-			t.Fatalf("workers=%d: dynamic reduction mismatch", workers)
+			t.Fatalf("workers=%d: reduction mismatch", workers)
 		}
 	}
 }
 
-// TestDynamicSchedulingMutWriteBack: copying splitters write back correctly
-// under dynamic scheduling.
+// TestDynamicSchedulingMutWriteBack: a copying splitter's mutated pieces,
+// three-element batches over four workers, are written back in order. (The
+// name is the one the test had when it ran a second, dynamic scheduler.)
 func TestDynamicSchedulingMutWriteBack(t *testing.T) {
 	m := newTestMatrix(40, 30)
 	ref := m.clone()
 	fnNormalizeAxis([]any{ref, 1})
-	s := NewSession(Options{Workers: 4, BatchElems: 3, DynamicScheduling: true})
+	s := NewSession(Options{Workers: 4, BatchElems: 3})
 	fut := s.Track(m)
 	s.Call(fnNormalizeAxis, saNormalizeAxis, m, 1)
 	v, err := fut.Get()
@@ -544,16 +550,17 @@ func TestDynamicSchedulingMutWriteBack(t *testing.T) {
 	got := v.(*testMatrix)
 	for i := range got.data {
 		if math.Abs(got.data[i]-ref.data[i]) > 1e-9 {
-			t.Fatalf("dynamic write-back mismatch at %d", i)
+			t.Fatalf("write-back mismatch at %d", i)
 		}
 	}
 }
 
-// TestDynamicSchedulingErrors: function errors surface under dynamic
-// scheduling too.
+// TestDynamicSchedulingErrors: a library function's error surfaces from the
+// lazy read that forced the evaluation. (The name is the one the test had
+// when it ran a second, dynamic scheduler.)
 func TestDynamicSchedulingErrors(t *testing.T) {
 	bad := func(args []any) (any, error) { return nil, errors.New("dyn boom") }
-	s := NewSession(Options{Workers: 3, BatchElems: 10, DynamicScheduling: true})
+	s := NewSession(Options{Workers: 3, BatchElems: 10})
 	f := s.Call(bad, saFilterPos, seq(100))
 	if _, err := f.Get(); err == nil || !strings.Contains(err.Error(), "dyn boom") {
 		t.Fatalf("want dyn boom, got %v", err)

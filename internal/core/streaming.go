@@ -63,15 +63,8 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 	// of consecutive windows can overlap with concurrent sessions without
 	// saturating the budget, clamped to at least one batch of progress.
 	windowElems := clamp64(g.Budget()/(2*sumElemBytes), 1, total)
-	if batch > windowElems {
-		batch = windowElems
-	}
-	if int64(workers) > windowElems {
-		workers = int(windowElems)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	batch = min(batch, windowElems)
+	workers = int(clamp64(int64(workers), 1, windowElems))
 
 	ex := s.newStageExec(si, st, inputs, sumElemBytes)
 
@@ -172,23 +165,20 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 			lo, hi = 0, wlen
 		}
 
-		partials, err := s.runRange(ctx, wex, lo, hi, batch, workers)
+		// A window runs no more workers than it has elements, so every
+		// worker holds a partial of every output.
+		results, err := s.runStatic(ctx, wex, lo, hi, batch, min(workers, int(wlen)))
 		if err != nil {
 			return err
 		}
+		defer s.pools.putOuts(results)
 
 		t1 := time.Now()
-		merges := 0
 		for oi, out := range st.outputs {
-			ps := partials[out.b.id]
-			if len(ps) == 0 {
-				continue
-			}
-			piece, err := s.mergePieces(out.r, ps)
+			piece, err := s.mergePartials(out.r, results, oi)
 			if err != nil {
 				return s.stageErr(st, OriginMerge, fmt.Errorf("window merge output %d: %w", oi, err))
 			}
-			merges++
 			a := accs[oi]
 			if a.codec != nil {
 				frame, err := a.codec.EncodePiece(piece, out.r.t)
@@ -218,7 +208,7 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 			a.acc = folded
 		}
 		s.stats.add(&s.stats.MergeNS, time.Since(t1))
-		if merges > 0 {
+		if len(st.outputs) > 0 {
 			s.emitMerge(ex, obs.RuntimeLane, time.Since(t1))
 		}
 		return nil
@@ -275,10 +265,7 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 			}
 			a.acc = merged
 		}
-		out.b.val = a.acc
-		out.b.hasVal = true
-		out.b.ready = true
-		out.b.discarded = false
+		out.b.set(a.acc)
 	}
 	s.stats.add(&s.stats.MergeNS, time.Since(t2))
 	s.finishStageBindings(st)
@@ -288,27 +275,4 @@ func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, i
 	// the governor's level returns to normal (MaxLevel keeps the episode).
 	s.notePressure(g, si, ex.calls, PressureNormal)
 	return nil
-}
-
-// runRange executes the window [lo, hi) of a stage with the static scheduler
-// and returns, per output binding id, the worker partials in element order.
-func (s *Session) runRange(ctx context.Context, ex *stageExec, lo, hi, batch int64, workers int) (map[int][]any, error) {
-	out := map[int][]any{}
-	if hi <= lo {
-		return out, nil
-	}
-	if int64(workers) > hi-lo {
-		workers = int(hi - lo)
-	}
-	results, err := s.runStatic(ctx, ex, lo, hi, batch, workers)
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range ex.st.outputs {
-		for _, r := range results {
-			out[o.b.id] = append(out[o.b.id], r.partials[o.b.id]...)
-		}
-	}
-	s.pools.putOuts(results)
-	return out, nil
 }

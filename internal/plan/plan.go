@@ -48,25 +48,6 @@ func (k StageKind) String() string {
 	return "split"
 }
 
-// ScheduleMode selects how batches are handed to workers.
-type ScheduleMode int
-
-const (
-	// ScheduleStatic is the paper's contiguous near-equal partitioning
-	// (§5.2 Step 1).
-	ScheduleStatic ScheduleMode = iota
-	// ScheduleDynamic has workers atomically claim the next unprocessed
-	// batch, Cilk-style.
-	ScheduleDynamic
-)
-
-func (m ScheduleMode) String() string {
-	if m == ScheduleDynamic {
-		return "dynamic"
-	}
-	return "static"
-}
-
 // Defaults for the §5.2 batch heuristic, shared by the real executor
 // (core.Options) and the modeled workloads (internal/workloads): batch =
 // Constant × L2CacheBytes / Σ elemBytes.
@@ -231,8 +212,6 @@ type Plan struct {
 	Stages []Stage
 	// Batch is the batch-size rule stages are executed with.
 	Batch BatchPolicy
-	// Mode is the worker scheduling mode.
-	Mode ScheduleMode
 	// Pipelining is false under the Mozart(-pipe) ablation, where every
 	// call plans into its own stage.
 	Pipelining bool

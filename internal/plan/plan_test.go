@@ -128,7 +128,7 @@ func TestRenderContainsSummariesAndDetail(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"plan: 2 stages, schedule=static, pipelining=on, batch=C*L2/s (C=4, L2=262144B)",
+		"plan: 2 stages, pipelining=on, batch=C*L2/s (C=4, L2=262144B)",
 		"working set: 16B/elem (4 inputs + 0 produced) -> batch 64 of 64 elems",
 		"vdMulC(n:%0:SizeSplit<64>, a:%1:ArraySplit<64>, c:_, mut out:%3:ArraySplit<64>)",
 		"-> %9:AddReduce (reduce)",

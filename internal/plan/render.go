@@ -15,8 +15,8 @@ import (
 // rather than leaking the process-global unknown counter.
 func Render(p *Plan) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan: %d %s, schedule=%s, pipelining=%s, batch=%s [%s]\n",
-		len(p.Stages), plural(len(p.Stages), "stage"), p.Mode, onOff(p.Pipelining), describeBatch(p.Batch), p.Provenance)
+	fmt.Fprintf(&b, "plan: %d %s, pipelining=%s, batch=%s [%s]\n",
+		len(p.Stages), plural(len(p.Stages), "stage"), onOff(p.Pipelining), describeBatch(p.Batch), p.Provenance)
 	for i := range p.Stages {
 		st := &p.Stages[i]
 		b.WriteString(st.Summary(i))

@@ -200,9 +200,10 @@ type Governor = core.Governor
 func NewGovernor(budgetBytes int64) *Governor { return core.NewGovernor(budgetBytes) }
 
 // BreakerPolicy tunes the per-annotation circuit breakers behind
-// FallbackQuarantine (Options.Breaker): N annotation faults trip an
-// annotation into whole-call planning; after a cooldown a half-open probe
-// re-tries splitting and success restores full parallelism.
+// FallbackQuarantine (the policy of a BreakerGroup in Options.Breakers): N
+// annotation faults trip an annotation into whole-call planning; after a
+// cooldown a half-open probe re-tries splitting and success restores full
+// parallelism.
 type BreakerPolicy = core.BreakerPolicy
 
 // BreakerGroup is a set of per-annotation circuit breakers shared across
@@ -302,15 +303,10 @@ type BatchPolicy = plan.BatchPolicy
 // StageKind says how a PlanStage executes (split or whole).
 type StageKind = plan.StageKind
 
-// ScheduleMode selects how batches are handed to workers.
-type ScheduleMode = plan.ScheduleMode
-
 // Plan IR enum values.
 const (
-	StageSplit      = plan.StageSplit
-	StageWhole      = plan.StageWhole
-	ScheduleStatic  = plan.ScheduleStatic
-	ScheduleDynamic = plan.ScheduleDynamic
+	StageSplit = plan.StageSplit
+	StageWhole = plan.StageWhole
 )
 
 // BatchSource is the pluggable batch/worker selection seam consulted by

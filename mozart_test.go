@@ -164,12 +164,13 @@ func TestPublicAPICheckAnnotation(t *testing.T) {
 	}
 }
 
-// TestPublicAPIDynamicScheduling: the work-stealing ablation through the
-// facade produces identical results.
+// TestPublicAPIDynamicScheduling: a two-call pipeline over 77-element batches
+// at five workers, through the facade, matches the unsplit library. (The name
+// is the one the test had when it ran a second, dynamic scheduler.)
 func TestPublicAPIDynamicScheduling(t *testing.T) {
 	in := makeWords(3000, 2)
 	want := countLong(upcaseAll(in), 5)
-	s := mozart.NewSession(mozart.Options{Workers: 5, BatchElems: 77, DynamicScheduling: true})
+	s := mozart.NewSession(mozart.Options{Workers: 5, BatchElems: 77})
 	got, err := s.Call(countFn, countSA, s.Call(upcaseFn, upcaseSA, in), 5).Int64()
 	if err != nil {
 		t.Fatal(err)
