@@ -1,6 +1,6 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
-# workflow runs: the gate-name check (every `-run` pattern of the pool and
-# flakiness gates still names a test), vet (fail fast), the deprecation gate, build, plain tests,
+# workflow runs: the gate-name check (every `-run` pattern of a recipe still
+# names a test), vet (fail fast), the deprecation gate, build, plain tests,
 # the race detector over the runtime-heavy packages, the flakiness gate (the
 # fault-tolerance suites and the root package three times under -race, so a
 # nondeterministic retry/breaker/admission/tuner test cannot land green), the zero-copy pool
@@ -24,11 +24,11 @@ POOL_TESTS = TestWorkerPool|TestSteadyState|TestSharedWorkerPool
 ci: gate-names vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke tune-smoke serve-smoke slo-smoke bench-quick
 
 # `go test -run P` passes when P matches nothing, so a renamed test would
-# silently leave its gate. Every |-alternative of every -run pattern in
-# pool-smoke and flaky (read from their recipes, as make would run them) must
-# match at least one test in its package.
+# silently leave its gate. Every |-alternative of every -run pattern in the
+# recipes that have one (read from them as make would run them, each written
+# `-run '<pattern>' <pkg>`) must match at least one test in its package.
 gate-names:
-	@$(MAKE) -s -n pool-smoke flaky | grep -o -- "-run '[^']*' [^ ]*" | while read -r _ pat pkg; do \
+	@$(MAKE) -s -n pool-smoke flaky prom-golden soak explain-golden | grep -o -- "-run '[^']*' [^ ]*" | while read -r _ pat pkg; do \
 		pat=$${pat#\'}; pat=$${pat%\'}; \
 		for alt in $$(echo "$$pat" | tr '|' ' '); do \
 			n=$$($(GO) test -list "$$alt" $$pkg | grep -c '^\(Test\|Benchmark\|Example\|Fuzz\)'); \
@@ -112,7 +112,7 @@ slo-smoke:
 # The multi-tenant chaos soak on its own: concurrent tenants through fault
 # injection (transient faults + seeded latency) under the race detector.
 soak:
-	$(GO) test -race -count=2 -run TestChaosSoak ./internal/serve
+	$(GO) test -race -count=2 -run 'TestChaosSoak' ./internal/serve
 
 # Smoke-run the fault-tolerance ablation end to end.
 smoke-faults:
@@ -133,13 +133,13 @@ explain-smoke:
 # Regenerate the explain golden file after an intentional planner change.
 explain-golden:
 	SABENCH_UPDATE_GOLDEN=cmd/sabench/testdata/explain.golden $(GO) run ./cmd/sabench -experiment explain
-	UPDATE_GOLDEN=1 $(GO) test -run TestExplainGolden .
+	UPDATE_GOLDEN=1 $(GO) test -run 'TestExplainGolden' .
 
 # The Prometheus exposition contract: the golden rendering and the
 # snapshot-consistency test (every /metrics sample accounted for by
 # Metrics.Snapshot and vice versa).
 prom-golden:
-	$(GO) test ./internal/obs -run 'TestPrometheus' -count=1
+	$(GO) test -count=1 -run 'TestPrometheusGolden|TestPrometheusMatchesSnapshot|TestPrometheusSimGatedOnCounters' ./internal/obs
 
 # Smoke-run the adaptive planner loop on three workloads: the tuner's
 # online golden-section sweep against the memsim model, asserting the

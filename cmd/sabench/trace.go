@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"mozart/internal/obs"
 	"mozart/internal/workloads"
@@ -12,11 +13,16 @@ import (
 // trace runs a vector-math workload and a dataframe workload under the
 // observability layer: a Chrome-trace sink (one lane per worker, loadable in
 // chrome://tracing or https://ui.perfetto.dev) plus the aggregating metrics
-// sink, whose per-stage table is printed after each run. The emitted JSON is
-// re-read and parsed as a smoke check; a trace that does not parse or has no
-// events fails the process.
+// sink, whose per-stage table is printed after each run. The traces are
+// written to a new temporary directory, whose paths are printed; the emitted
+// JSON is re-read and parsed as a smoke check, and a trace that does not parse
+// or has no events fails the process.
 func trace(scaleDiv int) {
 	fmt.Println("=== Trace: runtime observability (Chrome trace + per-stage metrics) ===")
+	dir, err := os.MkdirTemp("", "sabench-trace-")
+	if err != nil {
+		fatalf("trace: %v", err)
+	}
 	for _, name := range []string{"blackscholes-mkl", "datacleaning-pandas"} {
 		spec, err := workloads.ByName(name)
 		if err != nil {
@@ -33,7 +39,7 @@ func trace(scaleDiv int) {
 			fatalf("trace: %s: %v", name, err)
 		}
 
-		path := fmt.Sprintf("sabench-trace-%s.json", name)
+		path := filepath.Join(dir, name+".json")
 		if err := chrome.WriteFile(path); err != nil {
 			fatalf("trace: %s: writing %s: %v", name, path, err)
 		}

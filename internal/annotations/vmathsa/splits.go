@@ -144,7 +144,7 @@ func stitchFloats(pieces []any) ([]float64, bool) {
 
 // SplitAt returns the window view [start, end) for out-of-core streaming
 // (core.SplitterAt). For slices a window view is just the sub-slice; the
-// streaming executor then drives Split/Info over it window-locally.
+// runtime then drives Split/Info over it window-locally.
 func (ArraySplitter) SplitAt(v any, t core.SplitType, start, end int64) (any, error) {
 	return ArraySplitter{}.Split(v, t, start, end)
 }

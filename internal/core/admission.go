@@ -12,9 +12,9 @@ import (
 // pressure is a mode change, not a failure: Normal stages run with the
 // heuristic batch and full parallelism; Constrained stages shrank their
 // batch or shed workers to fit the remaining budget; OutOfCore stages could
-// not fit their §5.2 working set at all and execute in streaming windows
-// (see Options.OutOfCore), spilling merge-side partials to disk when the
-// merge order is not foldable.
+// not fit their §5.2 working set at all and execute in windows admitted one
+// at a time (see Options.OutOfCore), spilling each window's outputs to disk
+// when the merge order is not foldable.
 type PressureLevel int32
 
 // The pressure ladder, in escalation order.
@@ -247,8 +247,8 @@ func (g *Governor) TryAdmit(bytes int64) (release func(), ok bool) {
 }
 
 // release returns admitted bytes to the budget and wakes waiters. bytes
-// must match the (possibly clamped) amount admit reserved; the helper
-// returned by Session.admitStage guarantees that.
+// must match the (possibly clamped) amount admit reserved, which
+// Session.admit returns.
 func (g *Governor) release(bytes int64) {
 	if g == nil || bytes <= 0 {
 		return
@@ -262,22 +262,18 @@ func (g *Governor) release(bytes int64) {
 	g.mu.Unlock()
 }
 
-// admitStage gates a stage's split execution on the session's governor.
-// Under pressure it degrades before queueing — first shrinking the batch
-// toward what is currently available (smaller working set, same
-// parallelism), then shedding workers — and only blocks when even the
-// shrunken footprint does not fit. Wait time lands in Stats.AdmissionWaitNS.
-// It returns the possibly-adjusted batch and worker count plus a release
-// closure for the reserved bytes.
-func (s *Session) admitStage(ctx context.Context, si int, st *planStage, sumElemBytes, total, batch int64, workers int) (int64, int, func(), error) {
+// admitStage gates an in-memory stage on the session's governor. Under
+// pressure it degrades before queueing — first shrinking the batch toward
+// what is currently available (smaller working set, same parallelism), then
+// shedding workers — and only blocks when even the shrunken footprint does
+// not fit. It returns the possibly-adjusted batch and worker count plus the
+// bytes reserved, which the caller releases.
+func (s *Session) admitStage(ctx context.Context, ex *stageExec, total, batch int64, workers int) (int64, int, int64, error) {
 	g := s.opts.Governor
-	noop := func() {}
 	if g == nil || g.Budget() <= 0 {
-		return batch, workers, noop, nil
+		return batch, workers, 0, nil
 	}
-	if sumElemBytes <= 0 {
-		sumElemBytes = 1
-	}
+	sumElemBytes := max(ex.elemBytes, 1)
 	batch0, workers0 := batch, workers
 	footprint := func(b int64, w int) int64 { return b * int64(w) * sumElemBytes }
 
@@ -299,31 +295,39 @@ func (s *Session) admitStage(ctx context.Context, si int, st *planStage, sumElem
 			}
 		}
 	}
-	req := footprint(batch, workers)
-	if b := g.Budget(); req > b {
-		// Even one worker on a one-element batch models over the whole
-		// budget: admit the stage alone at full reservation instead of
-		// deadlocking.
-		req = b
-	}
-	t0 := time.Now()
-	admitted, err := g.admit(ctx, req)
-	wait := time.Since(t0)
-	s.stats.add(&s.stats.AdmissionWaitNS, wait)
+	admitted, err := s.admit(ctx, ex, footprint(batch, workers), 0, total, batch, workers)
 	if err != nil {
-		return batch, workers, noop, s.stageErr(st, originFromContext(err), err)
-	}
-	if tr := s.opts.Tracer; tr != nil {
-		tr.Emit(obs.Event{Kind: obs.EvAdmission, Time: time.Now(), Dur: wait,
-			Stage: si, Worker: obs.RuntimeLane, Calls: st.pipeline,
-			Bytes: admitted, BatchElems: batch, Workers: workers})
+		return batch, workers, 0, err
 	}
 	level := PressureNormal
 	if batch < batch0 || workers < workers0 {
 		level = PressureConstrained
 	}
-	s.notePressure(g, si, st.pipeline, level)
-	return batch, workers, func() { g.release(admitted) }, nil
+	s.notePressure(g, ex.si, ex.calls, level)
+	return batch, workers, admitted, nil
+}
+
+// admit reserves req modeled bytes on the session's governor for elements
+// [lo, hi) of ex's stage, run in batches of batch on workers workers: an
+// in-memory stage's footprint, or an out-of-core window's. A request over the
+// whole budget — even one worker on a one-element batch can model over it —
+// is clamped to the budget, so the window runs alone instead of deadlocking.
+// The wait lands in Stats.AdmissionWaitNS and an EvAdmission span; the
+// caller releases the returned bytes.
+func (s *Session) admit(ctx context.Context, ex *stageExec, req, lo, hi, batch int64, workers int) (int64, error) {
+	t0 := time.Now()
+	admitted, err := s.opts.Governor.admit(ctx, req)
+	wait := time.Since(t0)
+	s.stats.add(&s.stats.AdmissionWaitNS, wait)
+	if err != nil {
+		return 0, s.stageErr(ex.st, originFromContext(err), err)
+	}
+	if tr := s.opts.Tracer; tr != nil {
+		tr.Emit(obs.Event{Kind: obs.EvAdmission, Time: time.Now(), Dur: wait,
+			Stage: ex.si, Worker: obs.RuntimeLane, Calls: ex.calls,
+			Start: lo, End: hi, Bytes: admitted, BatchElems: batch, Workers: workers})
+	}
+	return admitted, nil
 }
 
 // notePressure records a pressure-level observation on the governor and

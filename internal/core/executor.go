@@ -226,11 +226,13 @@ type stageExec struct {
 	// comes back unboxed — zero allocations.
 	viewers []ViewSplitter
 
-	// placed[i] is st.outputs[i]'s destination when the output is delivered
-	// by placement (nil entry, or nil table, otherwise). The streaming
-	// executor never sets it: a full-size destination would defeat its
-	// memory budget.
+	// placed[i] is st.outputs[i]'s destination in the current window when
+	// the output is delivered by placement (nil entry, or nil table,
+	// otherwise). The table is sized to the window, and origin is the
+	// window's first element in the coordinates its batches run at, so the
+	// piece of [start, end) lands at [start−origin, end−origin).
 	placed []*placedOutput
+	origin int64
 
 	// Per-stage observability detail, computed once so the per-batch hot
 	// loop emits events without building strings or re-deriving sizes.
@@ -284,8 +286,9 @@ func resolveViewers(inputs []resolvedInput) []ViewSplitter {
 }
 
 // placedOutput is the destination of one stage output assembled by
-// placement: whichever batch finishes first allocates the full-size value
-// (once), and every batch copies its piece into its own element range.
+// placement: whichever batch of the window finishes first allocates the
+// window-sized value (once), and every batch copies its piece into its own
+// element range.
 type placedOutput struct {
 	sp    PlaceSplitter
 	total int64
@@ -294,7 +297,7 @@ type placedOutput struct {
 	err   error
 }
 
-// resolvePlaced builds the placement table for a stage of total elements:
+// resolvePlaced builds the placement table for a window of total elements:
 // an output qualifies when its split type is concrete and known at plan time
 // (not deferred, not unknown) and its splitter declares CapPlace, which is
 // the annotator's promise that pieces are length-preserving. Reductions,
@@ -435,41 +438,96 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 	p.obsElems += total
 	p.obsBytes += total * sumElemBytes
 
-	// Out-of-core streaming: when the stage's whole §5.2 working set
-	// exceeds the Governor's budget and the session opted in, execute in
-	// admission-bounded element windows instead of blocking on an
-	// admission that can never fully fit.
-	if s.shouldStream(total, sumElemBytes) {
-		return s.executeStreaming(ctx, si, st, inputs, sumElemBytes, total, batch, workers)
-	}
-
-	// Memory-budget admission: under a Governor the stage may start with a
-	// smaller batch or fewer workers, or block until its modeled footprint
-	// fits under the byte budget.
-	batch, workers, release, aerr := s.admitStage(ctx, si, st, sumElemBytes, total, batch, workers)
-	if aerr != nil {
-		return aerr
-	}
-	defer release()
-
+	// The stage loop runs windows of elements. In memory the stage is one
+	// window, and under a Governor it may start with a smaller batch or fewer
+	// workers, or block until its modeled footprint fits under the byte
+	// budget. Out of core — the session opted in and the stage's whole §5.2
+	// working set exceeds the budget — it runs in windows of half the budget,
+	// each admitted on its own, instead of blocking on an admission that can
+	// never fully fit.
 	ex := s.newStageExec(si, st, inputs, sumElemBytes)
-	ex.placed = resolvePlaced(st.outputs, total)
+	g := s.opts.Governor
+	window, windows := total, int64(1)
+	var ooc *outOfCore
+	var detail string
+	if s.shouldStream(total, sumElemBytes) {
+		window = clamp64(g.Budget()/(2*sumElemBytes), 1, total)
+		windows = (total + window - 1) / window
+		batch = min(batch, window)
+		workers = int(clamp64(int64(workers), 1, window))
+		s.notePressure(g, si, ex.calls, PressureOutOfCore)
+		// The squeeze is over however the stage ends: its windows have
+		// released their bytes (MaxLevel keeps the episode).
+		defer s.notePressure(g, si, ex.calls, PressureNormal)
+		if ooc, err = s.newOutOfCore(ex); err != nil {
+			return err
+		}
+		defer ooc.close()
+		detail = "out-of-core"
+	} else {
+		var admitted int64
+		if batch, workers, admitted, err = s.admitStage(ctx, ex, total, batch, workers); err != nil {
+			return err
+		}
+		defer g.release(admitted)
+	}
 
 	if tr := s.opts.Tracer; tr != nil {
 		tr.Emit(obs.Event{Kind: obs.EvStageBegin, Time: time.Now(), Stage: si,
 			Worker: obs.RuntimeLane, Calls: ex.calls, Split: ex.split,
 			Elems: total, Bytes: sumElemBytes, BatchElems: batch, Workers: workers,
-			CacheBytes: s.opts.cacheTargetBytes()})
+			CacheBytes: s.opts.cacheTargetBytes(), Detail: detail})
 	}
 
-	results, err := s.runStatic(ctx, ex, 0, total, batch, workers)
+	for k := int64(0); k < windows; k++ {
+		wlo := k * window
+		if err := s.runWindow(ctx, ex, ooc, wlo, min(wlo+window, total), batch, workers); err != nil {
+			return err
+		}
+	}
+	if ooc != nil {
+		if err := ooc.finish(s, ex); err != nil {
+			return err
+		}
+		s.stats.add(&s.stats.StreamedStages, 1)
+	}
+	// In-place mutated bindings are already up to date; mark them ready.
+	s.finishStageBindings(st)
+	return nil
+}
+
+// runWindow is one pass of the stage loop over elements [wlo, whi): split,
+// pipeline every batch through the stage's calls (§5.2 Steps 1–2), and exit
+// the window (Step 3). Out of core the window is admitted on its own, and
+// runs over window views of the inputs when ooc has them. Either way it
+// builds a placement table sized to the window, so no destination is ever
+// larger than what the window was admitted for. A canceled context stops the
+// window's workers at their first batch.
+func (s *Session) runWindow(ctx context.Context, ex *stageExec, ooc *outOfCore, wlo, whi, batch int64, workers int) error {
+	wex, lo, hi := ex, wlo, whi
+	if ooc != nil {
+		admitted, err := s.admit(ctx, ex, (whi-wlo)*ex.elemBytes, wlo, whi, batch, workers)
+		if err != nil {
+			return err
+		}
+		defer s.opts.Governor.release(admitted)
+		if ooc.views {
+			if wex, err = s.windowView(ex, wlo, whi); err != nil {
+				return err
+			}
+			lo, hi = 0, whi-wlo
+		}
+	}
+	wex.placed, wex.origin = resolvePlaced(ex.st.outputs, hi-lo), lo
+
+	// A window runs no more workers than it has elements, so every worker
+	// holds a partial of every collected output.
+	results, err := s.runStatic(ctx, wex, lo, hi, batch, int(clamp64(int64(workers), 1, max(hi-lo, 1))))
 	if err != nil {
 		return err
 	}
-	// Final merge on the main thread (§5.2 Step 3), then write back.
-	err = s.mergeOutputs(ex, results)
-	s.pools.putOuts(results)
-	return err
+	defer s.pools.putOuts(results)
+	return s.exitWindow(wex, ooc, results, wlo, whi)
 }
 
 // runStatic executes [lo, hi) of a stage with static partitioning: workers
@@ -635,7 +693,7 @@ func (s *Session) mergePieces(r resolved, pieces []any) (any, error) {
 }
 
 // deliver is the one place a finished batch's output pieces leave the batch
-// loop. A placed output's piece is copied into its final destination at
+// loop. A placed output's piece is copied into its window's destination at
 // [start, end) right away, while it is still cache-hot, and nothing refers to
 // it afterwards — which is what lets runBatch hand it back to its producer as
 // the next batch's destination; every other output's piece is appended to
@@ -662,7 +720,7 @@ func (s *Session) deliver(ex *stageExec, out map[int]any, start, end int64, piec
 		pl.once.Do(func() { pl.dst, pl.err = s.safeAllocMerged(pl.sp, piece, o.r.t, pl.total) })
 		err := pl.err
 		if err == nil {
-			err = s.safePlace(pl.sp, pl.dst, piece, o.r.t, start, end)
+			err = s.safePlace(pl.sp, pl.dst, piece, o.r.t, start-ex.origin, end-ex.origin)
 		}
 		if err != nil {
 			se := s.stageErr(ex.st, OriginMerge, fmt.Errorf("place output %d: %w", oi, err))
@@ -677,43 +735,45 @@ func (s *Session) deliver(ex *stageExec, out map[int]any, start, end int64, piec
 	return time.Since(t0), nil
 }
 
-// mergePartials merges output oi's worker partials in worker order, which
-// is element order: workers own contiguous ranges, and a worker that ran no
-// batch has none.
-func (s *Session) mergePartials(r resolved, results []workerOut, oi int) (any, error) {
+// windowPiece is output oi's piece of the window: its placement destination,
+// already whole and handed off by pointer, or — for a collected output, and a
+// placed one no batch ran for — its worker partials merged in worker order,
+// which is element order: workers own contiguous ranges, and a worker that
+// ran no batch has none.
+func (s *Session) windowPiece(ex *stageExec, results []workerOut, oi int) (any, error) {
+	if pl := ex.placedAt(oi); pl != nil && pl.dst != nil {
+		return pl.dst, nil
+	}
 	pieces := s.pools.getAnys(len(results))[:0]
 	for _, res := range results {
 		if p := res.partials[oi]; p != nil {
 			pieces = append(pieces, p)
 		}
 	}
-	merged, err := s.mergePieces(r, pieces)
+	merged, err := s.mergePieces(ex.st.outputs[oi].r, pieces)
 	s.pools.putAnys(pieces[:cap(pieces)])
 	return merged, err
 }
 
-// mergeOutputs is stage exit on the coordinating thread (§5.2 Step 3): a
-// placed output is already whole in its destination and is handed off by
-// pointer; every other output (and a placed one no batch ran for) merges its
-// worker partials.
-func (s *Session) mergeOutputs(ex *stageExec, results []workerOut) error {
+// exitWindow is window exit on the coordinating thread (§5.2 Step 3): each
+// output's piece of the window is, in memory, the output's value; out of
+// core it spills or folds into ooc's accumulator.
+func (s *Session) exitWindow(ex *stageExec, ooc *outOfCore, results []workerOut, wlo, whi int64) error {
 	t0 := time.Now()
 	for oi, out := range ex.st.outputs {
-		if pl := ex.placedAt(oi); pl != nil && pl.dst != nil {
-			out.b.set(pl.dst)
-			continue
-		}
-		merged, err := s.mergePartials(out.r, results, oi)
+		piece, err := s.windowPiece(ex, results, oi)
 		if err != nil {
 			return s.stageErr(ex.st, OriginMerge, fmt.Errorf("merge output %d: %w", oi, err))
 		}
-		out.b.set(merged)
+		if ooc == nil {
+			out.b.set(piece)
+		} else if err := ooc.add(s, ex, oi, piece, wlo, whi); err != nil {
+			return err
+		}
 	}
 	d := time.Since(t0)
 	s.stats.add(&s.stats.MergeNS, d)
 	s.emitMerge(ex, obs.RuntimeLane, d)
-	// In-place mutated bindings are already up to date; mark them ready.
-	s.finishStageBindings(ex.st)
 	return nil
 }
 
@@ -741,8 +801,8 @@ func (s *Session) noteWorkerMerge(ex *stageExec, w int, d time.Duration) {
 // runBatch splits inputs for [start, end), pipelines the batch through the
 // stage's calls, and returns the pieces of stage outputs. sc is the pooled
 // per-worker scratch (env map, argument buffers, SplitView reuse slots,
-// destination slots). It is the single batch body for in-memory and
-// streaming execution, so panic isolation, Pedantic checks and destination
+// destination slots). It is the single batch body of every window, in
+// memory or out of core, so panic isolation, Pedantic checks and destination
 // reuse behave identically under both. w is the worker lane and attempt the
 // retry attempt number, both only used for the batch span event. The
 // returned output map is scratch-owned, and so are the pieces in it that came

@@ -134,10 +134,10 @@ type Options struct {
 	// OutOfCore enables the streaming degradation mode: when a stage's
 	// §5.2 working set (total × Σ elemBytes) exceeds the Governor's whole
 	// budget, the stage executes in admission-bounded element windows
-	// instead of blocking — each window is split, executed, and eagerly
-	// merged before its bytes are released back to the Governor, and
-	// merge-side partials spill to a CRC-framed temp-file store when the
-	// stage's output splitters implement PieceCodec. Requires a Governor;
+	// instead of blocking — each window is split, executed, and its
+	// outputs placed or merged before its bytes are released back to the
+	// Governor, and each window's outputs spill to a CRC-framed temp-file
+	// store when the stage's output splitters implement PieceCodec. Requires a Governor;
 	// without one the option is inert. Inputs whose splitters implement
 	// SplitterAt stream as window views; other inputs stay materialized and
 	// only their split windows are driven incrementally.

@@ -15,14 +15,14 @@ import (
 	"mozart/internal/core"
 	"mozart/internal/faultinject"
 	"mozart/internal/frame"
+	"mozart/internal/obs"
 	"mozart/internal/vmath"
 )
 
 // The §3.4 oracle for placed outputs: a pipeline whose outputs are assembled
 // by placement (core.PlaceSplitter) must produce exactly what the unsplit
-// library calls produce, under every scheduler, worker count and batch size,
-// through retry replays and whole-call fallback, and must never run on the
-// streaming path.
+// library calls produce, in memory and out of core, at every worker count and
+// batch size, through retry replays and whole-call fallback.
 
 var genericS = core.Generic("S")
 
@@ -143,27 +143,45 @@ func checkAgainstWhole(t *testing.T, futs []*core.Future, want []any, empty bool
 	}
 }
 
+// executorCells are the stage loop's modes in the fan-out matrix: in memory
+// ("static"), the same with poisoned buffer pools ("dynamic", the name the
+// cell had when a second batch scheduler existed) and out of core under a
+// budget far below the working set ("streaming", the name it had when a
+// second executor ran it).
+var executorCells = []struct {
+	name              string
+	poison, outOfCore bool
+}{{"static", false, false}, {"dynamic", true, false}, {"streaming", false, true}}
+
+// cellOptions is the options of an executor cell at the given shape.
+func cellOptions(t *testing.T, poison, outOfCore bool, workers int, batch int64) core.Options {
+	opts := core.Options{Workers: workers, BatchElems: batch, PoisonPools: poison}
+	if outOfCore {
+		opts.OutOfCore, opts.Governor, opts.SpillDir = true, core.NewGovernor(1024), t.TempDir()
+		opts.Tracer = &windowCount{}
+	}
+	return opts
+}
+
 // forEachExecutorCell runs f in a subtest for every cell of the fan-out
-// matrix: the executor in memory ("static"), the same with poisoned buffer
-// pools ("dynamic", the name the cell had when a second batch scheduler
-// existed) and streaming (out of core under a budget far below the working
-// set) — at one to four workers and three batch sizes, over 103 elements and
-// over none.
-func forEachExecutorCell(t *testing.T, f func(t *testing.T, in placedInputs, executor string, opts core.Options)) {
+// matrix: each executor cell at one to four workers and three batch sizes,
+// over 103 elements and over none. Out of core, a stage whose split inputs
+// all have window views (CapWindow: the []float64 chains of the reuse-slot
+// tests) runs each window over views at window coordinates; the placed
+// pipeline's stage, whose Series and Matrix inputs have none, runs its
+// windows at absolute coordinates over the materialized inputs.
+func forEachExecutorCell(t *testing.T, f func(t *testing.T, in placedInputs, opts core.Options)) {
 	const n = 103
 	for _, total := range []int{n, 0} {
 		in := newPlacedInputs(total)
-		for _, executor := range []string{"static", "dynamic", "streaming"} {
+		for _, cell := range executorCells {
 			for workers := 1; workers <= 4; workers++ {
 				for _, batch := range []int64{1, 10, n + 50} {
-					name := fmt.Sprintf("n=%d/%s/workers=%d/batch=%d", total, executor, workers, batch)
+					name := fmt.Sprintf("n=%d/%s/workers=%d/batch=%d", total, cell.name, workers, batch)
 					t.Run(name, func(t *testing.T) {
-						opts := core.Options{Workers: workers, BatchElems: batch,
-							PoisonPools: executor == "dynamic", Pedantic: total > 0}
-						if executor == "streaming" {
-							opts.OutOfCore, opts.Governor, opts.SpillDir = true, core.NewGovernor(1024), t.TempDir()
-						}
-						f(t, in, executor, opts)
+						opts := cellOptions(t, cell.poison, cell.outOfCore, workers, batch)
+						opts.Pedantic = total > 0
+						f(t, in, opts)
 					})
 				}
 			}
@@ -172,20 +190,12 @@ func forEachExecutorCell(t *testing.T, f func(t *testing.T, in placedInputs, exe
 }
 
 // Share 0 on the caller and its siblings, whoever runs them, must together
-// produce the unsplit result whichever executor drives them.
+// produce the unsplit result in memory and out of core.
 func TestPlacedOutputsMatchUnsplitCalls(t *testing.T) {
-	forEachExecutorCell(t, func(t *testing.T, in placedInputs, executor string, opts core.Options) {
-		total := in.a.Len()
+	forEachExecutorCell(t, func(t *testing.T, in placedInputs, opts core.Options) {
 		s := core.NewSession(opts)
-		checkAgainstWhole(t, in.capture(s, scaleFn), in.whole(), total == 0)
+		checkAgainstWhole(t, in.capture(s, scaleFn), in.whole(), in.a.Len() == 0)
 		st := s.Stats()
-		if executor == "streaming" && total > 0 {
-			// The streaming executor never places (see below).
-			if st.StreamedStages != 1 || st.PlacedPieces != 0 {
-				t.Fatalf("StreamedStages = %d, PlacedPieces = %d; want 1 and 0", st.StreamedStages, st.PlacedPieces)
-			}
-			return
-		}
 		// The three chains have equal element counts and
 		// share one stage: four placed outputs per batch.
 		if st.PlacedPieces != 4*st.Batches {
@@ -202,7 +212,7 @@ func TestFanOutOnASaturatedPool(t *testing.T) {
 	pool := core.NewWorkerPool(2)
 	defer core.HoldPool(pool)()
 	goroutines := runtime.NumGoroutine()
-	forEachExecutorCell(t, func(t *testing.T, in placedInputs, executor string, opts core.Options) {
+	forEachExecutorCell(t, func(t *testing.T, in placedInputs, opts core.Options) {
 		opts.WorkerPool = pool
 		s := core.NewSession(opts)
 		checkAgainstWhole(t, in.capture(s, scaleFn), in.whole(), in.a.Len() == 0)
@@ -226,18 +236,16 @@ func TestFanOutOnASaturatedPool(t *testing.T) {
 // buffer (PoisonPools would corrupt a result), and a second evaluation of the
 // same session that is under way while they drain is unaffected. The claim
 // state is per fan-out and never reused; a recycled one would hand a late
-// helper a share of the second evaluation's stage — or, when streaming, of
-// the next window's. Every cell poisons its pools, so "dynamic", kept for its
-// test id, runs the same in-memory executor as "static".
+// helper a share of the second evaluation's stage — or, out of core, of the
+// next window's. Every cell poisons its pools, so "dynamic", kept for its
+// test id, runs the same in-memory loop as "static".
 func TestFanOutLateHelpersFindNothing(t *testing.T) {
 	const workers = 3
-	for _, executor := range []string{"static", "dynamic", "streaming"} {
-		t.Run(executor, func(t *testing.T) {
+	for _, cell := range executorCells {
+		t.Run(cell.name, func(t *testing.T) {
 			run := func(pool *core.WorkerPool, between func() (release func())) core.StatsSnapshot {
-				opts := core.Options{Workers: workers, BatchElems: 10, PoisonPools: true, WorkerPool: pool}
-				if executor == "streaming" {
-					opts.OutOfCore, opts.Governor, opts.SpillDir = true, core.NewGovernor(1024), t.TempDir()
-				}
+				opts := cellOptions(t, true, cell.outOfCore, workers, 10)
+				opts.WorkerPool = pool
 				s := core.NewSession(opts)
 				release := between()
 				first := newPlacedInputs(103)
@@ -261,7 +269,7 @@ func TestFanOutLateHelpersFindNothing(t *testing.T) {
 			idle := run(core.NewWorkerPool(2), func() func() { return func() {} })
 			held := core.NewWorkerPool(2)
 			late := run(held, func() func() { return core.HoldPool(held) })
-			if executor == "streaming" && late.PoolTasks < 2*3*(workers-1) {
+			if cell.outOfCore && late.PoolTasks < 2*3*(workers-1) {
 				t.Fatalf("PoolTasks = %d: want at least three windows an evaluation, each with its own offers", late.PoolTasks)
 			}
 			if late.Calls != idle.Calls || late.Batches != idle.Batches || late.PoolTasks != idle.PoolTasks || late.WorkerSpawns != 0 {
@@ -354,15 +362,82 @@ func TestPlacePanicIsIsolated(t *testing.T) {
 	}
 }
 
-// The streaming executor never places: a full-size destination would defeat
-// the memory budget it exists to respect.
+// allocLog records the total of every destination AllocMerged is asked for.
+type allocLog struct {
+	mu     sync.Mutex
+	totals []int64
+}
+
+func (l *allocLog) alloc(sp core.PlaceSplitter, exemplar any, t core.SplitType, total int64) (any, error) {
+	l.mu.Lock()
+	l.totals = append(l.totals, total)
+	l.mu.Unlock()
+	return sp.AllocMerged(exemplar, t, total)
+}
+
+// loggedPlacer is a PlaceSplitter and nothing more: no window views, no
+// codec, so out of core its stage runs at absolute coordinates and folds.
+type loggedPlacer struct {
+	core.PlaceSplitter
+	log *allocLog
+}
+
+func (p loggedPlacer) AllocMerged(exemplar any, t core.SplitType, total int64) (any, error) {
+	return p.log.alloc(p.PlaceSplitter, exemplar, t, total)
+}
+
+// loggedWindowPlacer is the whole ArraySplitter, so out of core its stage
+// runs over window views and spills.
+type loggedWindowPlacer struct {
+	vmathsa.ArraySplitter
+	log *allocLog
+}
+
+func (p loggedWindowPlacer) AllocMerged(exemplar any, t core.SplitType, total int64) (any, error) {
+	return p.log.alloc(p.ArraySplitter, exemplar, t, total)
+}
+
+// Out of core, every destination is window-sized and the result equals the
+// unsplit call: each window builds its own placement table, so AllocMerged is
+// asked once per window for the window's elements and never for the stage's —
+// a full-size destination would break the budget the windows are admitted
+// under. (The name is the one this test had when out-of-core stages placed
+// nothing at all.)
 func TestStreamingNeverPlaces(t *testing.T) {
-	in := newPlacedInputs(4096)
-	s := core.NewSession(core.Options{Workers: 2, BatchElems: 64, OutOfCore: true,
-		Governor: core.NewGovernor(4096), SpillDir: t.TempDir()})
-	checkAgainstWhole(t, in.capture(s, scaleFn), in.whole(), false)
-	if st := s.Stats(); st.StreamedStages != 1 || st.PlacedPieces != 0 {
-		t.Fatalf("StreamedStages = %d, PlacedPieces = %d; want 1 and 0", st.StreamedStages, st.PlacedPieces)
+	const n, budget = 4096, 4096
+	// scale reads 8 bytes an element and writes 8: windows of half the
+	// budget hold budget/(2×16) elements.
+	const window = budget / 32
+	xs := newPlacedInputs(n).xs
+	want, _ := scaleFn([]any{xs})
+	for _, c := range []struct {
+		name   string
+		sp     func(*allocLog) core.Splitter
+		frames int64
+	}{
+		{"absolute/fold", func(l *allocLog) core.Splitter { return loggedPlacer{vmathsa.ArraySplitter{}, l} }, 0},
+		{"views/spill", func(l *allocLog) core.Splitter { return loggedWindowPlacer{vmathsa.ArraySplitter{}, l} }, n / window},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			log := &allocLog{}
+			typ := core.Concrete("ArraySplit", c.sp(log), core.FixedCtor(core.NewSplitType("ArraySplit", n)))
+			s := core.NewSession(core.Options{Workers: 2, BatchElems: 64, OutOfCore: true,
+				Governor: core.NewGovernor(budget), SpillDir: t.TempDir()})
+			checkAgainstWhole(t, []*core.Future{s.Call(scaleFn, typedSA("test.scale", typ), xs)}, []any{want}, false)
+			st := s.Stats()
+			if st.StreamedStages != 1 || st.PlacedPieces != st.Batches || st.SpilledFrames != c.frames {
+				t.Fatalf("StreamedStages = %d, PlacedPieces = %d over %d batches, SpilledFrames = %d; want 1, one per batch, %d",
+					st.StreamedStages, st.PlacedPieces, st.Batches, st.SpilledFrames, c.frames)
+			}
+			if len(log.totals) != n/window {
+				t.Fatalf("%d destinations allocated, want one per window: %d", len(log.totals), n/window)
+			}
+			for _, total := range log.totals {
+				if total != window {
+					t.Fatalf("destinations of %v elements, want every one a window of %d", log.totals, window)
+				}
+			}
+		})
 	}
 }
 
@@ -452,18 +527,27 @@ func checkOffered(t *testing.T, c *intoCall, lo, hi int64) {
 	}
 }
 
-// offeredBounds is how many of its earlier pieces a call whose result is dead
-// after every batch is offered: every piece it returned but each worker's
-// last; a streaming window starts every worker afresh.
-func offeredBounds(st core.StatsSnapshot, executor string, opts core.Options) (lo, hi int64) {
-	lo, hi = st.Batches-int64(opts.Workers), max(st.Batches-1, 0)
-	if executor == "streaming" {
-		lo = 0
-		if opts.Workers == 1 && opts.BatchElems == 1 && st.Batches > 0 {
-			lo = 1
-		}
+// windowCount counts a session's admissions: with a governor, one per window.
+type windowCount struct{ n atomic.Int64 }
+
+func (c *windowCount) Emit(e obs.Event) {
+	if e.Kind == obs.EvAdmission {
+		c.n.Add(1)
 	}
-	return max(lo, 0), hi
+}
+
+// offeredBounds is how many of its earlier pieces a call whose result is dead
+// after every batch is offered: every piece it returned but the first of each
+// worker in each window, whose workers start afresh. A window's fan-out
+// offers all its workers but one to the pool, so they number PoolTasks plus
+// the windows: one in memory, and out of core as many as the cell's
+// windowCount counted since the last call.
+func offeredBounds(st core.StatsSnapshot, opts core.Options) (lo, hi int64) {
+	windows := int64(1)
+	if c, ok := opts.Tracer.(*windowCount); ok {
+		windows = c.n.Swap(0)
+	}
+	return max(st.Batches-st.PoolTasks-windows, 0), max(st.Batches-1, 0)
 }
 
 // Placed outputs and scratch are handed back — each call gets every piece but
@@ -473,21 +557,21 @@ func offeredBounds(st core.StatsSnapshot, executor string, opts core.Options) (l
 func TestReuseSlotsMatchUnsplitCalls(t *testing.T) {
 	pool := core.NewWorkerPool(2)
 	goroutines := runtime.NumGoroutine()
-	forEachExecutorCell(t, func(t *testing.T, in placedInputs, executor string, opts core.Options) {
+	forEachExecutorCell(t, func(t *testing.T, in placedInputs, opts core.Options) {
 		opts.PoisonPools, opts.WorkerPool = true, pool
 		for _, typ := range []struct {
 			name      string
 			expr      core.TypeExpr
 			collected bool
 		}{
-			{"placed", genericS, executor == "streaming"},
+			{"placed", genericS, false},
 			{"place hidden", collectedArrays(len(in.xs)), true},
 		} {
 			ch := newReuseChain()
 			s := core.NewSession(opts)
 			checkAgainstWhole(t, ch.capture(s, typ.expr, in.xs, ch.shift.fn), ch.whole(in.xs), len(in.xs) == 0)
 			st := s.Stats()
-			lo, hi := offeredBounds(st, executor, opts)
+			lo, hi := offeredBounds(st, opts)
 			checkOffered(t, &ch.scale, lo, hi)
 			if typ.collected {
 				lo, hi = 0, 0
@@ -499,6 +583,14 @@ func TestReuseSlotsMatchUnsplitCalls(t *testing.T) {
 			// poisoned, and the sentinels handed over count too.)
 			if st.ReusedPieces < offered || st.ReusedPieces > 3*st.Batches || (!typ.collected && st.ReusedPieces < 3*lo) {
 				t.Fatalf("%s: ReusedPieces = %d, the calls counted %d over %d batches", typ.name, st.ReusedPieces, offered, st.Batches)
+			}
+			// Both outputs are placed by every batch, or by none.
+			placed := 2 * st.Batches
+			if typ.collected {
+				placed = 0
+			}
+			if st.PlacedPieces != placed {
+				t.Fatalf("%s: PlacedPieces = %d over %d batches, want %d", typ.name, st.PlacedPieces, st.Batches, placed)
 			}
 			if held := core.HeldPieces(s); held != 0 {
 				t.Fatalf("%s: %d pieces still referenced from pooled scratch after the evaluation", typ.name, held)
@@ -527,14 +619,14 @@ var identityFn core.Func = func(args []any) (any, error) { return args[0], nil }
 // while shift, whose result only square reads, still is. (Without the reader
 // rule in classifyStages this fails on both counts.)
 func TestReuseSlotsCallReaderPinsItsInput(t *testing.T) {
-	forEachExecutorCell(t, func(t *testing.T, in placedInputs, executor string, opts core.Options) {
+	forEachExecutorCell(t, func(t *testing.T, in placedInputs, opts core.Options) {
 		opts.PoisonPools = true
 		for _, typ := range []struct {
 			name      string
 			expr      core.TypeExpr
 			collected bool
 		}{
-			{"placed", genericS, executor == "streaming"},
+			{"placed", genericS, false},
 			{"place hidden", collectedArrays(len(in.xs)), true},
 		} {
 			ch := newReuseChain()
@@ -548,7 +640,7 @@ func TestReuseSlotsCallReaderPinsItsInput(t *testing.T) {
 			want := []any{wantScaled, ch.square.whole(ch.shift.whole(wantScaled))}
 			checkAgainstWhole(t, []*core.Future{same, squared}, want, len(in.xs) == 0)
 			st := s.Stats()
-			lo, hi := offeredBounds(st, executor, opts)
+			lo, hi := offeredBounds(st, opts)
 			checkOffered(t, &ch.scale, 0, 0)
 			checkOffered(t, &ch.shift, lo, hi)
 			if typ.collected {
@@ -570,7 +662,7 @@ func TestReuseSlotsCallReaderPinsItsInput(t *testing.T) {
 // placed output 0: scale is offered nothing and the collected pieces survive.
 func TestReuseSlotsPinnedProducerBesidePlacedOutput(t *testing.T) {
 	unknown := core.Unknown()
-	forEachExecutorCell(t, func(t *testing.T, in placedInputs, executor string, opts core.Options) {
+	forEachExecutorCell(t, func(t *testing.T, in placedInputs, opts core.Options) {
 		if len(in.xs) == 0 {
 			t.Skip("an output of unknown type cannot be merged from no pieces")
 		}
@@ -590,10 +682,7 @@ func TestReuseSlotsPinnedProducerBesidePlacedOutput(t *testing.T) {
 		if st.Stages > 1 {
 			t.Fatalf("%d stages, want the four calls in one", st.Stages)
 		}
-		lo, hi := offeredBounds(st, executor, opts)
-		if executor == "streaming" {
-			lo, hi = 0, 0 // every output is collected there
-		}
+		lo, hi := offeredBounds(st, opts)
 		checkOffered(t, &ch.scale, 0, 0)
 		checkOffered(t, &ch.square, lo, hi)
 		checkOffered(t, &ch.shift, lo, hi)

@@ -382,8 +382,8 @@ func (s *Session) buildPlan(peek bool) (*plan, error) {
 // reads for the whole stage, because its result may alias it and be collected.
 // And the value is either not a stage output, or an output the executor
 // delivers by placement, which copies the piece out before the batch ends;
-// only the executor knows which outputs those are (streaming places none), so
-// for an output the plan records its index and runBatch asks. Under peek, the
+// only the executor knows which outputs those are, so for an output the plan
+// records its index and runBatch asks. Under peek, the
 // discarded flag of pipelined-away bindings is left untouched.
 func (s *Session) classifyStages(p *plan, peek bool) {
 	// A binding read by this plan has lastAt == planAt and last = the index

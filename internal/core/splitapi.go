@@ -49,8 +49,8 @@ type InPlacer interface {
 // but whose materialized footprint is bounded by the window — either an
 // alias of v's storage or, for generator-backed inputs, a sub-generator
 // that synthesizes only its own window. When every split input of a stage
-// implements SplitterAt, the streaming executor drives the stage one
-// window at a time, so only the in-flight window's pieces ever exist.
+// implements SplitterAt, each out-of-core window runs over views of its
+// inputs, so only the in-flight window's pieces ever exist.
 type SplitterAt interface {
 	Splitter
 	SplitAt(v any, t SplitType, start, end int64) (any, error)
@@ -58,8 +58,8 @@ type SplitterAt interface {
 
 // PieceCodec is the optional spill extension of Splitter. When a stage
 // output's merge order is not foldable in bounded memory — or the runtime
-// prefers to keep merge-side partials off the heap — the streaming
-// executor encodes each window's merged partial into a byte frame, spills
+// prefers to keep merge-side partials off the heap — an out-of-core stage
+// encodes each window's piece of the output into a byte frame, spills
 // it to the CRC-checked temp-file store (internal/spill), and decodes the
 // frames back in order at stage finale. Encode/Decode must round-trip:
 // Decode(Encode(p)) merges equal to p.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -11,26 +10,27 @@ import (
 
 // This file is the OutOfCore rung of the Governor's pressure ladder: a
 // stage whose §5.2 working set (total × Σ elemBytes) exceeds the whole
-// byte budget executes in admission-bounded element windows. Each window
-// is admitted against the Governor, split, executed with the stage's
-// normal batch/worker machinery, eagerly merged down to one partial per
-// output, and released — so the modeled in-flight footprint never exceeds
-// the budget even though the logical input is arbitrarily larger.
+// byte budget runs the stage loop (executeStageSplit) in element windows of
+// half the budget instead of one. Each window is admitted against the
+// Governor, split, executed with the stage's normal batch/worker machinery,
+// its outputs placed into window-sized destinations or merged down to one
+// piece each, and released — so the modeled in-flight footprint never
+// exceeds the budget even though the logical input is arbitrarily larger.
 //
-// Window partials accumulate one of two ways, chosen per output:
+// Window pieces accumulate one of two ways, chosen per output:
 //
 //   - fold: Merge is associative (§3.4), so the running accumulator folds
-//     each window partial as it arrives — acc = Merge(acc, partial). The
+//     each window's piece as it arrives — acc = Merge(acc, piece). The
 //     accumulator is the only merge-side state on the heap.
-//   - spill: when the output's splitter implements PieceCodec, each window
-//     partial is encoded and appended to a CRC-framed temp-file store
+//   - spill: when the output's splitter implements PieceCodec, each window's
+//     piece is encoded and appended to a CRC-framed temp-file store
 //     (internal/spill); the finale replays the frames in order and folds
 //     them incrementally. This keeps concatenation-style outputs off the
 //     heap until the caller actually forces the merged value.
 
-// shouldStream reports whether a stage must take the streaming path: the
-// session opted in, a budgeted Governor is present, and the stage's whole
-// working set cannot fit under the budget even in principle.
+// shouldStream reports whether a stage must run out of core: the session
+// opted in, a budgeted Governor is present, and the stage's whole working
+// set cannot fit under the budget even in principle.
 func (s *Session) shouldStream(total, sumElemBytes int64) bool {
 	if !s.opts.OutOfCore || total <= 0 || sumElemBytes <= 0 {
 		return false
@@ -53,226 +53,158 @@ func (s *Session) safeSplitAt(sp SplitterAt, v any, t SplitType, start, end int6
 	return sp.SplitAt(v, t, start, end)
 }
 
-// executeStreaming runs one stage out of core. inputs are the stage's
-// resolved split inputs; total and sumElemBytes the §5.2 element count and
-// byte width; batch and workers the pre-admission execution shape.
-func (s *Session) executeStreaming(ctx context.Context, si int, st *planStage, inputs []resolvedInput, sumElemBytes, total, batch int64, workers int) error {
-	g := s.opts.Governor
-
-	// Window size: half the budget in modeled bytes, so a release-then-admit
-	// of consecutive windows can overlap with concurrent sessions without
-	// saturating the budget, clamped to at least one batch of progress.
-	windowElems := clamp64(g.Budget()/(2*sumElemBytes), 1, total)
-	batch = min(batch, windowElems)
-	workers = int(clamp64(int64(workers), 1, windowElems))
-
-	ex := s.newStageExec(si, st, inputs, sumElemBytes)
-
-	// Views: when every split input's splitter can produce window views
-	// (CapWindow in its capability set), each window executes over a
+// outOfCore is a stage's state across its windows: whether they run over
+// window views, and each output's accumulator.
+type outOfCore struct {
+	// views: every split input's splitter can produce window views
+	// (CapWindow in its capability set), so each window executes over a
 	// windowed copy of the stage whose inputs cover only [wlo, whi) —
 	// generator-backed inputs synthesize just the window. Otherwise the
-	// originals stay materialized and the runtime drives absolute split
+	// originals stay materialized and the window runs at absolute
 	// coordinates.
-	useViews := len(inputs) > 0
-	for _, in := range inputs {
+	views bool
+	store *spill.Store
+	outs  []outAcc
+}
+
+// outAcc accumulates one output's window pieces: spilled frames when its
+// splitter is a PieceCodec, a running fold otherwise.
+type outAcc struct {
+	codec  PieceCodec
+	stream *spill.Stream
+	acc    any
+	accSet bool
+}
+
+// newOutOfCore sets up a stage's out-of-core run: spillable outputs
+// (splitter implements PieceCodec) get a stream of the frame store, the rest
+// fold in place.
+func (s *Session) newOutOfCore(ex *stageExec) (*outOfCore, error) {
+	o := &outOfCore{views: true, outs: make([]outAcc, len(ex.st.outputs))}
+	for _, in := range ex.inputs {
 		if !CapabilitiesOf(in.r.splitter).Has(CapWindow) {
-			useViews = false
+			o.views = false
 			break
 		}
 	}
-
-	s.notePressure(g, si, ex.calls, PressureOutOfCore)
-	if tr := s.opts.Tracer; tr != nil {
-		tr.Emit(obs.Event{Kind: obs.EvStageBegin, Time: time.Now(), Stage: si,
-			Worker: obs.RuntimeLane, Calls: ex.calls, Split: ex.split,
-			Elems: total, Bytes: sumElemBytes, BatchElems: batch, Workers: workers,
-			CacheBytes: s.opts.cacheTargetBytes(), Detail: "out-of-core"})
-	}
-
-	// Per-output accumulation state. Spillable outputs (splitter implements
-	// PieceCodec) go to the frame store; the rest fold in place.
-	type outAcc struct {
-		codec  PieceCodec
-		stream *spill.Stream
-		acc    any
-		accSet bool
-	}
-	accs := make([]*outAcc, len(st.outputs))
-	var store *spill.Store
-	defer func() {
-		if store != nil {
-			store.Close()
+	for oi, out := range ex.st.outputs {
+		codec, ok := out.r.splitter.(PieceCodec)
+		if !ok || !CapabilitiesOf(out.r.splitter).Has(CapCodec) {
+			continue
 		}
-	}()
-	for oi, out := range st.outputs {
-		a := &outAcc{}
-		if codec, ok := out.r.splitter.(PieceCodec); ok && CapabilitiesOf(out.r.splitter).Has(CapCodec) {
-			if store == nil {
-				var err error
-				store, err = spill.NewStore(s.opts.SpillDir)
-				if err != nil {
-					return s.stageErr(st, OriginInternal, fmt.Errorf("spill store: %w", err))
-				}
-			}
-			stream, err := store.Stream(fmt.Sprintf("out%d", out.b.id))
+		if o.store == nil {
+			store, err := spill.NewStore(s.opts.SpillDir)
 			if err != nil {
-				return s.stageErr(st, OriginInternal, fmt.Errorf("spill stream: %w", err))
+				return nil, s.stageErr(ex.st, OriginInternal, fmt.Errorf("spill store: %w", err))
 			}
-			a.codec, a.stream = codec, stream
+			o.store = store
 		}
-		accs[oi] = a
-	}
-
-	// The window loop: admit → (view-)split → execute → merge → spill or
-	// fold → release, one admission-bounded window at a time.
-	runWindow := func(wlo, whi int64) error {
-		wlen := whi - wlo
-		req := wlen * sumElemBytes
-		if b := g.Budget(); req > b && b > 0 {
-			req = b
-		}
-		t0 := time.Now()
-		admitted, err := g.admit(ctx, req)
-		wait := time.Since(t0)
-		s.stats.add(&s.stats.AdmissionWaitNS, wait)
+		stream, err := o.store.Stream(fmt.Sprintf("out%d", out.b.id))
 		if err != nil {
-			return s.stageErr(st, originFromContext(err), err)
+			o.close()
+			return nil, s.stageErr(ex.st, OriginInternal, fmt.Errorf("spill stream: %w", err))
 		}
-		defer g.release(admitted)
+		o.outs[oi].codec, o.outs[oi].stream = codec, stream
+	}
+	return o, nil
+}
+
+// close removes the stage's spill store, if it opened one.
+func (o *outOfCore) close() {
+	if o.store != nil {
+		o.store.Close()
+	}
+}
+
+// windowView is ex over window views of its inputs covering [wlo, whi),
+// whose batches run at window coordinates [0, whi−wlo).
+func (s *Session) windowView(ex *stageExec, wlo, whi int64) (*stageExec, error) {
+	winputs := make([]resolvedInput, len(ex.inputs))
+	for i, in := range ex.inputs {
+		sa, ok := in.r.splitter.(SplitterAt)
+		if !ok {
+			return nil, s.stageErr(ex.st, OriginInternal, fmt.Errorf("splitter for %s declares CapWindow but implements no SplitAt", in.r.t))
+		}
+		view, err := s.safeSplitAt(sa, in.val, in.r.t, wlo, whi)
+		if err != nil {
+			return nil, s.stageErr(ex.st, OriginSplit, fmt.Errorf("window split of %s [%d,%d): %w", in.r.t, wlo, whi, err))
+		}
+		winputs[i] = in
+		winputs[i].val = view
+	}
+	return s.newStageExec(ex.si, ex.st, winputs, ex.elemBytes), nil
+}
+
+// add takes output oi's piece of window [wlo, whi): a spillable output
+// appends it to its stream as one frame, any other folds it into its
+// accumulator.
+func (o *outOfCore) add(s *Session, ex *stageExec, oi int, piece any, wlo, whi int64) error {
+	out, a := ex.st.outputs[oi], &o.outs[oi]
+	if a.codec != nil {
+		frame, err := a.codec.EncodePiece(piece, out.r.t)
+		if err != nil {
+			return s.stageErr(ex.st, OriginMerge, fmt.Errorf("encode spill frame output %d: %w", oi, err))
+		}
+		if _, err := a.stream.Append(frame); err != nil {
+			return s.stageErr(ex.st, OriginInternal, fmt.Errorf("spill append output %d: %w", oi, err))
+		}
+		s.stats.add(&s.stats.SpilledBytes, time.Duration(len(frame)))
+		s.stats.add(&s.stats.SpilledFrames, 1)
 		if tr := s.opts.Tracer; tr != nil {
-			tr.Emit(obs.Event{Kind: obs.EvAdmission, Time: time.Now(), Dur: wait,
-				Stage: si, Worker: obs.RuntimeLane, Calls: ex.calls,
-				Start: wlo, End: whi, Bytes: admitted, BatchElems: batch, Workers: workers})
-		}
-
-		wex, lo, hi := ex, wlo, whi
-		if useViews {
-			winputs := make([]resolvedInput, len(inputs))
-			for i, in := range inputs {
-				sa, ok := in.r.splitter.(SplitterAt)
-				if !ok {
-					return s.stageErr(st, OriginInternal, fmt.Errorf("splitter for %s declares CapWindow but implements no SplitAt", in.r.t))
-				}
-				view, err := s.safeSplitAt(sa, in.val, in.r.t, wlo, whi)
-				if err != nil {
-					return s.stageErr(st, OriginSplit, fmt.Errorf("window split of %s [%d,%d): %w", in.r.t, wlo, whi, err))
-				}
-				winputs[i] = in
-				winputs[i].val = view
-			}
-			wex = s.newStageExec(si, st, winputs, sumElemBytes)
-			lo, hi = 0, wlen
-		}
-
-		// A window runs no more workers than it has elements, so every
-		// worker holds a partial of every output.
-		results, err := s.runStatic(ctx, wex, lo, hi, batch, min(workers, int(wlen)))
-		if err != nil {
-			return err
-		}
-		defer s.pools.putOuts(results)
-
-		t1 := time.Now()
-		for oi, out := range st.outputs {
-			piece, err := s.mergePartials(out.r, results, oi)
-			if err != nil {
-				return s.stageErr(st, OriginMerge, fmt.Errorf("window merge output %d: %w", oi, err))
-			}
-			a := accs[oi]
-			if a.codec != nil {
-				frame, err := a.codec.EncodePiece(piece, out.r.t)
-				if err != nil {
-					return s.stageErr(st, OriginMerge, fmt.Errorf("encode spill frame output %d: %w", oi, err))
-				}
-				if _, err := a.stream.Append(frame); err != nil {
-					return s.stageErr(st, OriginInternal, fmt.Errorf("spill append output %d: %w", oi, err))
-				}
-				s.stats.add(&s.stats.SpilledBytes, time.Duration(len(frame)))
-				s.stats.add(&s.stats.SpilledFrames, 1)
-				if tr := s.opts.Tracer; tr != nil {
-					tr.Emit(obs.Event{Kind: obs.EvSpill, Time: time.Now(), Stage: si,
-						Worker: obs.RuntimeLane, Calls: ex.calls, Split: ex.split,
-						Start: wlo, End: whi, Bytes: int64(len(frame)), Detail: "append"})
-				}
-				continue
-			}
-			if !a.accSet {
-				a.acc, a.accSet = piece, true
-				continue
-			}
-			folded, err := s.mergePieces(out.r, []any{a.acc, piece})
-			if err != nil {
-				return s.stageErr(st, OriginMerge, fmt.Errorf("fold output %d: %w", oi, err))
-			}
-			a.acc = folded
-		}
-		s.stats.add(&s.stats.MergeNS, time.Since(t1))
-		if len(st.outputs) > 0 {
-			s.emitMerge(ex, obs.RuntimeLane, time.Since(t1))
+			tr.Emit(obs.Event{Kind: obs.EvSpill, Time: time.Now(), Stage: ex.si,
+				Worker: obs.RuntimeLane, Calls: ex.calls, Split: ex.split,
+				Start: wlo, End: whi, Bytes: int64(len(frame)), Detail: "append"})
 		}
 		return nil
 	}
-
-	for wlo := int64(0); wlo < total; wlo += windowElems {
-		whi := wlo + windowElems
-		if whi > total {
-			whi = total
-		}
-		if err := ctx.Err(); err != nil {
-			return s.stageErr(st, originFromContext(err), err)
-		}
-		if err := runWindow(wlo, whi); err != nil {
-			return err
-		}
+	if err := a.fold(s, out.r, piece); err != nil {
+		return s.stageErr(ex.st, OriginMerge, fmt.Errorf("fold output %d: %w", oi, err))
 	}
+	return nil
+}
 
-	// Finale: replay spilled frames in order (CRC-verified) and fold them
-	// incrementally; fold-mode outputs already hold their accumulator.
-	t2 := time.Now()
-	for oi, out := range st.outputs {
-		a := accs[oi]
+// fold merges piece into the accumulator; the first piece becomes it.
+func (a *outAcc) fold(s *Session, r resolved, piece any) error {
+	if !a.accSet {
+		a.acc, a.accSet = piece, true
+		return nil
+	}
+	folded, err := s.mergePieces(r, []any{a.acc, piece})
+	if err != nil {
+		return err
+	}
+	a.acc = folded
+	return nil
+}
+
+// finish is the stage's finale: spilled frames are replayed in order
+// (CRC-verified) and folded incrementally, and every output takes its
+// accumulator as its value. At least one window ran — shouldStream requires
+// elements — and each added a piece of every output, so every accumulator
+// is set.
+func (o *outOfCore) finish(s *Session, ex *stageExec) error {
+	t0 := time.Now()
+	for oi, out := range ex.st.outputs {
+		a := &o.outs[oi]
 		if a.codec != nil {
 			err := a.stream.Replay(func(seq uint32, payload []byte) error {
 				piece, err := a.codec.DecodePiece(payload, out.r.t)
 				if err != nil {
 					return fmt.Errorf("decode spill frame %d: %w", seq, err)
 				}
-				if !a.accSet {
-					a.acc, a.accSet = piece, true
-					return nil
-				}
-				folded, err := s.mergePieces(out.r, []any{a.acc, piece})
-				if err != nil {
-					return err
-				}
-				a.acc = folded
-				return nil
+				return a.fold(s, out.r, piece)
 			})
 			if err != nil {
-				return s.stageErr(st, OriginMerge, fmt.Errorf("spill replay output %d: %w", oi, err))
+				return s.stageErr(ex.st, OriginMerge, fmt.Errorf("spill replay output %d: %w", oi, err))
 			}
 			if tr := s.opts.Tracer; tr != nil {
-				tr.Emit(obs.Event{Kind: obs.EvSpill, Time: time.Now(), Stage: si,
+				tr.Emit(obs.Event{Kind: obs.EvSpill, Time: time.Now(), Stage: ex.si,
 					Worker: obs.RuntimeLane, Calls: ex.calls, Split: ex.split,
 					Bytes: a.stream.Bytes(), Elems: a.stream.Frames(), Detail: "replay"})
 			}
 		}
-		if !a.accSet {
-			merged, err := s.mergePieces(out.r, nil)
-			if err != nil {
-				return s.stageErr(st, OriginMerge, fmt.Errorf("merge output %d: %w", oi, err))
-			}
-			a.acc = merged
-		}
 		out.b.set(a.acc)
 	}
-	s.stats.add(&s.stats.MergeNS, time.Since(t2))
-	s.finishStageBindings(st)
-	s.stats.add(&s.stats.StreamedStages, 1)
-
-	// The squeeze is over: the stage's working set has been released, so
-	// the governor's level returns to normal (MaxLevel keeps the episode).
-	s.notePressure(g, si, ex.calls, PressureNormal)
+	s.stats.add(&s.stats.MergeNS, time.Since(t0))
 	return nil
 }

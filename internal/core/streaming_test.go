@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -109,7 +110,11 @@ func TestStreamingSpillsAndMatches(t *testing.T) {
 
 	stores0 := spill.OpenStores()
 	fut := s.Call(fnStreamAddOne, saStreamAddOne(streamSplitter{}), a)
-	if err := s.EvaluateContext(context.Background()); err != nil {
+	// Under a deadline, a window whose bytes are never released makes a
+	// later window's admission fail instead of hanging the test.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.EvaluateContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 	got, err := fut.Get()
@@ -172,6 +177,44 @@ func TestStreamingSpillsAndMatches(t *testing.T) {
 	for _, e := range tr.ofKind(obs.EvStageBegin) {
 		if e.Detail != "out-of-core" {
 			t.Errorf("stage begin detail = %q, want out-of-core", e.Detail)
+		}
+	}
+
+	// A stage whose call fails, or whose context is canceled, part way
+	// through its windows ends the episode too: every byte is released and
+	// the level returns to normal, visibly.
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		fail func(cancel context.CancelFunc) error
+	}{
+		{"failing call", func(context.CancelFunc) error { return boom }},
+		{"canceled context", func(cancel context.CancelFunc) error { cancel(); return nil }},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		fn := func(args []any) (any, error) {
+			if calls.Add(1) == 20 {
+				if err := tc.fail(cancel); err != nil {
+					return nil, err
+				}
+			}
+			return fnStreamAddOne(args)
+		}
+		tr := &recordingTracer{}
+		s := NewSession(Options{Workers: 3, BatchElems: 64, Governor: g,
+			OutOfCore: true, SpillDir: t.TempDir(), Tracer: tr})
+		s.Call(fn, saStreamAddOne(streamSplitter{}), a)
+		err := s.EvaluateContext(ctx)
+		cancel()
+		if err == nil {
+			t.Fatalf("%s: evaluation succeeded", tc.name)
+		}
+		pressure := tr.ofKind(obs.EvPressure)
+		if g.InUse() != 0 || g.Level() != PressureNormal ||
+			len(pressure) == 0 || pressure[len(pressure)-1].Detail != "normal" {
+			t.Errorf("%s: governor holds %d bytes at level %v, pressure events %+v; want 0 bytes, back to normal",
+				tc.name, g.InUse(), g.Level(), pressure)
 		}
 	}
 }

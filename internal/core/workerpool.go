@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// WorkerPool is a persistent pool of worker goroutines that the executor,
-// in memory and streaming, offers a stage's shares 1…W−1 to
+// WorkerPool is a persistent pool of worker goroutines that every window of
+// the stage loop, in memory or out of core, offers its shares 1…W−1 to
 // (Session.fanOut: share 0 runs on the evaluating goroutine, and so does any
 // share no helper has claimed by the time the evaluating goroutine gets to
 // it). Once its workers are parked, evaluations run entirely on them — zero

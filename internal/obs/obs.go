@@ -88,7 +88,7 @@ const (
 	// EvSpill is one merge-side partial written to (or replayed from) the
 	// out-of-core spill store: Bytes is the frame payload size, Start/End
 	// the element window it covers, Detail "append" or "replay". Emitted
-	// on the runtime lane by the streaming executor.
+	// on the runtime lane by an out-of-core stage.
 	EvSpill
 	// EvTune closes the telemetry→plan loop: one per evaluation when a
 	// Tuner (Options.Tuner) is configured, after execution. Detail carries

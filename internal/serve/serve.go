@@ -746,7 +746,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// Degradation preferred over 429: run without a request-level hold.
-		// The streaming executor admits window by window against the tenant
+		// An out-of-core stage admits window by window against the tenant
 		// governor, so actual reservations stay bounded by the budget even
 		// though the nominal demand did not fit.
 		releaseHold = func() {}

@@ -1,6 +1,6 @@
-// Package spill is the out-of-core executor's merge-partial store: a
-// temp-file, append-only frame log the streaming executor writes one frame
-// per (output, window) into and replays in order at stage finale.
+// Package spill is the out-of-core stages' output store: a temp-file,
+// append-only frame log an out-of-core stage writes one frame per (output,
+// window) into and replays in order at stage finale.
 //
 // Design constraints, in order:
 //
@@ -54,7 +54,7 @@ func OpenStores() int64 { return openStores.Load() }
 
 // Store is one stage's spill directory: a set of named append-only frame
 // streams under a private temp directory. Safe for concurrent use across
-// streams; each individual Stream is single-writer (the streaming executor
+// streams; each individual Stream is single-writer (an out-of-core stage
 // appends from the coordinating goroutine).
 type Store struct {
 	dir string

@@ -13,8 +13,8 @@ import (
 // synthesizes option chunks on demand from a pure per-index hash, so the
 // working set of a window is bounded by the window size no matter how large
 // the nominal input is. Under a Governor budget with Options.OutOfCore set,
-// the streaming executor drives the generator in admission-sized windows and
-// spills merged output partials, so a run whose nominal working set is far
+// the stage loop drives the generator in admission-sized windows and
+// spills each window's outputs, so a run whose nominal working set is far
 // past the budget still completes (§PR7 pressure ladder). The Base variant
 // streams the same chunks sequentially, so checksums match bit for bit.
 
@@ -71,7 +71,7 @@ func oocFill(g *oocOptions, base, n int64) *oocChunk {
 
 // oocSplitter splits the generator by materializing chunks. It is not
 // in-place (each piece is fresh storage), and it implements core.SplitterAt
-// so the streaming executor can take window views without materializing the
+// so an out-of-core stage can take window views without materializing the
 // whole grid.
 type oocSplitter struct{}
 
