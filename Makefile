@@ -1,12 +1,14 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
 # workflow runs: the gate-name check (every `-run` pattern of a recipe still
-# names a test), vet (fail fast), the deprecation gate, build, plain tests,
+# names a test), vet (fail fast), the deprecation gate, the layering gate
+# (the runtime does not link the memsim model), build, plain tests,
 # the race detector over the runtime-heavy packages, the flakiness gate (the
 # fault-tolerance suites and the root package three times under -race, so a
 # nondeterministic retry/breaker/admission/tuner test cannot land green), the zero-copy pool
 # smoke (AllocsPerRun, alias checks, leak suite), the faults-experiment
 # smoke, the telemetry smokes (trace, explain, Prometheus golden, bench
-# snapshot), the out-of-core spill smoke, the adaptive-planner tune smoke
+# snapshot), the out-of-core spill smoke, the fuzz smoke (the fuzz targets
+# past their seed corpus), the adaptive-planner tune smoke
 # (online batch calibration vs the static heuristic), the mozartd
 # serve smoke (boot, shed, SIGTERM drain), the observability smoke
 # (traceparent echo, span trees, OpenMetrics exemplars, burn rates,
@@ -19,9 +21,9 @@ GO ?= go
 # GOMAXPROCS sweep).
 POOL_TESTS = TestWorkerPool|TestSteadyState|TestSharedWorkerPool
 
-.PHONY: ci gate-names vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-quick bench-snapshot bench serve-smoke slo-smoke spill-smoke tune-smoke soak
+.PHONY: ci gate-names vet deprecations layering build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-quick bench-snapshot bench serve-smoke slo-smoke spill-smoke fuzz-smoke tune-smoke soak
 
-ci: gate-names vet deprecations build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke tune-smoke serve-smoke slo-smoke bench-quick
+ci: gate-names vet deprecations layering build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke fuzz-smoke tune-smoke serve-smoke slo-smoke bench-quick
 
 # `go test -run P` passes when P matches nothing, so a renamed test would
 # silently leave its gate. Every |-alternative of every -run pattern in the
@@ -50,6 +52,17 @@ deprecations:
 	else \
 		$(GO) run ./cmd/depcheck ; \
 	fi
+
+# The runtime reports only what it measures: the root package, internal/core
+# and internal/obs must not link the memsim machine model or its plan
+# lowering. The model is reached from a plan IR through internal/planlower,
+# beside the runtime (benchmark/, sabench bench).
+layering:
+	@for p in . ./internal/core ./internal/obs; do \
+		if $(GO) list -deps $$p | grep -x 'mozart/internal/\(memsim\|planlower\)'; then \
+			echo "layering: $$p links the model above" >&2; exit 1; \
+		fi; \
+	done
 
 build:
 	$(GO) build ./...
@@ -154,6 +167,12 @@ tune-smoke:
 # experiment exits non-zero on any violated invariant).
 spill-smoke:
 	$(GO) run ./cmd/sabench -experiment spill
+
+# The fuzz targets past their seed corpus (plain `go test` runs only the
+# seeds): the traceparent parser and the spill store's frame replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime=10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime=10s ./internal/spill
 
 # Smoke-run the BENCH trajectory emitter into a throwaway directory: all 16
 # workloads through the real planner and the counter simulation, snapshot

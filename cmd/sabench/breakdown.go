@@ -17,7 +17,6 @@ func runWithBreakdown(spec workloads.Spec, cfg workloads.Config) (core.StatsSnap
 	for _, s := range sessions {
 		st := s.Stats()
 		total.ClientNS += st.ClientNS
-		total.UnprotectNS += st.UnprotectNS
 		total.PlannerNS += st.PlannerNS
 		total.SplitNS += st.SplitNS
 		total.TaskNS += st.TaskNS

@@ -174,28 +174,24 @@ func modeledVariants(spec workloads.Spec) []workloads.Variant {
 func fig5(scaleDiv int) {
 	fmt.Println("=== Figure 5: runtime breakdown (measured on this host) ===")
 	w := tw()
-	fmt.Fprintln(w, "workload\tclient\tunprotect\tplanner\tsplit\ttask\tmerge")
+	fmt.Fprintln(w, "workload\tclient\tplanner\tsplit\ttask\tmerge")
 	for _, name := range []string{"blackscholes-mkl", "nashville-imagemagick"} {
 		spec, _ := workloads.ByName(name)
-		cfg := workloads.Config{
-			Scale:   spec.DefaultScale / scaleDiv,
-			Threads: 1,
-			// ~3.5ms/GB, the paper's measured mprotect cost.
-			UnprotectNSPerByte: 0.0035,
-		}
+		cfg := workloads.Config{Scale: spec.DefaultScale / scaleDiv, Threads: 1}
 		bd, err := runWithBreakdown(spec, cfg)
 		if err != nil {
 			fmt.Fprintf(w, "%s\terror: %v\n", name, err)
 			continue
 		}
-		tot := bd.ClientNS + bd.UnprotectNS + bd.PlannerNS + bd.SplitNS + bd.TaskNS + bd.MergeNS
-		pct := func(x int64) string { return fmt.Sprintf("%.2f%%", 100*float64(x)/float64(tot)) }
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n", name,
-			pct(bd.ClientNS), pct(bd.UnprotectNS), pct(bd.PlannerNS),
+		tot := float64(bd.Total())
+		pct := func(x int64) string { return fmt.Sprintf("%.2f%%", 100*float64(x)/tot) }
+		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\n", name,
+			pct(bd.ClientNS), pct(bd.PlannerNS),
 			pct(bd.SplitNS), pct(bd.TaskNS), pct(bd.MergeNS))
 	}
 	w.Flush()
 	fmt.Println("(task dominates; client+planner are <0.5% as in the paper)")
+	fmt.Println("(no unprotect phase: calls are captured through the wrappers, so no buffer is mprotect-ed)")
 }
 
 // fig6 sweeps the batch size and marks Mozart's heuristic pick.

@@ -6,9 +6,9 @@
 // Metrics sink aggregates per-stage batch counts, bytes moved under the
 // paper's §5.2 model, and cache-batch utilization, and a FlightRecorder
 // keeps the last evaluations' full event streams (plus the rendered plan)
-// for post-mortem dumps. SimulateCounters additionally lowers each
-// evaluation's real plan into the memsim cache model and folds simulated
-// L1/L2/LLC hit/miss counts and DRAM traffic into the same metrics rows.
+// for post-mortem dumps. Every number it prints is measured on this
+// process; the memsim cache model is reached from a plan IR through
+// internal/planlower, not from the runtime.
 //
 // Run it, then load mozart-trace.json in https://ui.perfetto.dev (or
 // chrome://tracing) to see each worker pulling cache-sized batches through
@@ -52,7 +52,7 @@ func main() {
 	recorder := mozart.NewFlightRecorder(4)
 	plans := httpdebug.NewPlanLog(4)
 	opts := mozart.WithTracer(
-		mozart.Options{Workers: 4, ProfileLabels: true, SimulateCounters: true},
+		mozart.Options{Workers: 4, ProfileLabels: true},
 		mozart.MultiTracer(trace, metrics))
 	opts = mozart.WithFlightRecorder(opts, recorder)
 	prevOnPlan := opts.OnPlan

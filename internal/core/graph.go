@@ -18,14 +18,12 @@ type binding struct {
 	val      any   // current full value (valid when hasVal)
 	producer *node // pending producer among un-evaluated nodes, nil otherwise
 	key      uintptr
-	bytes    int64
 	// The flags sit together, next to the 4-byte-aligned planner scratch, so
 	// that a binding stays in the 80-byte size class.
 	hasVal    bool     // val holds the current full value
 	ready     bool     // val is final and safe for user reads
 	keep      bool     // user demanded materialization (Future.Keep)
 	discarded bool     // was pipelined away and never materialized
-	guarded   bool     // participates in simulated memory protection
 	pm        planMark // planner scratch, valid per epoch (planner.go)
 }
 
@@ -60,7 +58,6 @@ type Session struct {
 	planEpoch uint32        // last epoch handed to the planner's per-binding marks
 	broken    error         // sticky evaluation error
 	breakers  *breakerSet   // per-annotation circuit breakers (FallbackQuarantine)
-	sim       simCounters   // plan-signature cache for simulated counters
 	pools     *sessionPools // hot-path buffer reuse (scratch, outs, pieces)
 }
 
@@ -120,27 +117,6 @@ func dataPointer(v any) (uintptr, bool) {
 	return 0, false
 }
 
-// Footprinter lets data types report their buffer size for the simulated
-// memory-protection accounting.
-type Footprinter interface {
-	MemoryFootprint() int64
-}
-
-// estimateBytes best-effort sizes a value's backing storage.
-func estimateBytes(v any) int64 {
-	if v == nil {
-		return 0
-	}
-	if f, ok := v.(Footprinter); ok {
-		return f.MemoryFootprint()
-	}
-	rv := reflect.ValueOf(v)
-	if rv.Kind() == reflect.Slice {
-		return int64(rv.Len()) * int64(rv.Type().Elem().Size())
-	}
-	return 0
-}
-
 func (s *Session) newBinding() *binding {
 	b := &binding{id: s.nextID}
 	s.nextID++
@@ -179,15 +155,6 @@ func (s *Session) bindingFor(arg any) *binding {
 func (s *Session) Track(v any) *Future {
 	b := s.bindingFor(v)
 	return &Future{sess: s, b: b}
-}
-
-// Guard marks v's buffer as protected, simulating the paper's PROT_NONE
-// allocations: each evaluation accounts an unprotect cost proportional to
-// the guarded bytes (§8.5). bytes should be the buffer size.
-func (s *Session) Guard(v any, bytes int64) {
-	b := s.bindingFor(v)
-	b.guarded = true
-	b.bytes = bytes
 }
 
 // Call captures an annotated function call in the dataflow graph and
@@ -304,24 +271,6 @@ func (s *Session) EvaluateContext(ctx context.Context) error {
 			Worker: obs.RuntimeLane, Elems: int64(len(s.nodes)), Trace: s.opts.Trace})
 	}
 
-	// Simulated memory unprotection of guarded buffers (§8.5): the paper
-	// measured ~3.5ms per GB with mprotect. We account the modeled cost so
-	// the Figure 5 breakdown has the same shape. With a non-zero cost
-	// configured, every materialized buffer counts as protected (the
-	// paper's drop-in malloc protects all Mozart-visible memory).
-	t0 := time.Now()
-	var guardedBytes int64
-	for _, b := range s.bindings {
-		switch {
-		case b.guarded:
-			guardedBytes += b.bytes
-		case s.opts.UnprotectNSPerByte > 0 && b.hasVal:
-			guardedBytes += estimateBytes(b.val)
-		}
-	}
-	elapsed := time.Since(t0) + time.Duration(float64(guardedBytes)*s.opts.UnprotectNSPerByte)
-	s.stats.add(&s.stats.UnprotectNS, elapsed)
-
 	t1 := time.Now()
 	plan, err := s.buildPlan(false)
 	plannerDur := time.Since(t1)
@@ -337,9 +286,6 @@ func (s *Session) EvaluateContext(ctx context.Context) error {
 	}
 	if s.opts.OnPlan != nil {
 		s.opts.OnPlan(plan.ir)
-	}
-	if s.opts.SimulateCounters && tr != nil {
-		s.emitSimCounters(tr, plan.ir)
 	}
 
 	execStart := time.Now()

@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mozart/internal/memsim"
 	"mozart/internal/obs"
+	ir "mozart/internal/plan"
+	"mozart/internal/planlower"
 )
 
 // recordingTracer captures every emitted event, and the goroutine that
@@ -458,44 +462,39 @@ func TestEvaluateContextCancelMidStage(t *testing.T) {
 	})
 }
 
-// TestSimulateCountersEvents: under Options.SimulateCounters every traced
-// evaluation emits one stage-counters event per plan stage, carrying a
-// non-trivial memsim replay of the real plan, keyed so metric sinks fold
-// it into the executed stage's row. The second identical evaluation hits
-// the plan-signature cache and emits identical counters.
+// TestSimulateCountersEvents: the memsim model lives beside the runtime, not
+// in it. The executed plan, captured through Options.OnPlan, lowers through
+// planlower.SimulateCounters into non-trivial counters; two evaluations of
+// the same shape lower to identical counters; and the session's tracer sees
+// only the measured event kinds.
 func TestSimulateCountersEvents(t *testing.T) {
 	const n = 4096
 	tr := &recordingTracer{}
-	metrics := obs.NewMetrics()
+	var plans []*ir.Plan
 	a, out := seq(n), make([]float64, n)
-	s := NewSession(Options{Workers: 2, BatchElems: 512,
-		Tracer: obs.Multi(tr, metrics), SimulateCounters: true})
-	eval := func() {
+	s := NewSession(Options{Workers: 2, BatchElems: 512, Tracer: tr,
+		OnPlan: func(p *ir.Plan) { plans = append(plans, p) }})
+	eval := func() []memsim.StageCounters {
 		t.Helper()
 		s.Call(testLog1p, saUnary("log1p"), n, a, out)
 		s.Call(testLog1p, saUnary("log1p"), n, out, out)
 		if err := s.EvaluateContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		p := plans[len(plans)-1]
+		return planlower.SimulateCounters(p, planlower.Options{Name: "live"},
+			memsim.DefaultMachine(), s.Options().Workers)
 	}
-	eval()
+	first := eval()
 
-	evs := tr.ofKind(obs.EvStageCounters)
-	if len(evs) != 1 {
-		t.Fatalf("stage-counters events = %d, want 1 (one pipelined stage)", len(evs))
+	if len(first) != 1 {
+		t.Fatalf("simulated stages = %d, want 1 (one pipelined stage)", len(first))
 	}
-	e := evs[0]
-	if e.Stage != 0 || e.Worker != obs.RuntimeLane {
-		t.Errorf("event placement %+v", e)
-	}
-	if e.Calls != "log1p -> log1p" {
-		t.Errorf("event calls = %q, want the executed pipeline", e.Calls)
-	}
-	c := e.Counters
-	if c.Zero() {
+	c := first[0]
+	if c == (memsim.StageCounters{}) {
 		t.Fatal("counters are all zero")
 	}
-	if c.L1Hits+c.L1Misses == 0 || c.DRAMBytes <= 0 || c.ModelNS <= 0 {
+	if c.L1Hits+c.L1Misses == 0 || c.DRAMBytes <= 0 || c.Seconds <= 0 {
 		t.Errorf("counters not populated: %+v", c)
 	}
 	// Accesses flow down the hierarchy: L2 sees at most L1's misses.
@@ -503,29 +502,18 @@ func TestSimulateCountersEvents(t *testing.T) {
 		t.Errorf("L2 accesses (%d) exceed L1 misses (%d)", c.L2Hits+c.L2Misses, c.L1Misses)
 	}
 
-	// The metrics sink folded the counters into the executed stage's row.
-	sn := metrics.Snapshot()
-	if len(sn.Stages) != 1 {
-		t.Fatalf("metrics stages = %d, want 1 (sim row merged with executed row)", len(sn.Stages))
-	}
-	if sn.Stages[0].Sim != c {
-		t.Errorf("metrics sim row %+v != emitted counters %+v", sn.Stages[0].Sim, c)
-	}
-	if sn.Stages[0].Batches == 0 {
-		t.Error("the merged row lost the measured counters")
+	// Second evaluation of the same shape: identical counters.
+	if second := eval(); !reflect.DeepEqual(second, first) {
+		t.Errorf("same shape lowered differently: %+v vs %+v", second, first)
 	}
 
-	// Second identical evaluation: cached simulation, identical counters.
-	eval()
-	evs = tr.ofKind(obs.EvStageCounters)
-	if len(evs) != 2 {
-		t.Fatalf("stage-counters events after second eval = %d, want 2", len(evs))
-	}
-	if evs[1].Counters != c {
-		t.Errorf("cached replay differs: %+v vs %+v", evs[1].Counters, c)
-	}
-	if got := len(s.sim.cache); got != 1 {
-		t.Errorf("plan-signature cache entries = %d, want 1", got)
+	measured := map[obs.EventKind]bool{obs.EvSessionBegin: true, obs.EvSessionEnd: true,
+		obs.EvPlan: true, obs.EvStageBegin: true, obs.EvStageEnd: true,
+		obs.EvBatch: true, obs.EvMerge: true}
+	for _, e := range tr.all() {
+		if !measured[e.Kind] {
+			t.Errorf("tracer saw %s, which is not a measured kind", e.Kind)
+		}
 	}
 }
 

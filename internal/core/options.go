@@ -46,10 +46,6 @@ type Options struct {
 	// still split and parallelized, but merged between calls. This is the
 	// Mozart(-pipe) ablation of Table 4.
 	DisablePipelining bool
-	// UnprotectNSPerByte is the modeled cost of unprotecting one byte of
-	// guarded memory per evaluation (simulating the paper's mprotect-based
-	// laziness; §8.5 reports ~3.5ms/GB). Zero disables the accounting.
-	UnprotectNSPerByte float64
 	// StageTimeout, when non-zero, bounds the wall-clock time of each
 	// stage. A stage that exceeds it is canceled: workers stop claiming
 	// batches (in-flight library calls run to completion first, since
@@ -173,14 +169,6 @@ type Options struct {
 	// exactly. Share one Tuner across sessions to keep calibration warm
 	// (it must then be concurrency-safe, as *tune.Tuner is).
 	Tuner ir.BatchSource
-	// SimulateCounters, with a Tracer set, lowers each evaluation's plan
-	// IR into the memsim machine model and emits per-stage simulated
-	// hardware counters (L1/L2/LLC hits and misses, DRAM bytes, modeled
-	// runtime) as stage-counters events before execution. Metric sinks
-	// fold them into the same per-stage rows as the measured counters.
-	// Results are cached by plan rendering, so iterative workloads
-	// simulate each distinct plan shape once. No effect without a Tracer.
-	SimulateCounters bool
 }
 
 // batchPolicy is the §5.2 batch rule these options denote, as recorded in

@@ -7,14 +7,15 @@ import (
 )
 
 // StatsSnapshot is a plain value copy of the runtime statistics, matching
-// the breakdown of Figure 5: client-library registration, unprotecting lazy
-// values, planning, splitting, task execution, and merging, plus the
-// fault-tolerance and resilience counters. It is the type Session.Stats
+// the breakdown of Figure 5: client-library registration, planning,
+// splitting, task execution, and merging, plus the fault-tolerance and
+// resilience counters. Every field is measured on this process; Figure 5's
+// unprotect phase has no counterpart, because capture goes through the
+// wrappers and no buffer is ever protected. It is the type Session.Stats
 // returns: an atomic snapshot with no live fields, so callers can read,
 // copy, and compare it without data-race footguns.
 type StatsSnapshot struct {
 	ClientNS    int64 // registering calls with the dataflow graph
-	UnprotectNS int64 // simulated memory-(un)protection on guarded buffers
 	PlannerNS   int64 // converting the graph into stages
 	SplitNS     int64 // calls into splitters' Split
 	TaskNS      int64 // executing library functions
@@ -51,7 +52,7 @@ type StatsSnapshot struct {
 
 // Total returns the sum of all phase times.
 func (sn StatsSnapshot) Total() time.Duration {
-	return time.Duration(sn.ClientNS + sn.UnprotectNS + sn.PlannerNS + sn.SplitNS + sn.TaskNS + sn.MergeNS)
+	return time.Duration(sn.ClientNS + sn.PlannerNS + sn.SplitNS + sn.TaskNS + sn.MergeNS)
 }
 
 // String renders the breakdown as percentages of total, the way Figure 5
@@ -65,8 +66,8 @@ func (sn StatsSnapshot) String() string {
 	}
 	pct := func(ns int64) float64 { return 100 * float64(ns) / tot }
 	out := fmt.Sprintf(
-		"client %.2f%% | unprotect %.2f%% | planner %.2f%% | split %.2f%% | task %.2f%% | merge %.2f%% (total %v, %d stages, %d batches, %d calls)",
-		pct(sn.ClientNS), pct(sn.UnprotectNS), pct(sn.PlannerNS),
+		"client %.2f%% | planner %.2f%% | split %.2f%% | task %.2f%% | merge %.2f%% (total %v, %d stages, %d batches, %d calls)",
+		pct(sn.ClientNS), pct(sn.PlannerNS),
 		pct(sn.SplitNS), pct(sn.TaskNS), pct(sn.MergeNS),
 		sn.Total(), sn.Stages, sn.Batches, sn.Calls)
 	if sn.RecoveredPanics > 0 || sn.FallbackStages > 0 || sn.QuarantinedCalls > 0 {
@@ -114,7 +115,6 @@ func (s *stats) add(field *int64, d time.Duration) {
 func (s *stats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
 		ClientNS:    atomic.LoadInt64(&s.ClientNS),
-		UnprotectNS: atomic.LoadInt64(&s.UnprotectNS),
 		PlannerNS:   atomic.LoadInt64(&s.PlannerNS),
 		SplitNS:     atomic.LoadInt64(&s.SplitNS),
 		TaskNS:      atomic.LoadInt64(&s.TaskNS),

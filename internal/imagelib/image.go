@@ -96,7 +96,3 @@ func clamp8(v float64) uint8 {
 	}
 	return uint8(v + 0.5)
 }
-
-// MemoryFootprint reports the pixel buffer size (used by the runtime's
-// simulated memory-protection accounting).
-func (m *Image) MemoryFootprint() int64 { return int64(len(m.Pix)) }

@@ -72,8 +72,8 @@ type Workload struct {
 // StageCounters are the simulated hardware counters of one workload stage:
 // per-level cache hits and misses from the representative thread's access
 // trace, plus the full-size, all-thread DRAM traffic and the stage's modeled
-// runtime. They are the per-stage analogue of the Table 4 columns, and the
-// payload the runtime's telemetry exports per stage (obs.EvStageCounters).
+// runtime. They are the per-stage analogue of the Table 4 columns; a real
+// plan IR reaches them through planlower.SimulateCounters.
 type StageCounters struct {
 	L1Hits    int64   `json:"l1_hits"`
 	L1Misses  int64   `json:"l1_misses"`

@@ -38,11 +38,6 @@ type StageMetrics struct {
 	Fallbacks       int64 `json:"fallbacks"`
 	AdmissionWaitNS int64 `json:"admission_wait_ns"`
 	Errors          int64 `json:"errors"`
-
-	// Sim accumulates the stage's simulated hardware counters
-	// (EvStageCounters): the plan IR lowered into the memsim machine model.
-	// All-zero when the session does not simulate counters.
-	Sim CacheCounters `json:"sim"`
 }
 
 // Throughput is the stage's measured processing rate in elements per
@@ -306,8 +301,6 @@ func (m *Metrics) Emit(e Event) {
 		m.stage(e).Fallbacks++
 	case EvBreaker:
 		m.brk[e.Detail]++
-	case EvStageCounters:
-		m.stage(e).Sim.add(e.Counters)
 	case EvPressure:
 		if m.pressure == nil {
 			m.pressure = map[string]int{}
@@ -408,36 +401,6 @@ func (m *Metrics) String() string {
 	}
 	w.Flush()
 
-	// Simulated hardware counters, when any stage carries them.
-	var anySim bool
-	for _, s := range sn.Stages {
-		if !s.Sim.Zero() {
-			anySim = true
-			break
-		}
-	}
-	if anySim {
-		w = tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "stage\tcalls\tsim L1 miss\tsim L2 miss\tsim LLC miss\tsim DRAM bytes\tsim time")
-		missPct := func(hits, misses int64) string {
-			if hits+misses == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.1f%%", 100*float64(misses)/float64(hits+misses))
-		}
-		for _, s := range sn.Stages {
-			if s.Sim.Zero() {
-				continue
-			}
-			fmt.Fprintf(w, "%d\t%s\t%s\t%s\t%s\t%d\t%v\n",
-				s.Stage, s.Calls,
-				missPct(s.Sim.L1Hits, s.Sim.L1Misses),
-				missPct(s.Sim.L2Hits, s.Sim.L2Misses),
-				missPct(s.Sim.LLCHits, s.Sim.LLCMisses),
-				s.Sim.DRAMBytes, time.Duration(s.Sim.ModelNS))
-		}
-		w.Flush()
-	}
 	return b.String()
 }
 

@@ -20,7 +20,10 @@
 // them.
 package obs
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // EventKind classifies a runtime event.
 type EventKind uint8
@@ -70,15 +73,6 @@ const (
 	// EvFallback is a whole-call re-execution after an annotation fault;
 	// Dur spans the re-execution, Detail carries the original fault.
 	EvFallback
-	// EvStageCounters reports a stage's simulated hardware counters: the
-	// evaluation's plan IR lowered into the memsim machine model
-	// (internal/planlower) and replayed through the cache hierarchy.
-	// Counters carries the L1/L2/LLC hit/miss counts and DRAM bytes;
-	// Stage/Calls/Split identify the stage the same way EvStageBegin does,
-	// so metric sinks fold both into the same row. Emitted on the runtime
-	// lane, once per stage per evaluation, only under
-	// Options.SimulateCounters.
-	EvStageCounters
 	// EvPressure is a Governor pressure-level transition: Detail carries
 	// the new level ("normal", "constrained", "out-of-core"), Bytes the
 	// reserved bytes at the transition, Stage/Calls the stage whose
@@ -99,6 +93,8 @@ const (
 	// throughput the tuner folds into its next decision. Emitted on the
 	// runtime lane.
 	EvTune
+
+	numEventKinds // one past the last kind
 )
 
 // String returns the kind's stable lowercase name.
@@ -126,8 +122,6 @@ func (k EventKind) String() string {
 		return "admission"
 	case EvFallback:
 		return "fallback"
-	case EvStageCounters:
-		return "stage-counters"
 	case EvPressure:
 		return "pressure"
 	case EvSpill:
@@ -136,6 +130,22 @@ func (k EventKind) String() string {
 		return "tune"
 	}
 	return "unknown"
+}
+
+// MarshalText writes the kind by its String name, so JSON dumps (flight
+// recordings) read "spill" rather than a number that shifts whenever the
+// taxonomy gains or loses a kind.
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses a name written by MarshalText.
+func (k *EventKind) UnmarshalText(b []byte) error {
+	for c := EventKind(0); c < numEventKinds; c++ {
+		if c.String() == string(b) {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("obs: unknown event kind %q", b)
 }
 
 // RuntimeLane is the Worker value for events produced by the runtime's
@@ -172,10 +182,6 @@ type Event struct {
 
 	Detail string // human-readable extra: error text, breaker state, plan summary
 
-	// Counters is the simulated hardware-counter payload of
-	// EvStageCounters; zero for every other kind.
-	Counters CacheCounters
-
 	// Trace, when non-nil, is the request-scoped trace context the session
 	// was evaluated under (core.Options.Trace). The runtime stamps it on
 	// session-begin and session-end events — a shared pointer, so stamping
@@ -183,37 +189,6 @@ type Event struct {
 	// recordings) key what they retain by the originating request's trace
 	// id without a per-request sink.
 	Trace *TraceContext `json:"trace,omitempty"`
-}
-
-// CacheCounters are simulated per-stage hardware counters, produced by
-// lowering the evaluation's plan IR into the memsim machine model. Hit and
-// miss counts come from the representative thread's access trace (their
-// ratios are the signal); DRAMBytes is scaled to full size and all
-// threads; ModelNS is the stage's modeled runtime.
-type CacheCounters struct {
-	L1Hits    int64 `json:"l1_hits"`
-	L1Misses  int64 `json:"l1_misses"`
-	L2Hits    int64 `json:"l2_hits"`
-	L2Misses  int64 `json:"l2_misses"`
-	LLCHits   int64 `json:"llc_hits"`
-	LLCMisses int64 `json:"llc_misses"`
-	DRAMBytes int64 `json:"dram_bytes"`
-	ModelNS   int64 `json:"model_ns"`
-}
-
-// Zero reports whether no counter was recorded.
-func (c CacheCounters) Zero() bool { return c == CacheCounters{} }
-
-// add accumulates o into c.
-func (c *CacheCounters) add(o CacheCounters) {
-	c.L1Hits += o.L1Hits
-	c.L1Misses += o.L1Misses
-	c.L2Hits += o.L2Hits
-	c.L2Misses += o.L2Misses
-	c.LLCHits += o.LLCHits
-	c.LLCMisses += o.LLCMisses
-	c.DRAMBytes += o.DRAMBytes
-	c.ModelNS += o.ModelNS
 }
 
 // Tracer receives runtime events. Implementations must be safe for

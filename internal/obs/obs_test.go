@@ -187,19 +187,39 @@ func TestMetricsPublishExpvar(t *testing.T) {
 }
 
 func TestEventKindString(t *testing.T) {
-	kinds := []EventKind{EvSessionBegin, EvSessionEnd, EvPlan, EvStageBegin,
-		EvStageEnd, EvBatch, EvMerge, EvRetry, EvBreaker, EvAdmission, EvFallback,
-		EvStageCounters}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for k := EventKind(0); k < numEventKinds; k++ {
 		s := k.String()
 		if s == "unknown" || seen[s] {
 			t.Errorf("kind %d renders %q", k, s)
 		}
 		seen[s] = true
+		var back EventKind
+		if err := back.UnmarshalText([]byte(s)); err != nil || back != k {
+			t.Errorf("kind %q parses back as %d (%v)", s, back, err)
+		}
 	}
 	if EventKind(200).String() != "unknown" {
 		t.Error("out-of-range kind should render unknown")
+	}
+
+	// A flight dump names each kind by its string, not by its position in
+	// the taxonomy, and reads back to the same kind.
+	rec := NewFlightRecorder(1)
+	h := rec.Session()
+	h.Emit(Event{Kind: EvSessionBegin, Stage: -1, Worker: RuntimeLane})
+	h.Emit(Event{Kind: EvSpill, Worker: RuntimeLane, Bytes: 400, Detail: "append"})
+	h.Emit(Event{Kind: EvSessionEnd, Stage: -1, Worker: RuntimeLane})
+	var buf bytes.Buffer
+	if err := rec.Dump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"Kind": "spill"`) {
+		t.Errorf("dump does not name the spill kind:\n%s", buf.String())
+	}
+	var recs []Recording
+	if err := json.Unmarshal(buf.Bytes(), &recs); err != nil || len(recs) != 1 || recs[0].Events[1].Kind != EvSpill {
+		t.Errorf("dump does not read back: %v %+v", err, recs)
 	}
 }
 

@@ -52,25 +52,6 @@ var promStageGauges = []struct {
 	{"stage_cache_utilization", "Batch working set over the C*L2 target.", func(s *StageMetrics) float64 { return s.CacheUtilization }},
 }
 
-// promStageSim lists the simulated hardware counters (memsim via
-// planlower; see EvStageCounters). Rendered only when a stage carries
-// non-zero counters, so sessions without SimulateCounters emit no sim
-// series.
-var promStageSim = []struct {
-	name string
-	help string
-	val  func(*StageMetrics) float64
-}{
-	{"stage_sim_l1_hits_total", "Simulated L1 cache hits (memsim trace).", func(s *StageMetrics) float64 { return float64(s.Sim.L1Hits) }},
-	{"stage_sim_l1_misses_total", "Simulated L1 cache misses (memsim trace).", func(s *StageMetrics) float64 { return float64(s.Sim.L1Misses) }},
-	{"stage_sim_l2_hits_total", "Simulated L2 cache hits (memsim trace).", func(s *StageMetrics) float64 { return float64(s.Sim.L2Hits) }},
-	{"stage_sim_l2_misses_total", "Simulated L2 cache misses (memsim trace).", func(s *StageMetrics) float64 { return float64(s.Sim.L2Misses) }},
-	{"stage_sim_llc_hits_total", "Simulated LLC hits (memsim trace).", func(s *StageMetrics) float64 { return float64(s.Sim.LLCHits) }},
-	{"stage_sim_llc_misses_total", "Simulated LLC misses (memsim trace).", func(s *StageMetrics) float64 { return float64(s.Sim.LLCMisses) }},
-	{"stage_sim_dram_bytes_total", "Simulated DRAM traffic, full size, all threads.", func(s *StageMetrics) float64 { return float64(s.Sim.DRAMBytes) }},
-	{"stage_sim_model_seconds_total", "Modeled stage runtime on the machine model.", func(s *StageMetrics) float64 { return ns(s.Sim.ModelNS) }},
-}
-
 func ns(v int64) float64 { return float64(v) / 1e9 }
 
 // WritePrometheus renders one consistent snapshot of the sink in the
@@ -227,14 +208,11 @@ func (sn MetricsSnapshot) write(w io.Writer, openMetrics bool) (int64, error) {
 		name string
 		help string
 		val  func(*StageMetrics) float64
-	}, typ string, include func(*StageMetrics) bool) {
+	}, typ string) {
 		for _, fam := range fams {
 			wrote := false
 			for i := range sn.Stages {
 				s := &sn.Stages[i]
-				if include != nil && !include(s) {
-					continue
-				}
 				if !wrote {
 					header(fam.name, typ, fam.help)
 					wrote = true
@@ -244,9 +222,8 @@ func (sn MetricsSnapshot) write(w io.Writer, openMetrics bool) (int64, error) {
 			}
 		}
 	}
-	stageSeries(promStageCounters, "counter", nil)
-	stageSeries(promStageGauges, "gauge", nil)
-	stageSeries(promStageSim, "counter", func(s *StageMetrics) bool { return !s.Sim.Zero() })
+	stageSeries(promStageCounters, "counter")
+	stageSeries(promStageGauges, "gauge")
 
 	if openMetrics {
 		b.WriteString("# EOF\n")

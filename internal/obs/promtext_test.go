@@ -13,21 +13,13 @@ import (
 )
 
 // promFeed extends the canonical event feed with the telemetry-only kinds:
-// simulated hardware counters for the stage, and a second evaluation that
-// ends in an error (so the errors counter and a second histogram
-// observation are exercised).
+// a second evaluation that ends in an error (so the errors counter and a
+// second histogram observation are exercised), an out-of-core pressure
+// episode, and tuner feedback.
 func promFeed(base time.Time) []Event {
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
 	feed := fixedFeed(base)
 	feed = append(feed,
-		Event{Kind: EvStageCounters, Time: at(12), Stage: 0, Worker: RuntimeLane,
-			Calls: "a -> b", Split: "SizeSplit<100>",
-			Counters: CacheCounters{
-				L1Hits: 900, L1Misses: 100,
-				L2Hits: 60, L2Misses: 40,
-				LLCHits: 30, LLCMisses: 10,
-				DRAMBytes: 64000, ModelNS: 1500000,
-			}},
 		Event{Kind: EvSessionBegin, Time: at(20), Stage: -1, Worker: RuntimeLane, Elems: 1},
 		Event{Kind: EvSessionEnd, Time: at(31), Dur: 11 * time.Millisecond, Stage: -1,
 			Worker: RuntimeLane, Detail: "stage 0: injected fault"},
@@ -169,11 +161,6 @@ func TestPrometheusMatchesSnapshot(t *testing.T) {
 		for _, fam := range promStageGauges {
 			want["mozart_"+fam.name+labels] = fam.val(s)
 		}
-		if !s.Sim.Zero() {
-			for _, fam := range promStageSim {
-				want["mozart_"+fam.name+labels] = fam.val(s)
-			}
-		}
 	}
 
 	for key, wv := range want {
@@ -192,16 +179,16 @@ func TestPrometheusMatchesSnapshot(t *testing.T) {
 	}
 }
 
-// TestPrometheusSimGatedOnCounters: a sink that never saw EvStageCounters
-// must not emit sim series (scrapers should not see all-zero hardware
-// counters for sessions that do not simulate them).
+// TestPrometheusSimGatedOnCounters: /metrics reports only measured
+// quantities. The memsim model lives beside the runtime (planlower), so a
+// scrape of the full telemetry feed renders no simulated-counter family.
 func TestPrometheusSimGatedOnCounters(t *testing.T) {
 	m := NewMetrics()
-	for _, e := range fixedFeed(time.Unix(0, 0)) {
+	for _, e := range promFeed(time.Unix(0, 0)) {
 		m.Emit(e)
 	}
 	if text := m.PrometheusText(); strings.Contains(text, "_sim_") {
-		t.Errorf("sim series rendered without counter events:\n%s", text)
+		t.Errorf("simulated series rendered:\n%s", text)
 	}
 }
 

@@ -420,11 +420,6 @@ func (r *SpanRecorder) eventSpan(e Event) Span {
 		s.Attrs = append(s.Attrs,
 			SpanAttr{Key: "provenance", Str: e.Detail},
 			SpanAttr{Key: "batch_elems", Int: e.BatchElems, IsInt: true})
-	case EvStageCounters:
-		s.Name = "sim-counters"
-		s.Attrs = append(s.Attrs,
-			SpanAttr{Key: "dram_bytes", Int: e.Counters.DRAMBytes, IsInt: true},
-			SpanAttr{Key: "model_ns", Int: e.Counters.ModelNS, IsInt: true})
 	default:
 		if e.Detail != "" {
 			s.Attrs = append(s.Attrs, SpanAttr{Key: "detail", Str: e.Detail})

@@ -8,34 +8,38 @@ import (
 	"time"
 )
 
+const validTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+
+// traceparentCases are the headers TestParseTraceparent checks and
+// FuzzParseTraceparent seeds its corpus with.
+var traceparentCases = []struct {
+	name    string
+	header  string
+	ok      bool
+	sampled bool
+}{
+	{"valid sampled", validTraceparent, true, true},
+	{"valid unsampled", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00", true, false},
+	{"empty", "", false, false},
+	{"too few fields", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", false, false},
+	{"version ff forbidden", "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false, false},
+	{"malformed version", "0x-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false, false},
+	{"short version", "0-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false, false},
+	{"uppercase trace id", "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", false, false},
+	{"uppercase span id", "00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01", false, false},
+	{"all-zero trace id", "00-00000000000000000000000000000000-00f067aa0ba902b7-01", false, false},
+	{"all-zero span id", "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", false, false},
+	{"short trace id", "00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01", false, false},
+	{"long span id", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7ff-01", false, false},
+	{"bad flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", false, false},
+	// Forward compatibility: a future version may carry extra fields…
+	{"future version extra fields", "cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", true, true},
+	// …but version 00 must have exactly four.
+	{"v00 extra fields", validTraceparent + "-extra", false, false},
+}
+
 func TestParseTraceparent(t *testing.T) {
-	valid := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	cases := []struct {
-		name    string
-		header  string
-		ok      bool
-		sampled bool
-	}{
-		{"valid sampled", valid, true, true},
-		{"valid unsampled", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00", true, false},
-		{"empty", "", false, false},
-		{"too few fields", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", false, false},
-		{"version ff forbidden", "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false, false},
-		{"malformed version", "0x-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false, false},
-		{"short version", "0-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", false, false},
-		{"uppercase trace id", "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", false, false},
-		{"uppercase span id", "00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01", false, false},
-		{"all-zero trace id", "00-00000000000000000000000000000000-00f067aa0ba902b7-01", false, false},
-		{"all-zero span id", "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", false, false},
-		{"short trace id", "00-4bf92f3577b34da6a3ce929d0e0e47-00f067aa0ba902b7-01", false, false},
-		{"long span id", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7ff-01", false, false},
-		{"bad flags", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", false, false},
-		// Forward compatibility: a future version may carry extra fields…
-		{"future version extra fields", "cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", true, true},
-		// …but version 00 must have exactly four.
-		{"v00 extra fields", valid + "-extra", false, false},
-	}
-	for _, tc := range cases {
+	for _, tc := range traceparentCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, ok := ParseTraceparent(tc.header)
 			if ok != tc.ok {
@@ -58,6 +62,27 @@ func TestParseTraceparent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseTraceparent: ParseTraceparent never panics, and a header it
+// accepts carries non-zero ids and round-trips through Traceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, tc := range traceparentCases {
+		f.Add(tc.header)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		tc, ok := ParseTraceparent(header)
+		if !ok {
+			return
+		}
+		if tc.TraceID.IsZero() || tc.SpanID.IsZero() {
+			t.Fatalf("ParseTraceparent(%q) accepted zero ids: %+v", header, tc)
+		}
+		if back, ok := ParseTraceparent(tc.Traceparent()); !ok || back != tc {
+			t.Fatalf("ParseTraceparent(%q) = %+v does not round-trip: %q -> %+v, %v",
+				header, tc, tc.Traceparent(), back, ok)
+		}
+	})
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {

@@ -21,11 +21,12 @@ func PlanElems(p *plan.Plan) int64 {
 
 // SimulateCounters lowers p under o and replays its memory-access trace on
 // machine m with the given thread count, returning one simulated counter
-// set per plan stage (same order as p.Stages). This is the telemetry
-// counters path: the runtime calls it with each evaluation's real plan IR
-// so the live metrics can report per-stage cache behaviour in the same
-// units as the paper's Table 4 / Figure 6 analysis — derived from the
-// planner's actual output, not a hand model.
+// set per plan stage (same order as p.Stages). Callers hand it an
+// evaluation's real plan IR (captured through core.Options.OnPlan), so the
+// per-stage cache behaviour is reported in the same units as the paper's
+// Table 4 / Figure 6 analysis and derived from the planner's actual output,
+// not a hand model. The runtime itself never calls it: its telemetry
+// reports only what it measures.
 //
 // When o.Elems is zero it is filled from PlanElems; if the plan's size is
 // unknown, SimulateCounters returns nil (there is no trace to replay).

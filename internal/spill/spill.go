@@ -189,11 +189,14 @@ func (st *Stream) Bytes() int64 {
 // Replay reads every frame in append order, verifying magic, sequence
 // continuity, and payload CRC, and calls fn for each. The payload slice is
 // reused between calls; fn must not retain it. Any integrity failure
-// returns an error wrapping ErrCorrupt.
+// returns an error wrapping ErrCorrupt. A frame's length field is checked
+// against the payload bytes the stream still holds before anything is
+// allocated for it, so a corrupt length cannot ask for gigabytes on the
+// out-of-core path, which runs exactly when memory is short.
 func (st *Stream) Replay(fn func(seq uint32, payload []byte) error) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	want := st.seq
+	want, left := st.seq, st.bytes
 	r := io.NewSectionReader(st.f, 0, 1<<62)
 	var hdr [headerLen]byte
 	var buf []byte
@@ -208,6 +211,10 @@ func (st *Stream) Replay(fn func(seq uint32, payload []byte) error) error {
 			return fmt.Errorf("%w: frame %d: sequence %d out of order", ErrCorrupt, i, seq)
 		}
 		n := binary.LittleEndian.Uint32(hdr[8:12])
+		if int64(n) > left {
+			return fmt.Errorf("%w: frame %d: length %d exceeds the %d payload bytes left", ErrCorrupt, i, n, left)
+		}
+		left -= int64(n)
 		if cap(buf) < int(n) {
 			buf = make([]byte, n)
 		}

@@ -1,10 +1,13 @@
 package spill
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -62,25 +65,43 @@ func TestStreamRoundTrip(t *testing.T) {
 }
 
 func TestReplayDetectsCorruption(t *testing.T) {
-	s, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	st, err := s.Stream("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Append([]byte("hello spill frame")); err != nil {
-		t.Fatal(err)
-	}
-	// Flip one payload byte on disk, behind the Stream's back.
-	if _, err := st.f.WriteAt([]byte{'X'}, headerLen+2); err != nil {
-		t.Fatal(err)
-	}
-	err = st.Replay(func(uint32, []byte) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Replay after bitflip = %v, want ErrCorrupt", err)
+	for _, tc := range []struct {
+		name  string
+		off   int64  // where the corruption is written, behind the Stream's back
+		bytes []byte // what is written there
+	}{
+		{"bitflip", headerLen + 2, []byte{'X'}},
+		// Frame 0's length field claims 256 MiB. Replay must refuse it
+		// before allocating a buffer of that size.
+		{"length", 8, binary.LittleEndian.AppendUint32(nil, 256<<20)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			st, err := s.Stream("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Append([]byte("hello spill frame")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.f.WriteAt(tc.bytes, tc.off); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = st.Replay(func(uint32, []byte) error { return nil })
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Replay = %v, want ErrCorrupt", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("Replay allocated %d bytes rejecting a corrupt frame, want < 1 MiB", grew)
+			}
+		})
 	}
 }
 
@@ -169,4 +190,52 @@ func TestSweepOrphans(t *testing.T) {
 	if _, err := os.Stat(other); err != nil {
 		t.Fatalf("unrelated dir swept: %v", err)
 	}
+}
+
+// encodeFrame is the on-disk form Append writes for one frame.
+func encodeFrame(seq uint32, payload []byte) []byte {
+	b := append([]byte(nil), magic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, seq)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// FuzzReplay replays a stream whose file holds arbitrary bytes in place of
+// the two frames appended to it. Replay returns nil or an error wrapping
+// ErrCorrupt, never panics, and never allocates a payload buffer larger
+// than the file (plus a fixed slack for the read itself).
+func FuzzReplay(f *testing.F) {
+	p0, p1 := []byte("hello spill frame"), []byte("0123456789")
+	valid := append(encodeFrame(0, p0), encodeFrame(1, p1)...)
+	f.Add(valid)
+	flipped := append([]byte(nil), valid...)
+	flipped[headerLen+2] = 'X'
+	f.Add(flipped)
+	f.Add(valid[:headerLen+4])
+	fd, err := os.CreateTemp(f.TempDir(), "fuzz-*.mzsp")
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer fd.Close()
+	f.Fuzz(func(t *testing.T, file []byte) {
+		if err := fd.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fd.WriteAt(file, 0); err != nil {
+			t.Fatal(err)
+		}
+		// The stream as Append left it after p0 and p1.
+		st := &Stream{f: fd, seq: 2, bytes: int64(len(p0) + len(p1))}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := st.Replay(func(uint32, []byte) error { return nil })
+		runtime.ReadMemStats(&after)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Replay = %v, want nil or ErrCorrupt", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(file))+64<<10 {
+			t.Fatalf("Replay of a %d-byte file allocated %d bytes", len(file), grew)
+		}
+	})
 }

@@ -293,6 +293,3 @@ func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 		}
 	})
 }
-
-// MemoryFootprint reports the backing buffer size in bytes.
-func (m *Matrix) MemoryFootprint() int64 { return int64(len(m.Data)) * 8 }

@@ -43,9 +43,6 @@ type Config struct {
 	// OnSession, when set, observes every Mozart session a workload
 	// creates (used by the Figure 5 overhead-breakdown harness).
 	OnSession func(*core.Session)
-	// Guard simulates memory-protected input buffers with the given
-	// modeled unprotect cost (§8.5); 0 disables.
-	UnprotectNSPerByte float64
 	// Tracer, when set, receives structured runtime events from every
 	// Mozart session a workload creates (sabench -experiment trace).
 	Tracer obs.Tracer
@@ -99,20 +96,19 @@ func (c Config) ctx() context.Context {
 
 func (c Config) options() core.Options {
 	o := core.Options{
-		Workers:            c.Threads,
-		BatchElems:         c.Batch,
-		UnprotectNSPerByte: c.UnprotectNSPerByte,
-		Tracer:             c.Tracer,
-		OnPlan:             c.OnPlan,
-		Governor:           c.Governor,
-		Breakers:           c.Breakers,
-		FallbackPolicy:     c.Fallback,
-		RetryPolicy:        c.Retry,
-		StageTimeout:       c.StageTimeout,
-		OutOfCore:          c.OutOfCore,
-		SpillDir:           c.SpillDir,
-		Tuner:              c.Tuner,
-		Trace:              c.Trace,
+		Workers:        c.Threads,
+		BatchElems:     c.Batch,
+		Tracer:         c.Tracer,
+		OnPlan:         c.OnPlan,
+		Governor:       c.Governor,
+		Breakers:       c.Breakers,
+		FallbackPolicy: c.Fallback,
+		RetryPolicy:    c.Retry,
+		StageTimeout:   c.StageTimeout,
+		OutOfCore:      c.OutOfCore,
+		SpillDir:       c.SpillDir,
+		Tuner:          c.Tuner,
+		Trace:          c.Trace,
 	}
 	if c.Ctx != nil {
 		ctx := c.Ctx

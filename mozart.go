@@ -279,9 +279,9 @@ func CheckAnnotation(spec CheckSpec) error {
 
 // Plan is the explicit plan IR the §5.1 planner produces for one
 // evaluation: stages (each an ordered pipeline of calls whose split types
-// match), the §5.2 batch policy, and the scheduling mode. One plan, three
-// consumers: the executor runs it, internal/planlower compiles it into the
-// machine model, and Explain renders it. Obtain one without evaluating via
+// match) and the §5.2 batch policy. One plan, three consumers: the
+// executor runs it, internal/planlower compiles it into the machine model,
+// and Explain renders it. Obtain one without evaluating via
 // Session.Plan, or observe every evaluation's plan via Options.OnPlan.
 type Plan = plan.Plan
 
@@ -454,14 +454,8 @@ func WithTuner(opts Options, src BatchSource) Options {
 // breaker transitions, and per-stage rows.
 type MetricsSnapshot = obs.MetricsSnapshot
 
-// StageMetrics is one per-stage row of a MetricsSnapshot, including the
-// simulated hardware counters when Options.SimulateCounters is on.
+// StageMetrics is one per-stage row of a MetricsSnapshot.
 type StageMetrics = obs.StageMetrics
-
-// CacheCounters are the simulated per-stage hardware counters emitted
-// under Options.SimulateCounters: the evaluation's plan IR lowered into
-// the memsim machine model and replayed through the cache hierarchy.
-type CacheCounters = obs.CacheCounters
 
 // FlightRecorder retains the last N evaluations' full event streams and
 // plan renderings in a bounded ring — raw detail for post-hoc debugging,
