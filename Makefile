@@ -1,6 +1,6 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
 # workflow runs: the gate-name check (every `-run` pattern of a recipe still
-# names a test), vet (fail fast), the deprecation gate, the layering gate
+# names a test), the formatting gate (gofmt), vet (fail fast), the deprecation gate, the layering gate
 # (the runtime does not link the memsim model), build, plain tests,
 # the race detector over the runtime-heavy packages, the flakiness gate (the
 # fault-tolerance suites and the root package three times under -race, so a
@@ -21,9 +21,9 @@ GO ?= go
 # GOMAXPROCS sweep).
 POOL_TESTS = TestWorkerPool|TestSteadyState|TestSharedWorkerPool
 
-.PHONY: ci gate-names vet deprecations layering build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-quick bench-snapshot bench serve-smoke slo-smoke spill-smoke fuzz-smoke tune-smoke soak
+.PHONY: ci gate-names fmt-check vet deprecations layering build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-quick bench-snapshot bench serve-smoke slo-smoke spill-smoke fuzz-smoke tune-smoke soak
 
-ci: gate-names vet deprecations layering build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke fuzz-smoke tune-smoke serve-smoke slo-smoke bench-quick
+ci: gate-names fmt-check vet deprecations layering build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke fuzz-smoke tune-smoke serve-smoke slo-smoke bench-quick
 
 # `go test -run P` passes when P matches nothing, so a renamed test would
 # silently leave its gate. Every |-alternative of every -run pattern in the
@@ -38,6 +38,10 @@ gate-names:
 			echo "gate-names: $$pkg: $$alt matches $$n"; \
 		done; \
 	done
+
+# Formatting gate: fails when gofmt would rewrite any file.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt-check: not gofmt-formatted:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -169,10 +173,12 @@ spill-smoke:
 	$(GO) run ./cmd/sabench -experiment spill
 
 # The fuzz targets past their seed corpus (plain `go test` runs only the
-# seeds): the traceparent parser and the spill store's frame replay.
+# seeds): the traceparent parser, the spill store's frame replay and the
+# .sa annotation grammar.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime=10s ./internal/spill
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/satool
 
 # Smoke-run the BENCH trajectory emitter into a throwaway directory: all 16
 # workloads through the real planner and the counter simulation, snapshot

@@ -1,6 +1,7 @@
 package mozart_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +17,8 @@ import (
 
 // Golden-file tests for the EXPLAIN rendering: the planner's real plan for
 // two representative workloads (a vector-math chain and a dataframe
-// pipeline) is pinned byte for byte. Regenerate with
+// pipeline), and for two chains over different element counts, is pinned
+// byte for byte. Regenerate with
 //
 //	UPDATE_GOLDEN=1 go test -run TestExplainGolden .
 
@@ -39,24 +41,48 @@ func TestExplainGoldenWorkloads(t *testing.T) {
 			if len(plans) == 0 {
 				t.Fatalf("%s: no plan captured", name)
 			}
-			got := mozart.RenderPlan(plans[0])
-
-			path := filepath.Join("testdata", "explain-"+name+".golden")
-			if os.Getenv("UPDATE_GOLDEN") != "" {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s", path)
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1 go test -run TestExplainGolden .)", err)
-			}
-			if got != string(want) {
-				t.Errorf("rendered plan differs from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
-			}
+			checkExplainGolden(t, "explain-"+name+".golden", mozart.RenderPlan(plans[0]))
 		})
+	}
+}
+
+// TestExplainGoldenElementSpaces pins the plan of two independent in-place
+// chains over 1000 and 500 elements: two stages, one per element space.
+func TestExplainGoldenElementSpaces(t *testing.T) {
+	s := mozart.NewSession(mozart.Options{Workers: 2})
+	a, b := make([]float64, 1000), make([]float64, 500)
+	vmathsa.Log1p(s, len(a), a, a)
+	vmathsa.Sqrt(s, len(a), a, a)
+	vmathsa.Log1p(s, len(b), b, b)
+	vmathsa.Sqrt(s, len(b), b, b)
+	got, err := mozart.Explain(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExplainGolden(t, "explain-element-spaces.golden", got)
+	if err := s.EvaluateContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkExplainGolden compares got with testdata/name, or rewrites the file
+// under UPDATE_GOLDEN.
+func checkExplainGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1 go test -run TestExplainGolden .)", err)
+	}
+	if got != string(want) {
+		t.Errorf("rendered plan differs from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
 

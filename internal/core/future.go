@@ -25,6 +25,14 @@ func (f *Future) Get() (any, error) {
 // returns ErrNotEvaluated with the failure as its cause — never a stale or
 // partial value.
 func (f *Future) GetContext(ctx context.Context) (any, error) {
+	if f.sess == nil {
+		// A nil session's Future (resolvedFuture): the value, or the
+		// error the call failed with.
+		if !f.b.ready {
+			return nil, f.b.val.(error)
+		}
+		return f.b.val, nil
+	}
 	if err := f.sess.EvaluateContext(ctx); err != nil {
 		if f.b.ready && !f.b.discarded {
 			return f.b.val, nil

@@ -48,6 +48,13 @@ type node struct {
 // dataflow graph of annotated calls and evaluates it when a lazy value is
 // accessed (or Evaluate is called explicitly). A Session is not safe for
 // concurrent use; the runtime it spawns is internally parallel.
+//
+// A nil *Session is the unmodified library: Call and CallInto run the
+// function at once on the caller and return a resolved Future, so one
+// program written against the annotated wrappers runs either way (§4: the
+// annotated library takes the original's place, the application stays).
+// Track, Evaluate, EvaluateContext and the Futures it returns also work on
+// nil; nothing else does.
 type Session struct {
 	opts      Options
 	nodes     []*node // pending, un-evaluated calls in program order
@@ -79,7 +86,7 @@ func NewSession(opts Options) *Session {
 // baseContext resolves the context used by evaluations forced without an
 // explicit one (Options.BaseContext).
 func (s *Session) baseContext() context.Context {
-	if s.opts.BaseContext != nil {
+	if s != nil && s.opts.BaseContext != nil {
 		if ctx := s.opts.BaseContext(); ctx != nil {
 			return ctx
 		}
@@ -153,13 +160,17 @@ func (s *Session) bindingFor(arg any) *binding {
 // tracked value; under an in-place/view splitter (CapInPlace) the future
 // resolves to the original value, mutated through its aliasing pieces.
 func (s *Session) Track(v any) *Future {
+	if s == nil {
+		return resolvedFuture(v, nil)
+	}
 	b := s.bindingFor(v)
 	return &Future{sess: s, b: b}
 }
 
 // Call captures an annotated function call in the dataflow graph and
 // returns a Future for its result (nil for void functions). The arguments
-// may be raw values or Futures from the same session.
+// may be raw values or Futures from the same session. On a nil session the
+// call runs at once and the Future, void functions included, is resolved.
 func (s *Session) Call(fn Func, sa *Annotation, args ...any) *Future {
 	return s.capture(fn, nil, sa, args)
 }
@@ -172,14 +183,18 @@ func (s *Session) CallInto(fn FuncInto, sa *Annotation, args ...any) *Future {
 	return s.capture(nil, fn, sa, args)
 }
 
-// capture records one call of fn or into (whichever is non-nil).
+// capture records one call of fn or into (whichever is non-nil). On a nil
+// session it runs the call instead (runEager).
 func (s *Session) capture(fn Func, into FuncInto, sa *Annotation, args []any) *Future {
-	start := time.Now()
-	defer func() { s.stats.add(&s.stats.ClientNS, time.Since(start)) }()
-
 	if len(args) != len(sa.Params) {
 		panic(fmt.Sprintf("mozart: %s: got %d args, annotation has %d params", sa.FuncName, len(args), len(sa.Params)))
 	}
+	if s == nil {
+		return runEager(fn, into, args)
+	}
+	start := time.Now()
+	defer func() { s.stats.add(&s.stats.ClientNS, time.Since(start)) }()
+
 	n := &node{
 		name:    sa.FuncName,
 		fn:      fn,
@@ -220,6 +235,40 @@ func (s *Session) capture(fn Func, into FuncInto, sa *Annotation, args []any) *F
 	return fut
 }
 
+// runEager is a call on a nil session: the library function itself, on the
+// caller, with no planner, split or worker. fn is handed a copy of args with
+// every Future read to its value, so that the caller's slice, which a
+// session's capture lets stay on the stack, never escapes. A FuncInto is
+// offered no destination. fn's error, or an argument's, is carried by the
+// Future.
+func runEager(fn Func, into FuncInto, args []any) *Future {
+	vals := make([]any, len(args))
+	for i, a := range args {
+		if f, ok := a.(*Future); ok {
+			v, err := f.Get()
+			if err != nil {
+				return resolvedFuture(nil, err)
+			}
+			a = v
+		}
+		vals[i] = a
+	}
+	if into != nil {
+		return resolvedFuture(into(vals, nil))
+	}
+	return resolvedFuture(fn(vals))
+}
+
+// resolvedFuture is a nil session's Future: resolved to v, or, when err is
+// set, failed — its binding then holds err in val and is not ready.
+func resolvedFuture(v any, err error) *Future {
+	b := &binding{val: v, hasVal: true, ready: true}
+	if err != nil {
+		b.val, b.ready = err, false
+	}
+	return &Future{b: b}
+}
+
 // read returns the materialized value behind a binding. A binding that is
 // not ready in a broken session is poisoned: it surfaces ErrNotEvaluated
 // with the evaluation failure as its cause, never a stale value.
@@ -257,6 +306,9 @@ func (s *Session) Evaluate() error { return s.EvaluateContext(s.baseContext()) }
 // In-flight library calls run to completion first — unmodified library code
 // cannot be preempted.
 func (s *Session) EvaluateContext(ctx context.Context) error {
+	if s == nil {
+		return nil // a nil session ran every call as it was made
+	}
 	if s.broken != nil {
 		return s.broken
 	}

@@ -267,6 +267,44 @@ func resolveNode(pl *plan, open uint32, n *node, args []resolved) (ret resolved,
 	return ret, anySplit, nil
 }
 
+// sameSpace reports whether call n, resolved as args, splits over the same
+// element space as the open stage (epoch open, calls stage), so that it may
+// join it. A call that shares a binding with the stage has had its types
+// checked against the stage's by resolveNode. One that shares none joins
+// only if the split type of each of its concrete parameters equals one the
+// stage already resolved. Generic parameters join as they do otherwise: a
+// deferred type is unknown until execution, and a default type (a Series'
+// or an array's) names no annotation's element space to compare.
+func sameSpace(open uint32, stage []planCall, n *node, args []resolved) bool {
+	for _, b := range n.args {
+		if b.pm.ctxAt == open {
+			return true
+		}
+	}
+	for i, p := range n.sa.Params {
+		if p.Type.Kind == KindConcrete && !stageSplits(stage, args[i].t) {
+			return false
+		}
+	}
+	return true
+}
+
+// stageSplits reports whether a call of stage splits an argument or its
+// return value by t.
+func stageSplits(stage []planCall, t SplitType) bool {
+	for _, c := range stage {
+		for _, r := range c.args {
+			if !r.broadcast && r.t.Equal(t) {
+				return true
+			}
+		}
+		if c.n.ret != nil && !c.ret.broadcast && c.ret.t.Equal(t) {
+			return true
+		}
+	}
+	return false
+}
+
 // buildPlan converts the pending dataflow graph into stages per §5.1: two
 // adjacent calls share a stage iff every value passed between them has
 // matching split types; otherwise the data is merged and a new stage begins.
@@ -340,6 +378,12 @@ func (s *Session) buildPlan(peek bool) (*plan, error) {
 				return nil, fmt.Errorf("mozart: %s: conflicting split types within a single call", n.sa.FuncName)
 			} else if err != nil {
 				return nil, err
+			}
+			if anySplit && len(calls) > lo && !sameSpace(open, calls[lo:], n, args) {
+				// Sharing no binding with the open stage, the call was
+				// checked against nothing in it: it starts its own. The
+				// resolution stands, since it looked nothing up there.
+				flush()
 			}
 		}
 		// A call with no split arguments cannot be batched: it executes

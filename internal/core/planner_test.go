@@ -384,3 +384,51 @@ func TestMismatchedElementCounts(t *testing.T) {
 		t.Fatal("mismatched element counts must fail")
 	}
 }
+
+// TestStageIsOneElementSpace: two independent pipelines over different
+// element counts share no binding, so nothing in the type check relates
+// them. They must still land in separate stages, because a stage batches
+// one element range; planned into one, the evaluation failed with "split
+// inputs disagree on element count: 1000 vs 500". Calls of one element
+// count that share no binding still pipeline.
+func TestStageIsOneElementSpace(t *testing.T) {
+	a, b, c := seq(1000), seq(500), seq(1000)
+	wantA, wantB := append([]float64(nil), a...), append([]float64(nil), b...)
+	for i := range wantA {
+		wantA[i] = math.Log1p(wantA[i])
+	}
+	for i := range wantB {
+		wantB[i] = math.Log1p(wantB[i])
+	}
+	s := NewSession(Options{Workers: 2})
+	s.Call(testLog1p, saUnary("log1p"), 1000, a, a)
+	s.Call(testLog1p, saUnary("log1p"), 500, b, b)
+	s.Call(testLog1p, saUnary("log1p"), 1000, c, c)
+	p, err := s.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Stages) != 3 {
+		t.Fatalf("%d stages, want 3 (1000, 500, 1000 elements):\n%s", len(p.Stages), p.Describe())
+	}
+	if err := s.EvaluateContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if a[i] != wantA[i] || c[i] != wantA[i] {
+			t.Fatalf("a[%d] = %v, c[%d] = %v, want %v", i, a[i], i, c[i], wantA[i])
+		}
+	}
+	for i := range b {
+		if b[i] != wantB[i] {
+			t.Fatalf("b[%d] = %v, want %v", i, b[i], wantB[i])
+		}
+	}
+
+	s = NewSession(Options{Workers: 2})
+	s.Call(testLog1p, saUnary("log1p"), 1000, a, a)
+	s.Call(testLog1p, saUnary("log1p"), 1000, c, c)
+	if p, err := s.Plan(); err != nil || len(p.Stages) != 1 {
+		t.Fatalf("two independent calls over 1000 elements: %v, want one stage (err %v)", p, err)
+	}
+}

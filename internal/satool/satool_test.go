@@ -1,6 +1,8 @@
 package satool
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -91,23 +93,26 @@ func TestParseSample(t *testing.T) {
 	}
 }
 
+// parseErrorCases are the sources TestParseErrors rejects and FuzzParse
+// seeds its corpus with.
+var parseErrorCases = []struct {
+	name, src, want string
+}{
+	{"no package", `splittype X(int);`, "missing package"},
+	{"bad token", "package p\nwhatever", "unexpected input"},
+	{"unknown split type", "package p\n@splittable(a: Foo(a))\nfunc F(a int);", "unknown split type"},
+	{"ctor arg not param", "package p\nsplittype X(int);\n@splittable(a: X(b))\nfunc F(a int);", "not a parameter"},
+	{"param name mismatch", "package p\n@splittable(a: _)\nfunc F(b int);", "in the annotation"},
+	{"param count mismatch", "package p\n@splittable(a: _)\nfunc F(a int, b int);", "more parameters"},
+	{"missing colon", "package p\n@splittable(a _)\nfunc F(a int);", `expected ":"`},
+	{"void with ret SA", "package p\n@splittable(a: _) -> unknown\nfunc F(a int);", "void Go signature"},
+	{"ret without SA", "package p\n@splittable(a: _)\nfunc F(a int) int;", "no return split type"},
+	{"dup splittype", "package p\nsplittype X(int);\nsplittype X(int);", "duplicate splittype"},
+	{"unterminated import", "package p\nimport lib \"x", "unterminated"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"no package", `splittype X(int);`, "missing package"},
-		{"bad token", "package p\nwhatever", "unexpected input"},
-		{"unknown split type", "package p\n@splittable(a: Foo(a))\nfunc F(a int);", "unknown split type"},
-		{"ctor arg not param", "package p\nsplittype X(int);\n@splittable(a: X(b))\nfunc F(a int);", "not a parameter"},
-		{"param name mismatch", "package p\n@splittable(a: _)\nfunc F(b int);", "in the annotation"},
-		{"param count mismatch", "package p\n@splittable(a: _)\nfunc F(a int, b int);", "more parameters"},
-		{"missing colon", "package p\n@splittable(a _)\nfunc F(a int);", `expected ":"`},
-		{"void with ret SA", "package p\n@splittable(a: _) -> unknown\nfunc F(a int);", "void Go signature"},
-		{"ret without SA", "package p\n@splittable(a: _)\nfunc F(a int) int;", "no return split type"},
-		{"dup splittype", "package p\nsplittype X(int);\nsplittype X(int);", "duplicate splittype"},
-		{"unterminated import", "package p\nimport lib \"x", "unterminated"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		_, err := Parse(c.src)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)
@@ -142,4 +147,27 @@ func TestGenerate(t *testing.T) {
 			t.Errorf("generated source missing %q", want)
 		}
 	}
+}
+
+// FuzzParse: Parse never panics on any input, and Generate never panics on
+// a File that Parse accepted (it may still reject it with an error). The
+// corpus is seeded with the vmath header the gensa package is generated
+// from, the sample above and every source TestParseErrors rejects.
+func FuzzParse(f *testing.F) {
+	vmathSA, err := os.ReadFile(filepath.Join("..", "annotations", "gensa", "vmath.sa"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(vmathSA))
+	f.Add(sampleSA)
+	for _, c := range parseErrorCases {
+		f.Add(c.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		file, err := Parse(src)
+		if err != nil {
+			return
+		}
+		Generate(file)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"mozart/internal/annotations/framesa"
+	"mozart/internal/core"
 	"mozart/internal/data"
 	"mozart/internal/frame"
 	"mozart/internal/memsim"
@@ -39,64 +40,54 @@ func baResult(all, lesl *frame.DataFrame) float64 {
 	return sum
 }
 
-func runBirthAnalysis(v Variant, cfg Config) (float64, error) {
+func prepareBirthAnalysis(cfg Config) (*Program, error) {
 	df := data.BabyNames(cfg.Scale, 71)
 	keys := []string{"sex", "year"}
-	switch v {
-	case Base:
-		mask := frame.StrStartsWith(df.Col("name"), "Lesl")       // 1
-		lesl := frame.Filter(df, mask)                            // 2
-		gAll := frame.GroupByAgg(df, keys, baSpecs())             // 3
-		gLesl := frame.GroupByAgg(lesl, keys, baSpecs())          // 4
-		return baResult(gAll.ToDataFrame(), gLesl.ToDataFrame()), // 5, 6
-			nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		mask := framesa.StrStartsWith(s, df.Col("name"), "Lesl")
-		lesl := framesa.Filter(s, df, mask)
-		gAll := framesa.GroupByAgg(s, df, keys, baSpecs())
-		gLesl := framesa.GroupByAgg(s, lesl, keys, baSpecs())
-		allDf := framesa.ToDataFrame(s, gAll)
-		leslDf := framesa.ToDataFrame(s, gLesl)
-		av, err := allDf.Get()
-		if err != nil {
-			return 0, err
-		}
-		lv, err := leslDf.Get()
-		if err != nil {
-			return 0, err
-		}
-		return baResult(av.(*frame.DataFrame), lv.(*frame.DataFrame)), nil
-	case Weld:
-		// Weld-style: dictmerger aggregations keyed by sex\x00year.
-		n := df.NRows()
-		keysv := make([]string, n)
-		sex, year := df.Col("sex").S, df.Col("year").I
-		births := df.Col("births").F
-		name := df.Col("name").S
-		for i := 0; i < n; i++ {
-			keysv[i] = sex[i] + "\x00" + strconv.FormatInt(year[i], 10)
-		}
-		all := weldsim.GroupSumByKey(keysv, births, cfg.Threads)
-		leslBirths := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if len(name[i]) >= 4 && name[i][:4] == "Lesl" {
-				leslBirths[i] = births[i]
+	return &Program{cfg: cfg,
+		pipeline: func(s *core.Session) (float64, error) {
+			mask := framesa.StrStartsWith(s, df.Col("name"), "Lesl") // 1
+			lesl := framesa.Filter(s, df, mask)                      // 2
+			gAll := framesa.GroupByAgg(s, df, keys, baSpecs())       // 3
+			gLesl := framesa.GroupByAgg(s, lesl, keys, baSpecs())    // 4
+			allDf := framesa.ToDataFrame(s, gAll)                    // 5
+			leslDf := framesa.ToDataFrame(s, gLesl)                  // 6
+			av, err := allDf.Get()
+			if err != nil {
+				return 0, err
 			}
-		}
-		lesl := weldsim.GroupSumByKey(keysv, leslBirths, cfg.Threads)
-		sum := 0.0
-		for _, k := range all.Keys() {
-			if tot := all.Sums[k]; tot > 0 {
-				sum += lesl.Sums[k] / tot
+			lv, err := leslDf.Get()
+			if err != nil {
+				return 0, err
 			}
-		}
-		return sum, nil
-	}
-	return 0, errUnsupported(v)
+			return baResult(av.(*frame.DataFrame), lv.(*frame.DataFrame)), nil
+		},
+		weld: func(threads int) (float64, error) {
+			// Weld-style: dictmerger aggregations keyed by sex\x00year.
+			n := df.NRows()
+			keysv := make([]string, n)
+			sex, year := df.Col("sex").S, df.Col("year").I
+			births := df.Col("births").F
+			name := df.Col("name").S
+			for i := 0; i < n; i++ {
+				keysv[i] = sex[i] + "\x00" + strconv.FormatInt(year[i], 10)
+			}
+			all := weldsim.GroupSumByKey(keysv, births, threads)
+			leslBirths := make([]float64, n)
+			for i := 0; i < n; i++ {
+				if len(name[i]) >= 4 && name[i][:4] == "Lesl" {
+					leslBirths[i] = births[i]
+				}
+			}
+			lesl := weldsim.GroupSumByKey(keysv, leslBirths, threads)
+			sum := 0.0
+			for _, k := range all.Keys() {
+				if tot := all.Sums[k]; tot > 0 {
+					sum += lesl.Sums[k] / tot
+				}
+			}
+			return sum, nil
+		},
+	}, nil
 }
 
 func baModel(v Variant, cfg Config) *memsim.Workload {
@@ -120,7 +111,7 @@ func init() {
 		Description:  "fraction of 'Lesl*' names by sex and year via groupBy (Fig. 4g)",
 		Operators:    baOperators,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe, Weld},
-		Run:          runBirthAnalysis,
+		Prepare:      prepareBirthAnalysis,
 		DefaultScale: 1 << 18,
 		Model:        baModel,
 	})

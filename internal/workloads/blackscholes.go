@@ -24,98 +24,48 @@ const (
 	invSqrt2Pi = 0.3989422804014327
 )
 
-// bsVmath runs the 32-call vmath sequence through `call`, which either
-// invokes the library directly (Base) or registers annotated calls
-// (Mozart). It returns the four result vectors.
-type vmathBackend struct {
-	unary  func(name string, n int, a, out []float64)
-	binary func(name string, n int, a, b, out []float64)
-	scalar func(name string, n int, a []float64, c float64, out []float64)
-	fill   func(n int, c float64, out []float64)
-}
-
-func baseVmathBackend() vmathBackend {
-	us := map[string]func(int, []float64, []float64){
-		"ln": vmath.Ln, "sqrt": vmath.Sqrt, "cdfnorm": vmath.CdfNorm,
-		"exp": vmath.Exp, "sqr": vmath.Sqr,
-	}
-	bs := map[string]func(int, []float64, []float64, []float64){
-		"div": vmath.Div, "add": vmath.Add, "sub": vmath.Sub,
-		"mul": vmath.Mul, "fmax": vmath.MaxV,
-	}
-	ss := map[string]func(int, []float64, float64, []float64){
-		"mulc": vmath.MulC, "subcrev": vmath.SubCRev,
-	}
-	return vmathBackend{
-		unary:  func(name string, n int, a, out []float64) { us[name](n, a, out) },
-		binary: func(name string, n int, a, b, out []float64) { bs[name](n, a, b, out) },
-		scalar: func(name string, n int, a []float64, c float64, out []float64) { ss[name](n, a, c, out) },
-		fill:   vmath.Fill,
-	}
-}
-
-func mozartVmathBackend(s *core.Session) vmathBackend {
-	us := map[string]func(*core.Session, int, any, any){
-		"ln": vmathsa.Ln, "sqrt": vmathsa.Sqrt, "cdfnorm": vmathsa.CdfNorm,
-		"exp": vmathsa.Exp, "sqr": vmathsa.Sqr,
-	}
-	bs := map[string]func(*core.Session, int, any, any, any){
-		"div": vmathsa.Div, "add": vmathsa.Add, "sub": vmathsa.Sub,
-		"mul": vmathsa.Mul, "fmax": vmathsa.MaxV,
-	}
-	ss := map[string]func(*core.Session, int, any, float64, any){
-		"mulc": vmathsa.MulC, "subcrev": vmathsa.SubCRev,
-	}
-	return vmathBackend{
-		unary:  func(name string, n int, a, out []float64) { us[name](s, n, a, out) },
-		binary: func(name string, n int, a, b, out []float64) { bs[name](s, n, a, b, out) },
-		scalar: func(name string, n int, a []float64, c float64, out []float64) { ss[name](s, n, a, c, out) },
-		fill:   func(n int, c float64, out []float64) { vmath.Fill(n, c, out) },
-	}
-}
-
-// bsVmathProgram is the 32-call Black Scholes program over the backend,
-// written MKL-sample style: a small set of full-length buffers reused
-// across calls (d1, d2, two temporaries, and the four outputs).
-func bsVmathProgram(be vmathBackend, price, strike, tt []float64) (call, put, vega, gamma []float64) {
+// bsVmathProgram is the 32-call Black Scholes program, written MKL-sample
+// style: a small set of full-length buffers reused across calls (d1, d2, two
+// temporaries, and the four outputs).
+func bsVmathProgram(s *core.Session, price, strike, tt []float64) (call, put, vega, gamma []float64) {
 	n := len(price)
 	alloc := func() []float64 { return make([]float64, n) }
 	d1, d2, t1, t2, zeros := alloc(), alloc(), alloc(), alloc(), alloc()
 	call, put = alloc(), alloc()
 	vega, gamma = alloc(), alloc()
 
-	be.fill(n, 0, zeros)                                   // 1
-	be.binary("div", n, price, strike, d1)                 // 2
-	be.unary("ln", n, d1, d1)                              // 3
-	be.unary("sqrt", n, tt, t1)                            // 4: t1 = vol*sqrt(t)
-	be.scalar("mulc", n, t1, bsVol, t1)                    // 5
-	be.scalar("mulc", n, tt, bsRiskFree+bsVol*bsVol/2, t2) // 6
-	be.binary("add", n, d1, t2, d1)                        // 7
-	be.binary("div", n, d1, t1, d1)                        // 8: d1
-	be.binary("sub", n, d1, t1, d2)                        // 9: d2
-	be.unary("sqr", n, d1, gamma)                          // 10: pdf scratch
-	be.scalar("mulc", n, gamma, -0.5, gamma)               // 11
-	be.unary("exp", n, gamma, gamma)                       // 12
-	be.scalar("mulc", n, gamma, invSqrt2Pi, gamma)         // 13: pdf(d1)
-	be.binary("mul", n, price, gamma, vega)                // 14
-	be.binary("mul", n, vega, t1, vega)                    // 15: vega
-	be.binary("div", n, gamma, t1, gamma)                  // 16
-	be.binary("div", n, gamma, price, gamma)               // 17: gamma
-	be.unary("cdfnorm", n, d1, d1)                         // 18: nd1
-	be.unary("cdfnorm", n, d2, d2)                         // 19: nd2
-	be.scalar("mulc", n, tt, -bsRiskFree, t2)              // 20
-	be.unary("exp", n, t2, t2)                             // 21
-	be.binary("mul", n, strike, t2, t2)                    // 22: e
-	be.binary("mul", n, price, d1, call)                   // 23
-	be.binary("mul", n, t2, d2, put)                       // 24
-	be.binary("sub", n, call, put, call)                   // 25: call
-	be.scalar("subcrev", n, d1, 1, d1)                     // 26: 1-nd1
-	be.scalar("subcrev", n, d2, 1, d2)                     // 27: 1-nd2
-	be.binary("mul", n, t2, d2, d2)                        // 28: e*(1-nd2)
-	be.binary("mul", n, price, d1, d1)                     // 29: s*(1-nd1)
-	be.binary("sub", n, d2, d1, put)                       // 30: put
-	be.binary("fmax", n, call, zeros, call)                // 31
-	be.binary("fmax", n, put, zeros, put)                  // 32
+	vmath.Fill(n, 0, zeros)                              // 1: not annotated, runs eagerly
+	vmathsa.Div(s, n, price, strike, d1)                 // 2
+	vmathsa.Ln(s, n, d1, d1)                             // 3
+	vmathsa.Sqrt(s, n, tt, t1)                           // 4: t1 = vol*sqrt(t)
+	vmathsa.MulC(s, n, t1, bsVol, t1)                    // 5
+	vmathsa.MulC(s, n, tt, bsRiskFree+bsVol*bsVol/2, t2) // 6
+	vmathsa.Add(s, n, d1, t2, d1)                        // 7
+	vmathsa.Div(s, n, d1, t1, d1)                        // 8: d1
+	vmathsa.Sub(s, n, d1, t1, d2)                        // 9: d2
+	vmathsa.Sqr(s, n, d1, gamma)                         // 10: pdf scratch
+	vmathsa.MulC(s, n, gamma, -0.5, gamma)               // 11
+	vmathsa.Exp(s, n, gamma, gamma)                      // 12
+	vmathsa.MulC(s, n, gamma, invSqrt2Pi, gamma)         // 13: pdf(d1)
+	vmathsa.Mul(s, n, price, gamma, vega)                // 14
+	vmathsa.Mul(s, n, vega, t1, vega)                    // 15: vega
+	vmathsa.Div(s, n, gamma, t1, gamma)                  // 16
+	vmathsa.Div(s, n, gamma, price, gamma)               // 17: gamma
+	vmathsa.CdfNorm(s, n, d1, d1)                        // 18: nd1
+	vmathsa.CdfNorm(s, n, d2, d2)                        // 19: nd2
+	vmathsa.MulC(s, n, tt, -bsRiskFree, t2)              // 20
+	vmathsa.Exp(s, n, t2, t2)                            // 21
+	vmathsa.Mul(s, n, strike, t2, t2)                    // 22: e
+	vmathsa.Mul(s, n, price, d1, call)                   // 23
+	vmathsa.Mul(s, n, t2, d2, put)                       // 24
+	vmathsa.Sub(s, n, call, put, call)                   // 25: call
+	vmathsa.SubCRev(s, n, d1, 1, d1)                     // 26: 1-nd1
+	vmathsa.SubCRev(s, n, d2, 1, d2)                     // 27: 1-nd2
+	vmathsa.Mul(s, n, t2, d2, d2)                        // 28: e*(1-nd2)
+	vmathsa.Mul(s, n, price, d1, d1)                     // 29: s*(1-nd1)
+	vmathsa.Sub(s, n, d2, d1, put)                       // 30: put
+	vmathsa.MaxV(s, n, call, zeros, call)                // 31
+	vmathsa.MaxV(s, n, put, zeros, put)                  // 32
 	return call, put, vega, gamma
 }
 
@@ -126,30 +76,20 @@ func bsChecksum(call, put, vega, gamma []float64) float64 {
 	return sumOf(call) + sumOf(put) + sumOf(vega) + sumOf(gamma)
 }
 
-func runBSVmath(v Variant, cfg Config) (float64, error) {
+func prepareBSVmath(cfg Config) (*Program, error) {
 	price, strike, tt := data.OptionsData(cfg.Scale, 11)
-	switch v {
-	case Base:
-		old := vmath.NumThreads()
-		vmath.SetNumThreads(cfg.Threads)
-		defer vmath.SetNumThreads(old)
-		call, put, vega, gamma := bsVmathProgram(baseVmathBackend(), price, strike, tt)
-		return bsChecksum(call, put, vega, gamma), nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		call, put, vega, gamma := bsVmathProgram(mozartVmathBackend(s), price, strike, tt)
-		if err := s.EvaluateContext(cfg.ctx()); err != nil {
-			return 0, err
-		}
-		return bsChecksum(call, put, vega, gamma), nil
-	case Weld:
-		call, put, vega, gamma := bsWeld(price, strike, tt, cfg.Threads)
-		return bsChecksum(call, put, vega, gamma), nil
-	}
-	return 0, errUnsupported(v)
+	return &Program{cfg: cfg, mkl: true,
+		pipeline: func(s *core.Session) (float64, error) {
+			call, put, vega, gamma := bsVmathProgram(s, price, strike, tt)
+			if err := s.EvaluateContext(cfg.ctx()); err != nil {
+				return 0, err
+			}
+			return bsChecksum(call, put, vega, gamma), nil
+		},
+		weld: func(threads int) (float64, error) {
+			return bsChecksum(bsWeld(price, strike, tt, threads)), nil
+		},
+	}, nil
 }
 
 // bsWeld builds the whole computation as one fused expression DAG.
@@ -169,61 +109,39 @@ func bsWeld(price, strike, tt []float64, threads int) (call, put, vega, gamma []
 	return outs[0], outs[1], outs[2], outs[3]
 }
 
-// runBSTensor is the NumPy variant: out-of-place ops on ndarray.
-func runBSTensor(v Variant, cfg Config) (float64, error) {
+// prepareBSTensor is the NumPy variant: out-of-place ops on ndarray.
+func prepareBSTensor(cfg Config) (*Program, error) {
 	p, k, t := data.OptionsData(cfg.Scale, 11)
 	price := tensor.FromSlice(p, len(p))
 	strike := tensor.FromSlice(k, len(k))
 	tt := tensor.FromSlice(t, len(t))
-	switch v {
-	case Base:
-		vst := tensor.MulS(tensor.Sqrt(tt), bsVol)
-		d1 := tensor.Div(tensor.Add(tensor.Log(tensor.Div(price, strike)), tensor.MulS(tt, bsRiskFree+bsVol*bsVol/2)), vst)
-		d2 := tensor.Sub(d1, vst)
-		nd1 := cdfNormT(d1)
-		nd2 := cdfNormT(d2)
-		e := tensor.Mul(strike, tensor.Exp(tensor.MulS(tt, -bsRiskFree)))
-		call := tensor.Maximum(tensor.Sub(tensor.Mul(price, nd1), tensor.Mul(e, nd2)), tensor.New(len(p)))
-		put := tensor.Maximum(tensor.Sub(tensor.Mul(e, tensor.RSubS(nd2, 1)), tensor.Mul(price, tensor.RSubS(nd1, 1))), tensor.New(len(p)))
-		pdf := tensor.MulS(tensor.Exp(tensor.MulS(tensor.Square(d1), -0.5)), invSqrt2Pi)
-		vega := tensor.Mul(tensor.Mul(price, pdf), vst)
-		gamma := tensor.Div(tensor.Div(pdf, vst), price)
-		return bsChecksum(call.Data, put.Data, vega.Data, gamma.Data), nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		vst := tensorsa.MulS(s, tensorsa.Sqrt(s, tt), bsVol)
-		d1 := tensorsa.Div(s, tensorsa.Add(s, tensorsa.Log(s, tensorsa.Div(s, price, strike)), tensorsa.MulS(s, tt, bsRiskFree+bsVol*bsVol/2)), vst)
-		d2 := tensorsa.Sub(s, d1, vst)
-		nd1 := cdfNormSA(s, d1)
-		nd2 := cdfNormSA(s, d2)
-		e := tensorsa.Mul(s, strike, tensorsa.Exp(s, tensorsa.MulS(s, tt, -bsRiskFree)))
-		call := tensorsa.Maximum(s, tensorsa.Sub(s, tensorsa.Mul(s, price, nd1), tensorsa.Mul(s, e, nd2)), tensor.New(len(p)))
-		put := tensorsa.Maximum(s, tensorsa.Sub(s, tensorsa.Mul(s, e, tensorsa.RSubS(s, nd2, 1)), tensorsa.Mul(s, price, tensorsa.RSubS(s, nd1, 1))), tensor.New(len(p)))
-		pdf := tensorsa.MulS(s, tensorsa.Exp(s, tensorsa.MulS(s, tensorsa.Square(s, d1), -0.5)), invSqrt2Pi)
-		vega := tensorsa.Mul(s, tensorsa.Mul(s, price, pdf), vst)
-		gamma := tensorsa.Div(s, tensorsa.Div(s, pdf, vst), price)
-		cv, err := call.Get()
-		if err != nil {
-			return 0, err
-		}
-		pv, _ := put.Get()
-		vv, _ := vega.Get()
-		gv, _ := gamma.Get()
-		return bsChecksum(cv.(*tensor.NDArray).Data, pv.(*tensor.NDArray).Data,
-			vv.(*tensor.NDArray).Data, gv.(*tensor.NDArray).Data), nil
-	case Weld:
-		call, put, vega, gamma := bsWeld(p, k, t, cfg.Threads)
-		return bsChecksum(call, put, vega, gamma), nil
-	}
-	return 0, errUnsupported(v)
-}
-
-// cdfNormT computes the standard normal CDF via erf on tensors.
-func cdfNormT(x *tensor.NDArray) *tensor.NDArray {
-	return tensor.MulS(tensor.AddS(tensor.Erf(tensor.DivS(x, math.Sqrt2)), 1), 0.5)
+	return &Program{cfg: cfg,
+		pipeline: func(s *core.Session) (float64, error) {
+			vst := tensorsa.MulS(s, tensorsa.Sqrt(s, tt), bsVol)
+			d1 := tensorsa.Div(s, tensorsa.Add(s, tensorsa.Log(s, tensorsa.Div(s, price, strike)), tensorsa.MulS(s, tt, bsRiskFree+bsVol*bsVol/2)), vst)
+			d2 := tensorsa.Sub(s, d1, vst)
+			nd1 := cdfNormSA(s, d1)
+			nd2 := cdfNormSA(s, d2)
+			e := tensorsa.Mul(s, strike, tensorsa.Exp(s, tensorsa.MulS(s, tt, -bsRiskFree)))
+			call := tensorsa.Maximum(s, tensorsa.Sub(s, tensorsa.Mul(s, price, nd1), tensorsa.Mul(s, e, nd2)), tensor.New(len(p)))
+			put := tensorsa.Maximum(s, tensorsa.Sub(s, tensorsa.Mul(s, e, tensorsa.RSubS(s, nd2, 1)), tensorsa.Mul(s, price, tensorsa.RSubS(s, nd1, 1))), tensor.New(len(p)))
+			pdf := tensorsa.MulS(s, tensorsa.Exp(s, tensorsa.MulS(s, tensorsa.Square(s, d1), -0.5)), invSqrt2Pi)
+			vega := tensorsa.Mul(s, tensorsa.Mul(s, price, pdf), vst)
+			gamma := tensorsa.Div(s, tensorsa.Div(s, pdf, vst), price)
+			cv, err := call.Get()
+			if err != nil {
+				return 0, err
+			}
+			pv, _ := put.Get()
+			vv, _ := vega.Get()
+			gv, _ := gamma.Get()
+			return bsChecksum(cv.(*tensor.NDArray).Data, pv.(*tensor.NDArray).Data,
+				vv.(*tensor.NDArray).Data, gv.(*tensor.NDArray).Data), nil
+		},
+		weld: func(threads int) (float64, error) {
+			return bsChecksum(bsWeld(p, k, t, threads)), nil
+		},
+	}, nil
 }
 
 func cdfNormSA(s *core.Session, x any) *core.Future {
@@ -283,7 +201,7 @@ func init() {
 		Description:  "Black Scholes option pricing over ndarray vector math (Fig. 4a)",
 		Operators:    bsOperators,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe, Weld},
-		Run:          runBSTensor,
+		Prepare:      prepareBSTensor,
 		DefaultScale: 1 << 22,
 		Model: func(v Variant, cfg Config) *memsim.Workload {
 			return chainModelAlloc("blackscholes-numpy", bsModelOps(), int64(cfg.Scale), 8, v, cfg.Batch)
@@ -296,15 +214,15 @@ func init() {
 		Operators:    bsOperators,
 		BaseParallel: true,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe, Weld},
-		Run:          runBSVmath,
+		Prepare:      prepareBSVmath,
 		DefaultScale: 1 << 22,
 		Model: func(v Variant, cfg Config) *memsim.Workload {
 			ops := bsModelOps()
 			if v == Mozart || v == MozartNoPipe {
-				// The Mozart backend fills the zeros buffer eagerly,
-				// outside the session (vmath.Fill is not annotated), so
-				// the real plan has 31 calls; zeros still streams with
-				// the batch via the fmax reads.
+				// The program fills the zeros buffer eagerly, outside
+				// the session (vmath.Fill is not annotated), so the real
+				// plan has 31 calls; zeros still streams with the batch
+				// via the fmax reads.
 				ops = ops[1:]
 			}
 			return chainModel("blackscholes-mkl", ops, int64(cfg.Scale), 8, v, cfg.Batch)

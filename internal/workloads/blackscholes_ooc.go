@@ -172,37 +172,35 @@ var bsChunkSA = &core.Annotation{
 // oocBaseChunk is the Base variant's streaming chunk size.
 const oocBaseChunk = 1 << 16
 
-func runBSOoc(v Variant, cfg Config) (float64, error) {
+func prepareBSOoc(cfg Config) (*Program, error) {
 	gen := &oocOptions{N: int64(cfg.Scale), Seed: 0x0C0FFEE5EED}
-	switch v {
-	case Base:
-		// The library-only answer to a too-large grid: hand-rolled chunked
-		// streaming, single-threaded.
-		sum := 0.0
-		for lo := int64(0); lo < gen.N; lo += oocBaseChunk {
-			hi := min(lo+oocBaseChunk, gen.N)
-			c := oocFill(gen, lo, hi-lo)
-			for i := range c.price {
-				sum += bsScalar(c.price[i], c.strike[i], c.tt[i])
+	return &Program{cfg: cfg,
+		pipeline: func(s *core.Session) (float64, error) {
+			fut := s.Call(bsChunkFn, bsChunkSA, gen)
+			if err := s.EvaluateContext(cfg.ctx()); err != nil {
+				return 0, err
 			}
-		}
-		return sum, nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		fut := s.Call(bsChunkFn, bsChunkSA, gen)
-		if err := s.EvaluateContext(cfg.ctx()); err != nil {
-			return 0, err
-		}
-		out, err := fut.Get()
-		if err != nil {
-			return 0, err
-		}
-		return sumOf(out.([]float64)), nil
-	}
-	return 0, errUnsupported(v)
+			out, err := fut.Get()
+			if err != nil {
+				return 0, err
+			}
+			return sumOf(out.([]float64)), nil
+		},
+		// The library-only answer to a too-large grid: hand-rolled chunked
+		// streaming, single-threaded. The pipeline has no eager form: its
+		// one call takes chunks, which only the generator's splitter makes.
+		base: func() (float64, error) {
+			sum := 0.0
+			for lo := int64(0); lo < gen.N; lo += oocBaseChunk {
+				hi := min(lo+oocBaseChunk, gen.N)
+				c := oocFill(gen, lo, hi-lo)
+				for i := range c.price {
+					sum += bsScalar(c.price[i], c.strike[i], c.tt[i])
+				}
+			}
+			return sum, nil
+		},
+	}, nil
 }
 
 func init() {
@@ -213,7 +211,7 @@ func init() {
 			"the memory budget (out-of-core streaming)",
 		Operators:    1,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe},
-		Run:          runBSOoc,
+		Prepare:      prepareBSOoc,
 		DefaultScale: 1 << 20,
 	})
 }

@@ -2,8 +2,8 @@ package workloads
 
 import (
 	"mozart/internal/annotations/framesa"
+	"mozart/internal/core"
 	"mozart/internal/data"
-	"mozart/internal/frame"
 	"mozart/internal/memsim"
 	"mozart/internal/weldsim"
 )
@@ -15,84 +15,56 @@ import (
 
 const ciOperators = 15
 
-func ciReference(df *frame.DataFrame) float64 {
-	pop := df.Col("population")                 // big-city filter
-	bigMask := frame.GtScalar(pop, 500000)      // 1
-	big := frame.Filter(df, bigMask)            // 2
-	pop2 := big.Col("population")               // 3
-	crime := big.Col("total_crimes")            // 4
-	rate := frame.DivSeries(crime, pop2)        // 5
-	perCapita := frame.MulScalar(rate, 1000)    // 6
-	weighted := frame.MulScalar(perCapita, 2.0) // 7
-	adj := frame.AddScalar(weighted, 10)        // 8
-	highMask := frame.LtScalar(adj, 60)         // 9
-	sane := frame.FilterSeries(adj, highMask)   // 10
-	idx := frame.SubScalar(sane, 10)            // 11
-	idx = frame.DivScalar(idx, 2)               // 12
-	total := frame.SumFloat(idx)                // 13
-	count := frame.CountValid(idx)              // 14
-	_ = frame.MulScalar(idx, 1)                 // 15: normalization pass
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count) // 16
-}
-
-func runCrimeIndex(v Variant, cfg Config) (float64, error) {
+func prepareCrimeIndex(cfg Config) (*Program, error) {
 	df := data.CityData(cfg.Scale, 61)
-	switch v {
-	case Base:
-		return ciReference(df), nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		pop := df.Col("population")
-		bigMask := framesa.GtScalar(s, pop, 500000)
-		big := framesa.Filter(s, df, bigMask)
-		pop2 := framesa.Col(s, big, "population")
-		crime := framesa.Col(s, big, "total_crimes")
-		rate := framesa.DivSeries(s, crime, pop2)
-		perCapita := framesa.MulScalar(s, rate, 1000)
-		weighted := framesa.MulScalar(s, perCapita, 2.0)
-		adj := framesa.AddScalar(s, weighted, 10)
-		highMask := framesa.LtScalar(s, adj, 60)
-		sane := framesa.FilterSeries(s, adj, highMask)
-		idx := framesa.SubScalar(s, sane, 10)
-		idx = framesa.DivScalar(s, idx, 2)
-		framesa.MulScalar(s, idx, 1)
-		total := framesa.SumFloat(s, idx)
-		count := framesa.CountValid(s, idx)
-		tv, err := total.Float64()
-		if err != nil {
-			return 0, err
-		}
-		cv, err := count.Int64()
-		if err != nil {
-			return 0, err
-		}
-		if cv == 0 {
-			return 0, nil
-		}
-		return tv / float64(cv), nil
-	case Weld:
-		pop := df.Col("population").F
-		crime := df.Col("total_crimes").F
-		vp, vc := weldsim.Source(pop), weldsim.Source(crime)
-		adj := vc.Div(vp).MulS(1000).MulS(2).AddS(10)
-		keep := vp.GtS(500000)
-		// Fused filter: contribute only where both masks hold.
-		mask := keep.Mul(adj.LtS(60))
-		idx := adj.SubS(10).DivS(2)
-		total := idx.Mul(mask).Sum(cfg.Threads)
-		count := mask.Sum(cfg.Threads)
-		if count == 0 {
-			return 0, nil
-		}
-		return total / count, nil
-	}
-	return 0, errUnsupported(v)
+	return &Program{cfg: cfg,
+		pipeline: func(s *core.Session) (float64, error) {
+			pop := df.Col("population")                      // big-city filter
+			bigMask := framesa.GtScalar(s, pop, 500000)      // 1
+			big := framesa.Filter(s, df, bigMask)            // 2
+			pop2 := framesa.Col(s, big, "population")        // 3
+			crime := framesa.Col(s, big, "total_crimes")     // 4
+			rate := framesa.DivSeries(s, crime, pop2)        // 5
+			perCapita := framesa.MulScalar(s, rate, 1000)    // 6
+			weighted := framesa.MulScalar(s, perCapita, 2.0) // 7
+			adj := framesa.AddScalar(s, weighted, 10)        // 8
+			highMask := framesa.LtScalar(s, adj, 60)         // 9
+			sane := framesa.FilterSeries(s, adj, highMask)   // 10
+			idx := framesa.SubScalar(s, sane, 10)            // 11
+			idx = framesa.DivScalar(s, idx, 2)               // 12
+			framesa.MulScalar(s, idx, 1)                     // 13: normalization pass
+			total := framesa.SumFloat(s, idx)                // 14
+			count := framesa.CountValid(s, idx)              // 15
+			tv, err := total.Float64()
+			if err != nil {
+				return 0, err
+			}
+			cv, err := count.Int64()
+			if err != nil {
+				return 0, err
+			}
+			if cv == 0 {
+				return 0, nil
+			}
+			return tv / float64(cv), nil // 16
+		},
+		weld: func(threads int) (float64, error) {
+			pop := df.Col("population").F
+			crime := df.Col("total_crimes").F
+			vp, vc := weldsim.Source(pop), weldsim.Source(crime)
+			adj := vc.Div(vp).MulS(1000).MulS(2).AddS(10)
+			keep := vp.GtS(500000)
+			// Fused filter: contribute only where both masks hold.
+			mask := keep.Mul(adj.LtS(60))
+			idx := adj.SubS(10).DivS(2)
+			total := idx.Mul(mask).Sum(threads)
+			count := mask.Sum(threads)
+			if count == 0 {
+				return 0, nil
+			}
+			return total / count, nil
+		},
+	}, nil
 }
 
 func ciModel(v Variant, cfg Config) *memsim.Workload {
@@ -123,7 +95,7 @@ func init() {
 		Description:  "average crime index from per-city population/crime data (Fig. 4f)",
 		Operators:    ciOperators,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe, Weld},
-		Run:          runCrimeIndex,
+		Prepare:      prepareCrimeIndex,
 		DefaultScale: 1 << 19,
 		Model:        ciModel,
 	})

@@ -2,8 +2,8 @@ package workloads
 
 import (
 	"mozart/internal/annotations/framesa"
+	"mozart/internal/core"
 	"mozart/internal/data"
-	"mozart/internal/frame"
 	"mozart/internal/memsim"
 )
 
@@ -14,47 +14,25 @@ import (
 
 const dcOperators = 8
 
-// dcClean is the cleaning chain over the frame library.
-func dcClean(zips *frame.Series) (*frame.Series, int64) {
-	sliced := frame.StrSlice(zips, 0, 5)            // 1
-	junk := frame.InStrings(sliced, "NO CL", "N/A") // 2
-	zero := frame.EqString(sliced, "0")             // 3
-	bad := frame.Or(junk, zero)                     // 4
-	cleaned := frame.MaskToNull(sliced, bad)        // 5
-	short := frame.StrLenGt(cleaned, 4)             // 6: well-formed mask
-	_ = short
-	nulls := frame.IsNull(cleaned) // 7
-	_ = nulls
-	return cleaned, frame.CountValid(cleaned) // 8
-}
-
-func runDataCleaning(v Variant, cfg Config) (float64, error) {
-	df := data.ServiceRequests(cfg.Scale, 51)
-	zips := df.Col("Incident Zip")
-	switch v {
-	case Base:
-		_, n := dcClean(zips)
-		return float64(n), nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		sliced := framesa.StrSlice(s, zips, 0, 5)
-		junk := framesa.InStrings(s, sliced, "NO CL", "N/A")
-		zero := framesa.EqString(s, sliced, "0")
-		bad := framesa.Or(s, junk, zero)
-		cleaned := framesa.MaskToNull(s, sliced, bad)
-		framesa.StrLenGt(s, cleaned, 4)
-		framesa.IsNull(s, cleaned)
-		count := framesa.CountValid(s, cleaned)
-		n, err := count.Int64()
-		if err != nil {
-			return 0, err
-		}
-		return float64(n), nil
-	}
-	return 0, errUnsupported(v)
+func prepareDataCleaning(cfg Config) (*Program, error) {
+	zips := data.ServiceRequests(cfg.Scale, 51).Col("Incident Zip")
+	return &Program{cfg: cfg,
+		pipeline: func(s *core.Session) (float64, error) {
+			sliced := framesa.StrSlice(s, zips, 0, 5)            // 1
+			junk := framesa.InStrings(s, sliced, "NO CL", "N/A") // 2
+			zero := framesa.EqString(s, sliced, "0")             // 3
+			bad := framesa.Or(s, junk, zero)                     // 4
+			cleaned := framesa.MaskToNull(s, sliced, bad)        // 5
+			framesa.StrLenGt(s, cleaned, 4)                      // 6: well-formed mask
+			framesa.IsNull(s, cleaned)                           // 7
+			count := framesa.CountValid(s, cleaned)              // 8
+			n, err := count.Int64()
+			if err != nil {
+				return 0, err
+			}
+			return float64(n), nil
+		},
+	}, nil
 }
 
 func dcModel(v Variant, cfg Config) *memsim.Workload {
@@ -79,7 +57,7 @@ func init() {
 		Description:  "311-requests zip-code cleanup: slice, junk masks, nulls (Fig. 4e)",
 		Operators:    dcOperators,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe},
-		Run:          runDataCleaning,
+		Prepare:      prepareDataCleaning,
 		DefaultScale: 1 << 19,
 		Model:        dcModel,
 	})

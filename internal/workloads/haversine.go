@@ -5,10 +5,10 @@ import (
 
 	"mozart/internal/annotations/tensorsa"
 	"mozart/internal/annotations/vmathsa"
+	"mozart/internal/core"
 	"mozart/internal/data"
 	"mozart/internal/memsim"
 	"mozart/internal/tensor"
-	"mozart/internal/vmath"
 	"mozart/internal/weldsim"
 )
 
@@ -25,68 +25,38 @@ const (
 
 const havOperators = 18
 
-func runHavVmath(v Variant, cfg Config) (float64, error) {
+func prepareHavVmath(cfg Config) (*Program, error) {
 	lat, lon := data.GPSData(cfg.Scale, 21)
 	n := cfg.Scale
-	switch v {
-	case Base:
-		old := vmath.NumThreads()
-		vmath.SetNumThreads(cfg.Threads)
-		defer vmath.SetNumThreads(old)
-		alloc := func() []float64 { return make([]float64, n) }
-		dlat, dlon, s1, s2, cl, a, b, d := alloc(), alloc(), alloc(), alloc(), alloc(), alloc(), alloc(), alloc()
-		vmath.SubC(n, lat, havLat2, dlat)        // 1
-		vmath.SubC(n, lon, havLon2, dlon)        // 2
-		vmath.MulC(n, dlat, 0.5, dlat)           // 3
-		vmath.MulC(n, dlon, 0.5, dlon)           // 4
-		vmath.Sin(n, dlat, s1)                   // 5
-		vmath.Sin(n, dlon, s2)                   // 6
-		vmath.Mul(n, s1, s1, s1)                 // 7
-		vmath.Mul(n, s2, s2, s2)                 // 8
-		vmath.Cos(n, lat, cl)                    // 9
-		vmath.MulC(n, cl, math.Cos(havLat2), cl) // 10
-		vmath.Mul(n, cl, s2, s2)                 // 11
-		vmath.Add(n, s1, s2, a)                  // 12
-		vmath.Sqrt(n, a, b)                      // 13
-		vmath.SubCRev(n, a, 1, a)                // 14
-		vmath.Sqrt(n, a, a)                      // 15
-		vmath.Atan2(n, b, a, d)                  // 16
-		vmath.MulC(n, d, 2, d)                   // 17
-		vmath.MulC(n, d, havRadius, d)           // 18
-		return sumOf(d), nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		alloc := func() []float64 { return make([]float64, n) }
-		dlat, dlon, s1, s2, cl, a, b, d := alloc(), alloc(), alloc(), alloc(), alloc(), alloc(), alloc(), alloc()
-		vmathsa.SubC(s, n, lat, havLat2, dlat)
-		vmathsa.SubC(s, n, lon, havLon2, dlon)
-		vmathsa.MulC(s, n, dlat, 0.5, dlat)
-		vmathsa.MulC(s, n, dlon, 0.5, dlon)
-		vmathsa.Sin(s, n, dlat, s1)
-		vmathsa.Sin(s, n, dlon, s2)
-		vmathsa.Mul(s, n, s1, s1, s1)
-		vmathsa.Mul(s, n, s2, s2, s2)
-		vmathsa.Cos(s, n, lat, cl)
-		vmathsa.MulC(s, n, cl, math.Cos(havLat2), cl)
-		vmathsa.Mul(s, n, cl, s2, s2)
-		vmathsa.Add(s, n, s1, s2, a)
-		vmathsa.Sqrt(s, n, a, b)
-		vmathsa.SubCRev(s, n, a, 1, a)
-		vmathsa.Sqrt(s, n, a, a)
-		vmathsa.Atan2(s, n, b, a, d)
-		vmathsa.MulC(s, n, d, 2, d)
-		vmathsa.MulC(s, n, d, havRadius, d)
-		if err := s.EvaluateContext(cfg.ctx()); err != nil {
-			return 0, err
-		}
-		return sumOf(d), nil
-	case Weld:
-		return sumOf(havWeld(lat, lon, cfg.Threads)), nil
-	}
-	return 0, errUnsupported(v)
+	return &Program{cfg: cfg, mkl: true,
+		pipeline: func(s *core.Session) (float64, error) {
+			alloc := func() []float64 { return make([]float64, n) }
+			dlat, dlon, s1, s2, cl, a, b, d := alloc(), alloc(), alloc(), alloc(), alloc(), alloc(), alloc(), alloc()
+			vmathsa.SubC(s, n, lat, havLat2, dlat)        // 1
+			vmathsa.SubC(s, n, lon, havLon2, dlon)        // 2
+			vmathsa.MulC(s, n, dlat, 0.5, dlat)           // 3
+			vmathsa.MulC(s, n, dlon, 0.5, dlon)           // 4
+			vmathsa.Sin(s, n, dlat, s1)                   // 5
+			vmathsa.Sin(s, n, dlon, s2)                   // 6
+			vmathsa.Mul(s, n, s1, s1, s1)                 // 7
+			vmathsa.Mul(s, n, s2, s2, s2)                 // 8
+			vmathsa.Cos(s, n, lat, cl)                    // 9
+			vmathsa.MulC(s, n, cl, math.Cos(havLat2), cl) // 10
+			vmathsa.Mul(s, n, cl, s2, s2)                 // 11
+			vmathsa.Add(s, n, s1, s2, a)                  // 12
+			vmathsa.Sqrt(s, n, a, b)                      // 13
+			vmathsa.SubCRev(s, n, a, 1, a)                // 14
+			vmathsa.Sqrt(s, n, a, a)                      // 15
+			vmathsa.Atan2(s, n, b, a, d)                  // 16
+			vmathsa.MulC(s, n, d, 2, d)                   // 17
+			vmathsa.MulC(s, n, d, havRadius, d)           // 18
+			if err := s.EvaluateContext(cfg.ctx()); err != nil {
+				return 0, err
+			}
+			return sumOf(d), nil
+		},
+		weld: func(threads int) (float64, error) { return sumOf(havWeld(lat, lon, threads)), nil },
+	}, nil
 }
 
 func havWeld(lat, lon []float64, threads int) []float64 {
@@ -98,32 +68,20 @@ func havWeld(lat, lon []float64, threads int) []float64 {
 	return weldsim.Eval(threads, d)[0]
 }
 
-func runHavTensor(v Variant, cfg Config) (float64, error) {
+func prepareHavTensor(cfg Config) (*Program, error) {
 	la, lo := data.GPSData(cfg.Scale, 21)
 	lat := tensor.FromSlice(la, len(la))
 	lon := tensor.FromSlice(lo, len(lo))
-	switch v {
-	case Base:
-		s1 := tensor.Square(tensor.Sin(tensor.MulS(tensor.SubS(lat, havLat2), 0.5)))
-		s2 := tensor.Square(tensor.Sin(tensor.MulS(tensor.SubS(lon, havLon2), 0.5)))
-		a := tensor.Add(s1, tensor.Mul(tensor.MulS(tensor.Cos(lat), math.Cos(havLat2)), s2))
-		d := tensor.MulS(tensor.Atan2(tensor.Sqrt(a), tensor.Sqrt(tensor.RSubS(a, 1))), 2*havRadius)
-		return tensor.Sum(d), nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		s1 := tensorsa.Square(s, tensorsa.Sin(s, tensorsa.MulS(s, tensorsa.SubS(s, lat, havLat2), 0.5)))
-		s2 := tensorsa.Square(s, tensorsa.Sin(s, tensorsa.MulS(s, tensorsa.SubS(s, lon, havLon2), 0.5)))
-		a := tensorsa.Add(s, s1, tensorsa.Mul(s, tensorsa.MulS(s, tensorsa.Cos(s, lat), math.Cos(havLat2)), s2))
-		d := tensorsa.MulS(s, tensorsa.Atan2(s, tensorsa.Sqrt(s, a), tensorsa.Sqrt(s, tensorsa.RSubS(s, a, 1))), 2*havRadius)
-		total := tensorsa.Sum(s, d)
-		return total.Float64()
-	case Weld:
-		return sumOf(havWeld(la, lo, cfg.Threads)), nil
-	}
-	return 0, errUnsupported(v)
+	return &Program{cfg: cfg,
+		pipeline: func(s *core.Session) (float64, error) {
+			s1 := tensorsa.Square(s, tensorsa.Sin(s, tensorsa.MulS(s, tensorsa.SubS(s, lat, havLat2), 0.5)))
+			s2 := tensorsa.Square(s, tensorsa.Sin(s, tensorsa.MulS(s, tensorsa.SubS(s, lon, havLon2), 0.5)))
+			a := tensorsa.Add(s, s1, tensorsa.Mul(s, tensorsa.MulS(s, tensorsa.Cos(s, lat), math.Cos(havLat2)), s2))
+			d := tensorsa.MulS(s, tensorsa.Atan2(s, tensorsa.Sqrt(s, a), tensorsa.Sqrt(s, tensorsa.RSubS(s, a, 1))), 2*havRadius)
+			return tensorsa.Sum(s, d).Float64()
+		},
+		weld: func(threads int) (float64, error) { return sumOf(havWeld(la, lo, threads)), nil },
+	}, nil
 }
 
 func havModelOps() []opSpec {
@@ -162,7 +120,7 @@ func init() {
 		Description:  "Haversine distance from GPS coordinates to a fixed point (Fig. 4b)",
 		Operators:    havOperators,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe, Weld},
-		Run:          runHavTensor,
+		Prepare:      prepareHavTensor,
 		DefaultScale: 1 << 22,
 		Model: func(v Variant, cfg Config) *memsim.Workload {
 			return chainModelAlloc("haversine-numpy", havModelOps(), int64(cfg.Scale), 8, v, cfg.Batch)
@@ -175,7 +133,7 @@ func init() {
 		Operators:    havOperators,
 		BaseParallel: true,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe, Weld},
-		Run:          runHavVmath,
+		Prepare:      prepareHavVmath,
 		DefaultScale: 1 << 22,
 		Model: func(v Variant, cfg Config) *memsim.Workload {
 			return chainModel("haversine-mkl", havModelOps(), int64(cfg.Scale), 8, v, cfg.Batch)

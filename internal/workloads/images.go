@@ -14,16 +14,15 @@ import (
 // image split type's crop/append copies give these workloads the paper's
 // split/merge overhead profile (§8.5).
 
-// imgStep is one filter call, applied either directly or via annotations.
+// imgStep is one filter call through the annotated wrappers.
 type imgStep struct {
 	name  string
-	base  func(m *imagelib.Image)
-	moz   func(s *core.Session, img any)
+	call  func(s *core.Session, img any)
 	cycPx float64
 }
 
-func step(name string, cyc float64, base func(*imagelib.Image), moz func(*core.Session, any)) imgStep {
-	return imgStep{name: name, cycPx: cyc, base: base, moz: moz}
+func step(name string, cyc float64, call func(*core.Session, any)) imgStep {
+	return imgStep{name: name, cycPx: cyc, call: call}
 }
 
 // nashvilleSteps is the 31-call Nashville pipeline: color tone toward warm
@@ -32,43 +31,29 @@ func nashvilleSteps() []imgStep {
 	var steps []imgStep
 	add := func(s imgStep) { steps = append(steps, s) }
 	// colortone(#222b6d, negate) phase.
-	add(step("colorize-blue", 1.2, func(m *imagelib.Image) { imagelib.Colorize(m, 0x22, 0x2b, 0x6d, 0.1) },
-		func(s *core.Session, img any) { imagesa.Colorize(s, img, 0x22, 0x2b, 0x6d, 0.1) }))
-	add(step("contrast-1", 1.6, func(m *imagelib.Image) { imagelib.SigmoidalContrast(m, true, 3, 128) },
-		func(s *core.Session, img any) { imagesa.SigmoidalContrast(s, img, true, 3, 128) }))
-	add(step("gamma-down", 1.4, func(m *imagelib.Image) { imagelib.Gamma(m, 0.9) },
-		func(s *core.Session, img any) { imagesa.Gamma(s, img, 0.9) }))
+	add(step("colorize-blue", 1.2, func(s *core.Session, img any) { imagesa.Colorize(s, img, 0x22, 0x2b, 0x6d, 0.1) }))
+	add(step("contrast-1", 1.6, func(s *core.Session, img any) { imagesa.SigmoidalContrast(s, img, true, 3, 128) }))
+	add(step("gamma-down", 1.4, func(s *core.Session, img any) { imagesa.Gamma(s, img, 0.9) }))
 	// colortone(#f7daae) phase.
-	add(step("colorize-cream", 1.2, func(m *imagelib.Image) { imagelib.Colorize(m, 0xf7, 0xda, 0xae, 0.12) },
-		func(s *core.Session, img any) { imagesa.Colorize(s, img, 0xf7, 0xda, 0xae, 0.12) }))
-	add(step("contrast-2", 1.6, func(m *imagelib.Image) { imagelib.SigmoidalContrast(m, false, 3, 128) },
-		func(s *core.Session, img any) { imagesa.SigmoidalContrast(s, img, false, 3, 128) }))
+	add(step("colorize-cream", 1.2, func(s *core.Session, img any) { imagesa.Colorize(s, img, 0xf7, 0xda, 0xae, 0.12) }))
+	add(step("contrast-2", 1.6, func(s *core.Session, img any) { imagesa.SigmoidalContrast(s, img, false, 3, 128) }))
 	// modulate(100, 150, 100).
-	add(step("modulate", 5, func(m *imagelib.Image) { imagelib.Modulate(m, 100, 150, 100) },
-		func(s *core.Session, img any) { imagesa.Modulate(s, img, 100, 150, 100) }))
+	add(step("modulate", 5, func(s *core.Session, img any) { imagesa.Modulate(s, img, 100, 150, 100) }))
 	// auto-gamma/level passes per channel.
 	for ch := 0; ch < 3; ch++ {
 		ch := ch
-		add(step("channel-up", 0.8, func(m *imagelib.Image) { imagelib.ChannelScale(m, ch, 1.05) },
-			func(s *core.Session, img any) { imagesa.ChannelScale(s, img, ch, 1.05) }))
+		add(step("channel-up", 0.8, func(s *core.Session, img any) { imagesa.ChannelScale(s, img, ch, 1.05) }))
 	}
-	add(step("level", 1.2, func(m *imagelib.Image) { imagelib.Level(m, 10, 245) },
-		func(s *core.Session, img any) { imagesa.Level(s, img, 10, 245) }))
-	add(step("gamma-up", 1.4, func(m *imagelib.Image) { imagelib.Gamma(m, 1.1) },
-		func(s *core.Session, img any) { imagesa.Gamma(s, img, 1.1) }))
+	add(step("level", 1.2, func(s *core.Session, img any) { imagesa.Level(s, img, 10, 245) }))
+	add(step("gamma-up", 1.4, func(s *core.Session, img any) { imagesa.Gamma(s, img, 1.1) }))
 	// Repeat tone/contrast refinement rounds to the filter's 31 calls.
 	for round := 0; round < 4; round++ {
 		alpha := 0.03 + 0.01*float64(round)
-		add(step("tone", 1.2, func(m *imagelib.Image) { imagelib.Colorize(m, 0xff, 0x99, 0x66, alpha) },
-			func(s *core.Session, img any) { imagesa.Colorize(s, img, 0xff, 0x99, 0x66, alpha) }))
-		add(step("contrast", 1.6, func(m *imagelib.Image) { imagelib.SigmoidalContrast(m, true, 2, 120) },
-			func(s *core.Session, img any) { imagesa.SigmoidalContrast(s, img, true, 2, 120) }))
-		add(step("level", 1.2, func(m *imagelib.Image) { imagelib.Level(m, 5, 250) },
-			func(s *core.Session, img any) { imagesa.Level(s, img, 5, 250) }))
-		add(step("gamma", 1.4, func(m *imagelib.Image) { imagelib.Gamma(m, 0.98) },
-			func(s *core.Session, img any) { imagesa.Gamma(s, img, 0.98) }))
-		add(step("saturate", 5, func(m *imagelib.Image) { imagelib.Modulate(m, 100, 104, 100) },
-			func(s *core.Session, img any) { imagesa.Modulate(s, img, 100, 104, 100) }))
+		add(step("tone", 1.2, func(s *core.Session, img any) { imagesa.Colorize(s, img, 0xff, 0x99, 0x66, alpha) }))
+		add(step("contrast", 1.6, func(s *core.Session, img any) { imagesa.SigmoidalContrast(s, img, true, 2, 120) }))
+		add(step("level", 1.2, func(s *core.Session, img any) { imagesa.Level(s, img, 5, 250) }))
+		add(step("gamma", 1.4, func(s *core.Session, img any) { imagesa.Gamma(s, img, 0.98) }))
+		add(step("saturate", 5, func(s *core.Session, img any) { imagesa.Modulate(s, img, 100, 104, 100) }))
 	}
 	return steps // 12 + 19 = 31 calls
 }
@@ -78,27 +63,17 @@ func nashvilleSteps() []imgStep {
 func gothamSteps() []imgStep {
 	var steps []imgStep
 	add := func(s imgStep) { steps = append(steps, s) }
-	add(step("modulate", 5, func(m *imagelib.Image) { imagelib.Modulate(m, 120, 10, 100) },
-		func(s *core.Session, img any) { imagesa.Modulate(s, img, 120, 10, 100) }))
-	add(step("colorize", 1.2, func(m *imagelib.Image) { imagelib.Colorize(m, 0x22, 0x2b, 0x6d, 0.2) },
-		func(s *core.Session, img any) { imagesa.Colorize(s, img, 0x22, 0x2b, 0x6d, 0.2) }))
-	add(step("gamma", 1.4, func(m *imagelib.Image) { imagelib.Gamma(m, 0.5) },
-		func(s *core.Session, img any) { imagesa.Gamma(s, img, 0.5) }))
-	add(step("contrast", 1.6, func(m *imagelib.Image) { imagelib.SigmoidalContrast(m, true, 4, 128) },
-		func(s *core.Session, img any) { imagesa.SigmoidalContrast(s, img, true, 4, 128) }))
-	add(step("level-blue", 0.8, func(m *imagelib.Image) { imagelib.ChannelScale(m, 2, 1.1) },
-		func(s *core.Session, img any) { imagesa.ChannelScale(s, img, 2, 1.1) }))
+	add(step("modulate", 5, func(s *core.Session, img any) { imagesa.Modulate(s, img, 120, 10, 100) }))
+	add(step("colorize", 1.2, func(s *core.Session, img any) { imagesa.Colorize(s, img, 0x22, 0x2b, 0x6d, 0.2) }))
+	add(step("gamma", 1.4, func(s *core.Session, img any) { imagesa.Gamma(s, img, 0.5) }))
+	add(step("contrast", 1.6, func(s *core.Session, img any) { imagesa.SigmoidalContrast(s, img, true, 4, 128) }))
+	add(step("level-blue", 0.8, func(s *core.Session, img any) { imagesa.ChannelScale(s, img, 2, 1.1) }))
 	for round := 0; round < 2; round++ {
-		add(step("tone", 1.2, func(m *imagelib.Image) { imagelib.Colorize(m, 0x10, 0x18, 0x40, 0.05) },
-			func(s *core.Session, img any) { imagesa.Colorize(s, img, 0x10, 0x18, 0x40, 0.05) }))
-		add(step("contrast", 1.6, func(m *imagelib.Image) { imagelib.SigmoidalContrast(m, true, 2, 110) },
-			func(s *core.Session, img any) { imagesa.SigmoidalContrast(s, img, true, 2, 110) }))
-		add(step("level", 1.2, func(m *imagelib.Image) { imagelib.Level(m, 8, 248) },
-			func(s *core.Session, img any) { imagesa.Level(s, img, 8, 248) }))
-		add(step("gamma", 1.4, func(m *imagelib.Image) { imagelib.Gamma(m, 0.95) },
-			func(s *core.Session, img any) { imagesa.Gamma(s, img, 0.95) }))
-		add(step("desaturate", 5, func(m *imagelib.Image) { imagelib.Modulate(m, 100, 96, 100) },
-			func(s *core.Session, img any) { imagesa.Modulate(s, img, 100, 96, 100) }))
+		add(step("tone", 1.2, func(s *core.Session, img any) { imagesa.Colorize(s, img, 0x10, 0x18, 0x40, 0.05) }))
+		add(step("contrast", 1.6, func(s *core.Session, img any) { imagesa.SigmoidalContrast(s, img, true, 2, 110) }))
+		add(step("level", 1.2, func(s *core.Session, img any) { imagesa.Level(s, img, 8, 248) }))
+		add(step("gamma", 1.4, func(s *core.Session, img any) { imagesa.Gamma(s, img, 0.95) }))
+		add(step("desaturate", 5, func(s *core.Session, img any) { imagesa.Modulate(s, img, 100, 96, 100) }))
 	}
 	return steps // 5 + 10 = 15 calls
 }
@@ -112,34 +87,24 @@ func imgChecksum(m *imagelib.Image) float64 {
 	return float64(sum % (1 << 52))
 }
 
-func runImageFilter(steps func() []imgStep) func(v Variant, cfg Config) (float64, error) {
-	return func(v Variant, cfg Config) (float64, error) {
+func prepareImageFilter(steps func() []imgStep) func(cfg Config) (*Program, error) {
+	return func(cfg Config) (*Program, error) {
 		// Scale is the pixel row count of a 4:3 image.
 		h := cfg.Scale
-		w := h * 4 / 3
-		img := data.Photo(w, h, 101)
-		switch v {
-		case Base:
-			for _, st := range steps() {
-				st.base(img)
-			}
-			return imgChecksum(img), nil
-		case Mozart, MozartNoPipe:
-			s := cfg.session()
-			if v == MozartNoPipe {
-				s = cfg.sessionNoPipe()
-			}
-			fut := s.Track(img)
-			for _, st := range steps() {
-				st.moz(s, img)
-			}
-			res, err := fut.Get()
-			if err != nil {
-				return 0, err
-			}
-			return imgChecksum(res.(*imagelib.Image)), nil
-		}
-		return 0, errUnsupported(v)
+		img := data.Photo(h*4/3, h, 101)
+		return &Program{cfg: cfg,
+			pipeline: func(s *core.Session) (float64, error) {
+				fut := s.Track(img)
+				for _, st := range steps() {
+					st.call(s, img)
+				}
+				res, err := fut.Get()
+				if err != nil {
+					return 0, err
+				}
+				return imgChecksum(res.(*imagelib.Image)), nil
+			},
+		}, nil
 	}
 }
 
@@ -167,7 +132,7 @@ func init() {
 		Operators:    31,
 		BaseParallel: true,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe},
-		Run:          runImageFilter(nashvilleSteps),
+		Prepare:      prepareImageFilter(nashvilleSteps),
 		DefaultScale: 4096,
 		Model:        imgModel(nashvilleSteps),
 	})
@@ -178,7 +143,7 @@ func init() {
 		Operators:    15,
 		BaseParallel: true,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe},
-		Run:          runImageFilter(gothamSteps),
+		Prepare:      prepareImageFilter(gothamSteps),
 		DefaultScale: 4096,
 		Model:        imgModel(gothamSteps),
 	})

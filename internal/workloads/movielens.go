@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"mozart/internal/annotations/framesa"
+	"mozart/internal/core"
 	"mozart/internal/data"
 	"mozart/internal/frame"
 	"mozart/internal/memsim"
@@ -55,82 +56,72 @@ func mlDivisiveness(g *frame.DataFrame) float64 {
 	return sum
 }
 
-func runMovieLens(v Variant, cfg Config) (float64, error) {
+func prepareMovieLens(cfg Config) (*Program, error) {
 	nu, nm := mlScaleDims(cfg.Scale)
 	ratings, users, movies := data.MovieLens(cfg.Scale, nu, nm, 81)
 	specs := []frame.AggSpec{{Col: "rating", Kind: frame.AggMean, As: "avg"}}
 	keys := []string{"title", "gender"}
-	switch v {
-	case Base:
-		uix := frame.NewIndex(users, "userId")                       // 1
-		mix := frame.NewIndex(movies, "movieId")                     // 2
-		j1 := frame.JoinIndexed(ratings, uix, "userId", frame.Inner) // 3
-		j2 := frame.JoinIndexed(j1, mix, "movieId", frame.Inner)     // 4
-		g := frame.GroupByAgg(j2, keys, specs)                       // 5
-		return mlDivisiveness(g.ToDataFrame()), nil                  // 6, 7
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		uix := frame.NewIndex(users, "userId")
-		mix := frame.NewIndex(movies, "movieId")
-		j1 := framesa.JoinIndexed(s, ratings, uix, "userId", frame.Inner)
-		j2 := framesa.JoinIndexed(s, j1, mix, "movieId", frame.Inner)
-		g := framesa.GroupByAgg(s, j2, keys, specs)
-		out := framesa.ToDataFrame(s, g)
-		gv, err := out.Get()
-		if err != nil {
-			return 0, err
-		}
-		return mlDivisiveness(gv.(*frame.DataFrame)), nil
-	case Weld:
-		// Weld-style: dictionary joins gathered into vectors, then a
-		// dictmerger keyed by title\x00gender.
-		ub := weldsim.BuildIndexI64(users.Col("userId").I)
-		mb := weldsim.BuildIndexI64(movies.Col("movieId").I)
-		pIdx, uIdx := weldsim.HashJoinGather(ratings.Col("userId").I, ub, cfg.Threads)
-		keysv := make([]string, 0, len(pIdx))
-		vals := make([]float64, 0, len(pIdx))
-		gender := users.Col("gender").S
-		title := movies.Col("title").S
-		mid := ratings.Col("movieId").I
-		rat := ratings.Col("rating").F
-		for k, p := range pIdx {
-			if m, ok := mb[mid[p]]; ok {
-				keysv = append(keysv, title[m]+"\x00"+gender[uIdx[k]])
-				vals = append(vals, rat[p])
+	return &Program{cfg: cfg,
+		pipeline: func(s *core.Session) (float64, error) {
+			uix := frame.NewIndex(users, "userId")                            // 1
+			mix := frame.NewIndex(movies, "movieId")                          // 2
+			j1 := framesa.JoinIndexed(s, ratings, uix, "userId", frame.Inner) // 3
+			j2 := framesa.JoinIndexed(s, j1, mix, "movieId", frame.Inner)     // 4
+			g := framesa.GroupByAgg(s, j2, keys, specs)                       // 5
+			out := framesa.ToDataFrame(s, g)                                  // 6
+			gv, err := out.Get()
+			if err != nil {
+				return 0, err
 			}
-		}
-		g := weldsim.GroupSumByKey(keysv, vals, cfg.Threads)
-		means := map[string][2]float64{}
-		seen := map[string][2]bool{}
-		for _, k := range g.Keys() {
-			sep := -1
-			for i := 0; i < len(k); i++ {
-				if k[i] == 0 {
-					sep = i
-					break
+			return mlDivisiveness(gv.(*frame.DataFrame)), nil // 7
+		},
+		weld: func(threads int) (float64, error) {
+			// Weld-style: dictionary joins gathered into vectors, then a
+			// dictmerger keyed by title\x00gender.
+			ub := weldsim.BuildIndexI64(users.Col("userId").I)
+			mb := weldsim.BuildIndexI64(movies.Col("movieId").I)
+			pIdx, uIdx := weldsim.HashJoinGather(ratings.Col("userId").I, ub, threads)
+			keysv := make([]string, 0, len(pIdx))
+			vals := make([]float64, 0, len(pIdx))
+			gender := users.Col("gender").S
+			title := movies.Col("title").S
+			mid := ratings.Col("movieId").I
+			rat := ratings.Col("rating").F
+			for k, p := range pIdx {
+				if m, ok := mb[mid[p]]; ok {
+					keysv = append(keysv, title[m]+"\x00"+gender[uIdx[k]])
+					vals = append(vals, rat[p])
 				}
 			}
-			t, gen := k[:sep], k[sep+1:]
-			m, sm := means[t], seen[t]
-			if gen == "F" {
-				m[0], sm[0] = g.Mean(k), true
-			} else {
-				m[1], sm[1] = g.Mean(k), true
+			g := weldsim.GroupSumByKey(keysv, vals, threads)
+			means := map[string][2]float64{}
+			seen := map[string][2]bool{}
+			for _, k := range g.Keys() {
+				sep := -1
+				for i := 0; i < len(k); i++ {
+					if k[i] == 0 {
+						sep = i
+						break
+					}
+				}
+				t, gen := k[:sep], k[sep+1:]
+				m, sm := means[t], seen[t]
+				if gen == "F" {
+					m[0], sm[0] = g.Mean(k), true
+				} else {
+					m[1], sm[1] = g.Mean(k), true
+				}
+				means[t], seen[t] = m, sm
 			}
-			means[t], seen[t] = m, sm
-		}
-		sum := 0.0
-		for t, m := range means {
-			if seen[t][0] && seen[t][1] {
-				sum += math.Abs(m[0] - m[1])
+			sum := 0.0
+			for t, m := range means {
+				if seen[t][0] && seen[t][1] {
+					sum += math.Abs(m[0] - m[1])
+				}
 			}
-		}
-		return sum, nil
-	}
-	return 0, errUnsupported(v)
+			return sum, nil
+		},
+	}, nil
 }
 
 func mlModel(v Variant, cfg Config) *memsim.Workload {
@@ -151,7 +142,7 @@ func init() {
 		Description:  "two joins plus grouped mean ratings by (title, gender) (Fig. 4h)",
 		Operators:    mlOperators,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe, Weld},
-		Run:          runMovieLens,
+		Prepare:      prepareMovieLens,
 		DefaultScale: 1 << 18,
 		Model:        mlModel,
 	})

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-
 	"mozart/internal/annotations/tensorsa"
 	"mozart/internal/annotations/vmathsa"
 	"mozart/internal/core"
@@ -25,8 +24,8 @@ const (
 
 const nbOperators = 29
 
-// runNBodyVmath is the MKL variant.
-func runNBodyVmath(v Variant, cfg Config) (float64, error) {
+// prepareNBodyVmath is the MKL variant.
+func prepareNBodyVmath(cfg Config) (*Program, error) {
 	n := cfg.Scale
 	x, y, z, mass := data.Bodies(n, 31)
 	vx, vy, vz := make([]float64, n), make([]float64, n), make([]float64, n)
@@ -35,77 +34,42 @@ func runNBodyVmath(v Variant, cfg Config) (float64, error) {
 	fx, fy, fz := mat(), mat(), mat()
 	ax, ay, az := make([]float64, n), make([]float64, n), make([]float64, n)
 	tmp := make([]float64, n)
-
-	switch v {
-	case Base:
-		old := vmath.NumThreads()
-		vmath.SetNumThreads(cfg.Threads)
-		defer vmath.SetNumThreads(old)
-		vmath.OuterDiff(x, dx)        // 1
-		vmath.OuterDiff(y, dy)        // 2
-		vmath.OuterDiff(z, dz)        // 3
-		vmath.MatMulElem(dx, dx, r2)  // 4
-		vmath.MatMulElem(dy, dy, t1)  // 5
-		vmath.MatAdd(r2, t1, r2)      // 6
-		vmath.MatMulElem(dz, dz, t1)  // 7
-		vmath.MatAdd(r2, t1, r2)      // 8
-		vmath.MatAddC(r2, nbEps, r2)  // 9
-		vmath.MatPowC(r2, -1.5, r2)   // 10
-		vmath.MulRowVec(r2, mass, r2) // 11
-		vmath.MatMulElem(dx, r2, fx)  // 12
-		vmath.MatMulElem(dy, r2, fy)  // 13
-		vmath.MatMulElem(dz, r2, fz)  // 14
-		vmath.RowSums(fx, ax)         // 15
-		vmath.RowSums(fy, ay)         // 16
-		vmath.RowSums(fz, az)         // 17
-		for i, upd := range [][2][]float64{{ax, vx}, {ay, vy}, {az, vz}} {
-			_ = i
-			vmath.MulC(n, upd[0], -nbG*nbDt, tmp) // 18, 20, 22
-			vmath.Add(n, upd[1], tmp, upd[1])     // 19, 21, 23
-		}
-		for _, upd := range [][2][]float64{{vx, x}, {vy, y}, {vz, z}} {
-			vmath.MulC(n, upd[0], nbDt, tmp)  // 24, 26, 28
-			vmath.Add(n, upd[1], tmp, upd[1]) // 25, 27, 29
-		}
-		return sumOf(x) + sumOf(y) + sumOf(z) + sumOf(vx) + sumOf(vy) + sumOf(vz), nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		vmathsa.OuterDiff(s, x, dx)
-		vmathsa.OuterDiff(s, y, dy)
-		vmathsa.OuterDiff(s, z, dz)
-		vmathsa.MatMulElem(s, dx, dx, r2)
-		vmathsa.MatMulElem(s, dy, dy, t1)
-		vmathsa.MatAdd(s, r2, t1, r2)
-		vmathsa.MatMulElem(s, dz, dz, t1)
-		vmathsa.MatAdd(s, r2, t1, r2)
-		vmathsa.MatAddC(s, r2, nbEps, r2)
-		vmathsa.MatPowC(s, r2, -1.5, r2)
-		vmathsa.MulRowVec(s, r2, mass, r2)
-		vmathsa.MatMulElem(s, dx, r2, fx)
-		vmathsa.MatMulElem(s, dy, r2, fy)
-		vmathsa.MatMulElem(s, dz, r2, fz)
-		vmathsa.RowSums(s, fx, ax)
-		vmathsa.RowSums(s, fy, ay)
-		vmathsa.RowSums(s, fz, az)
-		for _, upd := range [][2][]float64{{ax, vx}, {ay, vy}, {az, vz}} {
-			vmathsa.MulC(s, n, upd[0], -nbG*nbDt, tmp)
-			vmathsa.Add(s, n, upd[1], tmp, upd[1])
-		}
-		for _, upd := range [][2][]float64{{vx, x}, {vy, y}, {vz, z}} {
-			vmathsa.MulC(s, n, upd[0], nbDt, tmp)
-			vmathsa.Add(s, n, upd[1], tmp, upd[1])
-		}
-		if err := s.EvaluateContext(cfg.ctx()); err != nil {
-			return 0, err
-		}
-		return sumOf(x) + sumOf(y) + sumOf(z) + sumOf(vx) + sumOf(vy) + sumOf(vz), nil
-	case Weld:
-		return nbodyWeld(x, y, z, vx, vy, vz, mass, cfg.Threads), nil
-	}
-	return 0, errUnsupported(v)
+	return &Program{cfg: cfg, mkl: true,
+		pipeline: func(s *core.Session) (float64, error) {
+			vmathsa.OuterDiff(s, x, dx)        // 1
+			vmathsa.OuterDiff(s, y, dy)        // 2
+			vmathsa.OuterDiff(s, z, dz)        // 3
+			vmathsa.MatMulElem(s, dx, dx, r2)  // 4
+			vmathsa.MatMulElem(s, dy, dy, t1)  // 5
+			vmathsa.MatAdd(s, r2, t1, r2)      // 6
+			vmathsa.MatMulElem(s, dz, dz, t1)  // 7
+			vmathsa.MatAdd(s, r2, t1, r2)      // 8
+			vmathsa.MatAddC(s, r2, nbEps, r2)  // 9
+			vmathsa.MatPowC(s, r2, -1.5, r2)   // 10
+			vmathsa.MulRowVec(s, r2, mass, r2) // 11
+			vmathsa.MatMulElem(s, dx, r2, fx)  // 12
+			vmathsa.MatMulElem(s, dy, r2, fy)  // 13
+			vmathsa.MatMulElem(s, dz, r2, fz)  // 14
+			vmathsa.RowSums(s, fx, ax)         // 15
+			vmathsa.RowSums(s, fy, ay)         // 16
+			vmathsa.RowSums(s, fz, az)         // 17
+			for _, upd := range [][2][]float64{{ax, vx}, {ay, vy}, {az, vz}} {
+				vmathsa.MulC(s, n, upd[0], -nbG*nbDt, tmp) // 18, 20, 22
+				vmathsa.Add(s, n, upd[1], tmp, upd[1])     // 19, 21, 23
+			}
+			for _, upd := range [][2][]float64{{vx, x}, {vy, y}, {vz, z}} {
+				vmathsa.MulC(s, n, upd[0], nbDt, tmp)  // 24, 26, 28
+				vmathsa.Add(s, n, upd[1], tmp, upd[1]) // 25, 27, 29
+			}
+			if err := s.EvaluateContext(cfg.ctx()); err != nil {
+				return 0, err
+			}
+			return sumOf(x) + sumOf(y) + sumOf(z) + sumOf(vx) + sumOf(vy) + sumOf(vz), nil
+		},
+		weld: func(threads int) (float64, error) {
+			return nbodyWeld(x, y, z, vx, vy, vz, mass, threads), nil
+		},
+	}, nil
 }
 
 // nbodyWeld computes the pairwise chain as fused expressions; the outer
@@ -145,9 +109,9 @@ func nbodyWeld(x, y, z, vx, vy, vz, mass []float64, threads int) float64 {
 	return sum
 }
 
-// runNBodyTensor is the NumPy variant; the mass broadcast matrix is built
-// with an outer op, and per-row reductions use SumAxis1.
-func runNBodyTensor(v Variant, cfg Config) (float64, error) {
+// prepareNBodyTensor is the NumPy variant; the mass broadcast matrix is
+// built with an outer op, and per-row reductions use SumAxis over axis 1.
+func prepareNBodyTensor(cfg Config) (*Program, error) {
 	n := cfg.Scale
 	xs, ys, zs, ms := data.Bodies(n, 31)
 	x := tensor.FromSlice(xs, n)
@@ -156,59 +120,38 @@ func runNBodyTensor(v Variant, cfg Config) (float64, error) {
 	mass := tensor.FromSlice(ms, n)
 	zerov := tensor.New(n)
 	vx, vy, vz := tensor.New(n), tensor.New(n), tensor.New(n)
-
-	switch v {
-	case Base:
-		dx := tensor.OuterSub(x, x)
-		dy := tensor.OuterSub(y, y)
-		dz := tensor.OuterSub(z, z)
-		mm := tensor.OuterSub(zerov, tensor.Neg(mass)) // mm[i][j] = mass[j]
-		r2 := tensor.AddS(tensor.Add(tensor.Add(tensor.Square(dx), tensor.Square(dy)), tensor.Square(dz)), nbEps)
-		inv := tensor.Mul(tensor.PowS(r2, -1.5), mm)
-		ax := tensor.SumAxis1(tensor.Mul(dx, inv))
-		ay := tensor.SumAxis1(tensor.Mul(dy, inv))
-		az := tensor.SumAxis1(tensor.Mul(dz, inv))
-		vx = tensor.Add(vx, tensor.MulS(ax, -nbG*nbDt))
-		vy = tensor.Add(vy, tensor.MulS(ay, -nbG*nbDt))
-		vz = tensor.Add(vz, tensor.MulS(az, -nbG*nbDt))
-		x = tensor.Add(x, tensor.MulS(vx, nbDt))
-		y = tensor.Add(y, tensor.MulS(vy, nbDt))
-		z = tensor.Add(z, tensor.MulS(vz, nbDt))
-		return tensor.Sum(x) + tensor.Sum(y) + tensor.Sum(z) + tensor.Sum(vx) + tensor.Sum(vy) + tensor.Sum(vz), nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		dx := tensorsa.OuterSub(s, x, x)
-		dy := tensorsa.OuterSub(s, y, y)
-		dz := tensorsa.OuterSub(s, z, z)
-		mm := tensorsa.OuterSub(s, zerov, tensorsa.Neg(s, mass))
-		r2 := tensorsa.AddS(s, tensorsa.Add(s, tensorsa.Add(s, tensorsa.Square(s, dx), tensorsa.Square(s, dy)), tensorsa.Square(s, dz)), nbEps)
-		inv := tensorsa.Mul(s, tensorsa.PowS(s, r2, -1.5), mm)
-		ax := tensorsa.SumAxis(s, tensorsa.Mul(s, dx, inv), 1)
-		ay := tensorsa.SumAxis(s, tensorsa.Mul(s, dy, inv), 1)
-		az := tensorsa.SumAxis(s, tensorsa.Mul(s, dz, inv), 1)
-		fvx := tensorsa.Add(s, vx, tensorsa.MulS(s, ax, -nbG*nbDt))
-		fvy := tensorsa.Add(s, vy, tensorsa.MulS(s, ay, -nbG*nbDt))
-		fvz := tensorsa.Add(s, vz, tensorsa.MulS(s, az, -nbG*nbDt))
-		fx := tensorsa.Add(s, x, tensorsa.MulS(s, fvx, nbDt))
-		fy := tensorsa.Add(s, y, tensorsa.MulS(s, fvy, nbDt))
-		fz := tensorsa.Add(s, z, tensorsa.MulS(s, fvz, nbDt))
-		sum := 0.0
-		for _, f := range []*core.Future{fx, fy, fz, fvx, fvy, fvz} {
-			v, err := f.Get()
-			if err != nil {
-				return 0, err
+	return &Program{cfg: cfg,
+		pipeline: func(s *core.Session) (float64, error) {
+			dx := tensorsa.OuterSub(s, x, x)
+			dy := tensorsa.OuterSub(s, y, y)
+			dz := tensorsa.OuterSub(s, z, z)
+			mm := tensorsa.OuterSub(s, zerov, tensorsa.Neg(s, mass)) // mm[i][j] = mass[j]
+			r2 := tensorsa.AddS(s, tensorsa.Add(s, tensorsa.Add(s, tensorsa.Square(s, dx), tensorsa.Square(s, dy)), tensorsa.Square(s, dz)), nbEps)
+			inv := tensorsa.Mul(s, tensorsa.PowS(s, r2, -1.5), mm)
+			ax := tensorsa.SumAxis(s, tensorsa.Mul(s, dx, inv), 1)
+			ay := tensorsa.SumAxis(s, tensorsa.Mul(s, dy, inv), 1)
+			az := tensorsa.SumAxis(s, tensorsa.Mul(s, dz, inv), 1)
+			fvx := tensorsa.Add(s, vx, tensorsa.MulS(s, ax, -nbG*nbDt))
+			fvy := tensorsa.Add(s, vy, tensorsa.MulS(s, ay, -nbG*nbDt))
+			fvz := tensorsa.Add(s, vz, tensorsa.MulS(s, az, -nbG*nbDt))
+			fx := tensorsa.Add(s, x, tensorsa.MulS(s, fvx, nbDt))
+			fy := tensorsa.Add(s, y, tensorsa.MulS(s, fvy, nbDt))
+			fz := tensorsa.Add(s, z, tensorsa.MulS(s, fvz, nbDt))
+			sum := 0.0
+			for _, f := range []*core.Future{fx, fy, fz, fvx, fvy, fvz} {
+				v, err := f.Get()
+				if err != nil {
+					return 0, err
+				}
+				sum += tensor.Sum(v.(*tensor.NDArray))
 			}
-			sum += tensor.Sum(v.(*tensor.NDArray))
-		}
-		return sum, nil
-	case Weld:
-		vxs, vys, vzs := make([]float64, n), make([]float64, n), make([]float64, n)
-		return nbodyWeld(xs, ys, zs, vxs, vys, vzs, ms, cfg.Threads), nil
-	}
-	return 0, errUnsupported(v)
+			return sum, nil
+		},
+		weld: func(threads int) (float64, error) {
+			vxs, vys, vzs := make([]float64, n), make([]float64, n), make([]float64, n)
+			return nbodyWeld(xs, ys, zs, vxs, vys, vzs, ms, threads), nil
+		},
+	}, nil
 }
 
 // nbModel builds the memsim plan: whole outer stages over n^2 elements,
@@ -270,7 +213,7 @@ func init() {
 		Description:  "Newtonian n-body step over pairwise matrices (Fig. 4c)",
 		Operators:    nbOperators,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe, Weld},
-		Run:          runNBodyTensor,
+		Prepare:      prepareNBodyTensor,
 		DefaultScale: 1024,
 		Model:        nbModel(true),
 	})
@@ -281,7 +224,7 @@ func init() {
 		Operators:    nbOperators,
 		BaseParallel: true,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe, Weld},
-		Run:          runNBodyVmath,
+		Prepare:      prepareNBodyVmath,
 		DefaultScale: 1024,
 		Model:        nbModel(false),
 	})

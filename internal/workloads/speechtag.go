@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"mozart/internal/annotations/nlpsa"
+	"mozart/internal/core"
 	"mozart/internal/data"
 	"mozart/internal/memsim"
 	"mozart/internal/nlp"
@@ -22,28 +23,20 @@ func stChecksum(counts map[string]int64) float64 {
 	return sum
 }
 
-func runSpeechTag(v Variant, cfg Config) (float64, error) {
+func prepareSpeechTag(cfg Config) (*Program, error) {
 	corpus := data.ReviewCorpus(cfg.Scale, 91)
 	tagger := nlp.NewTagger()
-	switch v {
-	case Base:
-		docs := tagger.Pipe(corpus)   // 1
-		counts := nlp.POSCounts(docs) // 2
-		return stChecksum(counts), nil
-	case Mozart, MozartNoPipe:
-		s := cfg.session()
-		if v == MozartNoPipe {
-			s = cfg.sessionNoPipe()
-		}
-		docs := nlpsa.Pipe(s, tagger, corpus)
-		counts := nlpsa.POSCounts(s, docs)
-		cv, err := counts.Get()
-		if err != nil {
-			return 0, err
-		}
-		return stChecksum(cv.(map[string]int64)), nil
-	}
-	return 0, errUnsupported(v)
+	return &Program{cfg: cfg,
+		pipeline: func(s *core.Session) (float64, error) {
+			docs := nlpsa.Pipe(s, tagger, corpus) // 1
+			counts := nlpsa.POSCounts(s, docs)    // 2
+			cv, err := counts.Get()
+			if err != nil {
+				return 0, err
+			}
+			return stChecksum(cv.(map[string]int64)), nil
+		},
+	}, nil
 }
 
 func stModel(v Variant, cfg Config) *memsim.Workload {
@@ -63,7 +56,7 @@ func init() {
 		Description:  "POS tagging and feature extraction over a review corpus (Fig. 4i)",
 		Operators:    stOperators,
 		Variants:     []Variant{Base, Mozart, MozartNoPipe},
-		Run:          runSpeechTag,
+		Prepare:      prepareSpeechTag,
 		DefaultScale: 1 << 13,
 		Model:        stModel,
 	})

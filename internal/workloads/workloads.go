@@ -1,12 +1,21 @@
 // Package workloads implements the paper's 15 evaluation workloads
-// (Table 2), each in several execution variants:
+// (Table 2), plus an out-of-core one. Each workload is one program, written
+// once against the annotated wrappers over one *core.Session, and it runs
+// in several execution variants:
 //
 //   - Base: the unmodified substrate library (vmath/tensor/frame/nlp/
-//     imagelib), using the library's own internal parallelism where the
-//     real library has it (MKL, ImageMagick).
-//   - Mozart: the same library calls through split annotations.
+//     imagelib). The program runs with a nil session, which calls each
+//     library function at once (§4: the annotated library takes the
+//     original's place and the application stays as it is). MKL gets
+//     library-internal threads, as the real library has them.
+//   - Mozart: the same program with a session: its calls are captured,
+//     split, pipelined and run in parallel.
 //   - MozartNoPipe: Mozart with pipelining disabled (Table 4's ablation).
-//   - Weld: the weldsim fused-IR comparator, where expressible.
+//   - Weld: the weldsim fused-IR comparator, where expressible — a
+//     different program by design, kept beside the workload's one.
+//
+// Spec.Prepare generates a workload's inputs and returns the Program that
+// runs on them, so a harness can time the run without the generation.
 //
 // Each workload also exposes a memsim plan model so the multicore figures
 // can be regenerated on a host with far fewer cores than 16 (see DESIGN.md).
@@ -14,6 +23,7 @@ package workloads
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -22,6 +32,7 @@ import (
 	"mozart/internal/memsim"
 	"mozart/internal/obs"
 	"mozart/internal/plan"
+	"mozart/internal/vmath"
 )
 
 // Variant selects an execution strategy.
@@ -41,7 +52,8 @@ type Config struct {
 	Threads int   // worker threads (and library-internal threads for Base)
 	Batch   int64 // Mozart batch override; 0 = the C*L2 heuristic
 	// OnSession, when set, observes every Mozart session a workload
-	// creates (used by the Figure 5 overhead-breakdown harness).
+	// creates (used by the Figure 5 overhead-breakdown harness). Base
+	// creates none.
 	OnSession func(*core.Session)
 	// Tracer, when set, receives structured runtime events from every
 	// Mozart session a workload creates (sabench -experiment trace).
@@ -117,17 +129,11 @@ func (c Config) options() core.Options {
 	return o
 }
 
-func (c Config) session() *core.Session {
-	s := core.NewSession(c.options())
-	if c.OnSession != nil {
-		c.OnSession(s)
-	}
-	return s
-}
-
-func (c Config) sessionNoPipe() *core.Session {
+// session is the one session a Mozart variant's program runs with: c's
+// options, with pipelining off for MozartNoPipe, shown to OnSession.
+func (c Config) session(v Variant) *core.Session {
 	o := c.options()
-	o.DisablePipelining = true
+	o.DisablePipelining = v == MozartNoPipe
 	s := core.NewSession(o)
 	if c.OnSession != nil {
 		c.OnSession(s)
@@ -146,9 +152,9 @@ type Spec struct {
 	// ignore the thread count, as in Figure 4.
 	BaseParallel bool
 	Variants     []Variant
-	// Run executes the workload and returns a checksum over its result for
-	// cross-variant validation.
-	Run func(v Variant, cfg Config) (float64, error)
+	// Prepare generates the workload's inputs for cfg and returns the
+	// program that runs on them.
+	Prepare func(cfg Config) (*Program, error)
 	// Model returns the memsim plan for a variant (nil if not modeled).
 	Model func(v Variant, cfg Config) *memsim.Workload
 	// DefaultScale is the scale used by figure regeneration.
@@ -188,6 +194,67 @@ func ByName(name string) (Spec, error) {
 		}
 	}
 	return Spec{}, fmt.Errorf("workloads: unknown workload %q", name)
+}
+
+// Run prepares the workload for cfg and runs it under variant v. It returns
+// a checksum over the result for cross-variant validation.
+func (s Spec) Run(v Variant, cfg Config) (float64, error) {
+	p, err := s.Prepare(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return p.Run(v)
+}
+
+// Program is one workload's generated inputs and the code that runs on
+// them, made by Spec.Prepare. It runs once: nbody, shallow water and the
+// image filters update their inputs in place, so a second Run is an error
+// rather than a computation over spent inputs.
+type Program struct {
+	cfg Config
+	// pipeline is the workload. Base runs it with a nil session, which
+	// calls the library eagerly; Mozart and MozartNoPipe with a session.
+	pipeline func(s *core.Session) (float64, error)
+	// mkl marks a pipeline over vmath, whose Base gets cfg.Threads
+	// library-internal threads (mkl_set_num_threads).
+	mkl bool
+	// base, when set, is what Base runs instead of the pipeline: a
+	// library-only program of its own (blackscholes-ooc's hand-rolled
+	// chunked streaming).
+	base func() (float64, error)
+	// weld is the weldsim comparator; nil where the workload has none.
+	weld func(threads int) (float64, error)
+	ran  bool
+}
+
+// errRan is a second Run of one Program.
+var errRan = errors.New("workloads: program already ran; Prepare another")
+
+// Run runs the program under variant v: the one place a variant is chosen.
+func (p *Program) Run(v Variant) (float64, error) {
+	if p.ran {
+		return 0, errRan
+	}
+	p.ran = true
+	switch v {
+	case Base:
+		if p.base != nil {
+			return p.base()
+		}
+		if p.mkl {
+			old := vmath.NumThreads()
+			vmath.SetNumThreads(p.cfg.Threads)
+			defer vmath.SetNumThreads(old)
+		}
+		return p.pipeline(nil)
+	case Mozart, MozartNoPipe:
+		return p.pipeline(p.cfg.session(v))
+	case Weld:
+		if p.weld != nil {
+			return p.weld(p.cfg.Threads)
+		}
+	}
+	return 0, errUnsupported(v)
 }
 
 // HasVariant reports whether the spec supports v.

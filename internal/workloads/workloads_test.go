@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -85,7 +86,7 @@ func TestRegistryShape(t *testing.T) {
 	libs := map[string]int{}
 	for _, s := range specs {
 		libs[s.Library]++
-		if s.Name == "" || s.Description == "" || s.Operators <= 0 || s.Run == nil {
+		if s.Name == "" || s.Description == "" || s.Operators <= 0 || s.Prepare == nil {
 			t.Errorf("%s: incomplete spec", s.Name)
 		}
 		if !s.HasVariant(Base) || !s.HasVariant(Mozart) {
@@ -152,5 +153,21 @@ func TestUnsupportedVariant(t *testing.T) {
 	}
 	if !spec.HasVariant(Mozart) || spec.HasVariant(Weld) {
 		t.Fatal("HasVariant")
+	}
+}
+
+// TestProgramRunsOnce: a prepared program is single-use, since several
+// workloads update their inputs in place; a second Run is an error.
+func TestProgramRunsOnce(t *testing.T) {
+	spec, _ := ByName("nbody-mkl")
+	p, err := spec.Prepare(Config{Scale: 16, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(Base); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(Mozart); !errors.Is(err, errRan) {
+		t.Fatalf("second Run: %v, want %v", err, errRan)
 	}
 }
