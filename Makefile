@@ -1,14 +1,14 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
-# workflow runs: the gate-name check (every `-run` pattern of a recipe still
-# names a test), the formatting gate (gofmt), vet (fail fast), the deprecation gate, the layering gate
-# (the runtime does not link the memsim model), build, plain tests,
-# the race detector over the runtime-heavy packages, the flakiness gate (the
-# fault-tolerance suites and the root package three times under -race, so a
-# nondeterministic retry/breaker/admission/tuner test cannot land green), the zero-copy pool
-# smoke (AllocsPerRun, alias checks, leak suite), the faults-experiment
-# smoke, the telemetry smokes (trace, explain, Prometheus golden, bench
-# snapshot), the out-of-core spill smoke, the fuzz smoke (the fuzz targets
-# past their seed corpus), the adaptive-planner tune smoke
+# workflow runs: the gate-name check (every `-run` and `-fuzz` pattern of a
+# recipe still names a test), the formatting gate (gofmt), vet (fail fast),
+# the layering gate (the runtime does not link the memsim model), build, plain
+# tests, the race detector over the runtime-heavy packages, the flakiness gate
+# (the fault-tolerance suites and the root package three times under -race, so
+# a nondeterministic retry/breaker/admission/tuner test cannot land green), the
+# zero-copy pool smoke (AllocsPerRun, alias checks, leak suite), the
+# faults-experiment smoke, the telemetry smokes (trace, explain, Prometheus
+# golden), the out-of-core spill smoke, the fuzz smoke (the fuzz targets past
+# their seed corpus), the adaptive-planner tune smoke
 # (online batch calibration vs the static heuristic), the mozartd
 # serve smoke (boot, shed, SIGTERM drain), the observability smoke
 # (traceparent echo, span trees, OpenMetrics exemplars, burn rates,
@@ -21,14 +21,17 @@ GO ?= go
 # GOMAXPROCS sweep).
 POOL_TESTS = TestWorkerPool|TestSteadyState|TestSharedWorkerPool
 
-.PHONY: ci gate-names fmt-check vet deprecations layering build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-smoke bench-quick bench-snapshot bench serve-smoke slo-smoke spill-smoke fuzz-smoke tune-smoke soak
+.PHONY: ci gate-names fmt-check vet layering build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke explain-golden prom-golden bench-quick bench serve-smoke slo-smoke spill-smoke fuzz-smoke tune-smoke soak
 
-ci: gate-names fmt-check vet deprecations layering build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden bench-smoke spill-smoke fuzz-smoke tune-smoke serve-smoke slo-smoke bench-quick
+ci: gate-names fmt-check vet layering build test race flaky pool-smoke smoke-faults trace-smoke explain-smoke prom-golden spill-smoke fuzz-smoke tune-smoke serve-smoke slo-smoke bench-quick
 
 # `go test -run P` passes when P matches nothing, so a renamed test would
 # silently leave its gate. Every |-alternative of every -run pattern in the
 # recipes that have one (read from them as make would run them, each written
 # `-run '<pattern>' <pkg>`) must match at least one test in its package.
+# `go test -fuzz P` also exits 0 when P matches nothing ("no fuzz tests to
+# fuzz"), so every -fuzz pattern of fuzz-smoke (written `-fuzz '<pattern>'
+# <pkg>`) must match a Fuzz target in its package.
 gate-names:
 	@$(MAKE) -s -n pool-smoke flaky prom-golden soak explain-golden | grep -o -- "-run '[^']*' [^ ]*" | while read -r _ pat pkg; do \
 		pat=$${pat#\'}; pat=$${pat%\'}; \
@@ -38,6 +41,12 @@ gate-names:
 			echo "gate-names: $$pkg: $$alt matches $$n"; \
 		done; \
 	done
+	@$(MAKE) -s -n fuzz-smoke | grep -o -- "-fuzz '[^']*' [^ ]*" | while read -r _ pat pkg; do \
+		pat=$${pat#\'}; pat=$${pat%\'}; \
+		n=$$($(GO) test -list "$$pat" $$pkg | grep -c '^Fuzz'); \
+		if [ "$$n" -eq 0 ]; then echo "gate-names: -fuzz $$pat matches no fuzz target in $$pkg" >&2; exit 1; fi; \
+		echo "gate-names: $$pkg: $$pat matches $$n"; \
+	done
 
 # Formatting gate: fails when gofmt would rewrite any file.
 fmt-check:
@@ -46,21 +55,10 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Deprecation gate: new uses of deprecated APIs (Session.Evaluate, the
-# Stats type alias) fail CI. Prefers staticcheck's SA1019 when installed;
-# falls back to the repo's dependency-free AST checker otherwise.
-deprecations:
-	@if command -v staticcheck >/dev/null 2>&1; then \
-		echo "deprecations: staticcheck -checks SA1019 ./..."; \
-		staticcheck -checks SA1019 ./... ; \
-	else \
-		$(GO) run ./cmd/depcheck ; \
-	fi
-
 # The runtime reports only what it measures: the root package, internal/core
 # and internal/obs must not link the memsim machine model or its plan
 # lowering. The model is reached from a plan IR through internal/planlower,
-# beside the runtime (benchmark/, sabench bench).
+# beside the runtime (benchmark/ reports it as memsim.model_s).
 layering:
 	@for p in . ./internal/core ./internal/obs; do \
 		if $(GO) list -deps $$p | grep -x 'mozart/internal/\(memsim\|planlower\)'; then \
@@ -173,18 +171,13 @@ spill-smoke:
 	$(GO) run ./cmd/sabench -experiment spill
 
 # The fuzz targets past their seed corpus (plain `go test` runs only the
-# seeds): the traceparent parser, the spill store's frame replay and the
-# .sa annotation grammar.
+# seeds): the traceparent parser, the spill store's frame replay, the .sa
+# annotation grammar and the mozartd /v1/eval request body.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime=10s ./internal/obs
-	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime=10s ./internal/spill
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/satool
-
-# Smoke-run the BENCH trajectory emitter into a throwaway directory: all 16
-# workloads through the real planner and the counter simulation, snapshot
-# written and schema-validated (the experiment exits non-zero otherwise).
-bench-smoke:
-	$(GO) run ./cmd/sabench -experiment bench -benchdir "$$(mktemp -d)"
+	$(GO) test -run '^$$' -fuzztime=10s -fuzz '^FuzzParseTraceparent$$' ./internal/obs
+	$(GO) test -run '^$$' -fuzztime=10s -fuzz '^FuzzReplay$$' ./internal/spill
+	$(GO) test -run '^$$' -fuzztime=10s -fuzz '^FuzzParse$$' ./internal/satool
+	$(GO) test -run '^$$' -fuzztime=10s -fuzz '^FuzzEvalBody$$' ./internal/serve
 
 # The measured wall-clock benchmark (BENCHMARK.json, benchmark/): its own
 # module, so tier-1 never compiles it. Run its test, then every workload at
@@ -193,11 +186,6 @@ bench-smoke:
 bench-quick:
 	cd benchmark && $(GO) test .
 	bash benchmark/run.sh -quick
-
-# Emit (and regression-compare) a real BENCH_<git-sha>.json snapshot in the
-# repo root; commit it to extend the performance trajectory.
-bench-snapshot:
-	$(GO) run ./cmd/sabench -experiment bench -benchdir .
 
 # Regenerate the paper's figures/tables (see cmd/sabench).
 bench:

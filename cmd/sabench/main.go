@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	sabench -experiment all|fig1|fig4|fig5|fig6|fig7|table2|table3|table4|wall|faults|trace|explain|bench|serveload|spill|autotune
+//	sabench -experiment all|fig1|fig4|fig5|fig6|fig7|table2|table3|table4|wall|faults|trace|explain|serveload|spill|autotune
 //
 // Multicore figures (1-16 threads) are produced on the memsim machine
 // model, which executes the workloads' actual execution plans (per-call
@@ -40,7 +40,7 @@ var experiments = []experiment{
 	{"fig1", fig1}, {"fig4", fig4}, {"fig5", fig5}, {"fig6", fig6}, {"fig7", fig7},
 	{"table2", table2}, {"table3", table3}, {"table4", table4},
 	{"wall", wall}, {"faults", faults}, {"trace", trace}, {"explain", explain},
-	{"bench", bench}, {"serveload", serveload}, {"spill", spillSmoke}, {"autotune", autotune},
+	{"serveload", serveload}, {"spill", spillSmoke}, {"autotune", autotune},
 }
 
 // experimentNames renders the valid -experiment values, "all" last.

@@ -63,3 +63,29 @@ func ExampleWithTracer() {
 
 	// Output: stages = 1, batches = 4
 }
+
+// The Listing 1 pipeline from the paper, d1 = (log1p(d1) + tmp) / vol, and
+// the sum of its result. The three in-place vector calls share ArraySplit
+// types, so the planner pipelines them with the reduction into one stage of
+// cache-sized batches; reading the Future forces the evaluation.
+func Example_listing1() {
+	const n = 1 << 18
+	d1, tmp, vol := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range d1 {
+		d1[i] = float64(i%100)/100 + 0.5
+		tmp[i], vol[i] = 1, 2
+	}
+
+	s := mozart.NewSession(mozart.Options{Workers: 2})
+	vmathsa.Log1p(s, n, d1, d1)
+	vmathsa.Add(s, n, d1, tmp, d1)
+	vmathsa.Div(s, n, d1, vol, d1)
+	sum := vmathsa.Sum(s, n, d1)
+
+	total, err := sum.Float64()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("mean = %.6f, stages = %d\n", total/n, s.Stats().Stages)
+	// Output: mean = 0.839974, stages = 1
+}

@@ -235,7 +235,7 @@ func (g *Governor) TryAdmit(bytes int64) (release func(), ok bool) {
 	if g.budget <= 0 {
 		return noop, true
 	}
-	if g.inUse+bytes > g.budget {
+	if bytes > g.budget-g.inUse { // not inUse+bytes, which can wrap
 		return noop, false
 	}
 	g.inUse += bytes

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 )
@@ -23,6 +24,10 @@ func TestGovernorTryAdmit(t *testing.T) {
 
 	if _, ok := g.TryAdmit(600); ok {
 		t.Fatalf("TryAdmit(600) with 600 in use under budget 1000: ok=true, want refusal")
+	}
+	// A request near MaxInt64 is refused too: inUse+bytes would wrap.
+	if _, ok := g.TryAdmit(math.MaxInt64); ok {
+		t.Fatalf("TryAdmit(MaxInt64) with 600 in use: ok=true, want refusal")
 	}
 	if got := g.InUse(); got != 600 {
 		t.Fatalf("refused TryAdmit perturbed InUse: got %d, want 600", got)

@@ -290,21 +290,13 @@ func (s *Session) read(b *binding) (any, error) {
 // failure remain readable.
 func (s *Session) Err() error { return s.broken }
 
-// Evaluate runs the pending dataflow graph: plan into stages, execute each
-// stage with splitting, pipelining, and parallelism, then merge results.
-// It is a no-op when nothing is pending.
-//
-// Deprecated: use EvaluateContext, which is the primary entry point and
-// adds cancellation and deadlines. Evaluate is EvaluateContext with the
-// session's base context (Options.BaseContext, default
-// context.Background()) and is kept for existing callers.
-func (s *Session) Evaluate() error { return s.EvaluateContext(s.baseContext()) }
-
-// EvaluateContext is Evaluate under a caller-controlled context: canceling
-// ctx (or its deadline passing) stops workers at their next batch boundary
-// and fails the evaluation with a StageError wrapping the context's error.
-// In-flight library calls run to completion first — unmodified library code
-// cannot be preempted.
+// EvaluateContext runs the pending dataflow graph: plan into stages,
+// execute each stage with splitting, pipelining, and parallelism, then merge
+// results. It is a no-op when nothing is pending. Canceling ctx (or its
+// deadline passing) stops workers at their next batch boundary and fails the
+// evaluation with a StageError wrapping the context's error. In-flight
+// library calls run to completion first — unmodified library code cannot be
+// preempted.
 func (s *Session) EvaluateContext(ctx context.Context) error {
 	if s == nil {
 		return nil // a nil session ran every call as it was made

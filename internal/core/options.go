@@ -120,12 +120,11 @@ type Options struct {
 	// use Session.Plan.
 	OnPlan func(*ir.Plan)
 	// BaseContext, when set, supplies the context for evaluations forced
-	// without an explicit one — Future.Get/Value/Float64s and the
-	// deprecated Session.Evaluate. Serving setups use it to propagate a
-	// request's deadline and disconnect-cancellation into lazy reads deep
-	// inside library wrappers that never see a context parameter. A nil
-	// function (the default) or a nil returned context means
-	// context.Background(); EvaluateContext and GetContext ignore it.
+	// without an explicit one — Future.Get/Value/Float64s. Serving setups
+	// use it to propagate a request's deadline and disconnect-cancellation
+	// into lazy reads deep inside library wrappers that never see a context
+	// parameter. A nil function (the default) or a nil returned context
+	// means context.Background(); EvaluateContext and GetContext ignore it.
 	BaseContext func() context.Context
 	// OutOfCore enables the streaming degradation mode: when a stage's
 	// §5.2 working set (total × Σ elemBytes) exceeds the Governor's whole

@@ -564,24 +564,3 @@ func TestDynamicSchedulingErrors(t *testing.T) {
 		t.Fatalf("want dyn boom, got %v", err)
 	}
 }
-
-// TestDeprecatedEvaluateCompat pins the deprecated zero-argument Evaluate
-// shim: it must keep behaving exactly like EvaluateContext(Background) for
-// existing callers until the alias is removed. This is the one sanctioned
-// use in the tree; everything else goes through the deprecation gate
-// (cmd/depcheck / staticcheck in make ci).
-func TestDeprecatedEvaluateCompat(t *testing.T) {
-	a := seq(64)
-	want := make([]float64, len(a))
-	for i := range want {
-		want[i] = a[i] * 2
-	}
-	s := newTestSession(2)
-	s.Call(fnScale, saScale, a, 2.0)
-	if err := s.Evaluate(); err != nil { // deprecated-ok: compat coverage
-		t.Fatal(err)
-	}
-	if !almostEqual(a, want) {
-		t.Fatalf("deprecated Evaluate produced wrong result")
-	}
-}

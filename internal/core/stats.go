@@ -20,7 +20,7 @@ type StatsSnapshot struct {
 	SplitNS     int64 // calls into splitters' Split
 	TaskNS      int64 // executing library functions
 	MergeNS     int64 // calls into splitters' Merge
-	Evaluations int64 // number of Evaluate() rounds
+	Evaluations int64 // number of evaluations run
 	Stages      int64 // stages executed
 	Batches     int64 // batches executed
 	Calls       int64 // function invocations on split pieces

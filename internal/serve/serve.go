@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"runtime/debug"
@@ -935,8 +936,14 @@ func (s *Server) writeEvalError(w http.ResponseWriter, r *http.Request, t *Tenan
 // scale elements flowing through a pipeline touches an input and an output
 // array of float64s (the same first-order shape as the §5.2 working-set
 // model; stage admission later charges the precise per-stage footprint).
+// It saturates instead of wrapping: a scale past 2^59 would otherwise price
+// at or below zero, which TryAdmit admits without a reservation.
 func estimateRequestBytes(scale int) int64 {
-	return int64(scale) * 8 * 2
+	const perElem = 8 * 2
+	if int64(scale) > math.MaxInt64/perElem {
+		return math.MaxInt64
+	}
+	return int64(scale) * perElem
 }
 
 // RetryAfter parses a response's Retry-After seconds (helper for load

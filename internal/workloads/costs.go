@@ -37,9 +37,8 @@ var vmathCosts = map[string]planlower.CallCost{
 }
 
 // Costs returns the merged cost table covering every annotation family the
-// workloads use, for callers (sabench -experiment bench, the live counters
-// path) that lower arbitrary planner output without knowing which library
-// produced it. Calls absent from the table fall back to planlower's nominal
+// workloads use, for callers (the benchmark's memsim.model_s) that lower
+// arbitrary planner output without knowing which library produced it. Calls absent from the table fall back to planlower's nominal
 // per-element cost; cache traffic — the benchmark's main signal — depends on
 // the access pattern, which the plan itself carries.
 func Costs() map[string]planlower.CallCost {
