@@ -105,7 +105,7 @@ pool-smoke:
 	$(GO) test -count=1 -run 'TestKernelAllocs' ./internal/vmath
 	$(GO) test -count=1 -run 'ZeroAllocs|Stitch|MergeFallback|ViewSplitsCounted' ./internal/annotations/vmathsa
 	$(GO) test -count=1 -run '$(POOL_TESTS)|TestPoison' ./internal/core
-	$(GO) test -count=1 -run 'TestRuntimeOverheadAllocCeiling|TestPlanAllocCeiling|TestFrameCleanAllocCeiling' .
+	$(GO) test -count=1 -run 'TestRuntimeOverheadAllocCeiling|TestPlanAllocCeiling|TestFrameCleanAllocCeiling|TestVectorChainAllocCeiling' .
 	$(GO) test -count=1 -run 'TestRetryRestoresAliasedBands|TestFallbackRestoresAliasedBands|TestWriteBackAliasesValue|TestCopySplitterKeepsCopySemantics' ./internal/annotations/imagesa
 
 # mozartd's end-to-end smoke: boot on an ephemeral port, evaluate for a

@@ -189,10 +189,11 @@ func BenchmarkRuntimeOverhead(b *testing.B) {
 // TestRuntimeOverheadAllocCeiling keeps the fixed cost of an evaluation from
 // creeping back: the RuntimeOverhead pipeline was 152 allocations when every
 // session built its own worker pool and rendered strings per event, and 106
-// when the planner kept its per-binding state in maps; it is 84 and must stay
-// at or under 89 (make pool-smoke).
+// when the planner kept its per-binding state in maps, and 79 while each
+// call's size had a binding of its own; it is 78 and must stay at or under 83
+// (make pool-smoke).
 func TestRuntimeOverheadAllocCeiling(t *testing.T) {
-	const ceiling = 89
+	const ceiling = 83
 	a, c := runtimeOverheadInputs()
 	n := testing.AllocsPerRun(200, func() {
 		if err := runtimeOverheadPipeline(a, c); err != nil {
@@ -203,6 +204,53 @@ func TestRuntimeOverheadAllocCeiling(t *testing.T) {
 		t.Errorf("RuntimeOverhead pipeline: %v allocations per evaluation, ceiling is %d", n, ceiling)
 	}
 	t.Logf("RuntimeOverhead pipeline: %v allocations per evaluation", n)
+}
+
+// captureVectorChain captures benchmark/'s chain_membound: ten cheap vmath
+// calls that mutate a and b in place and read c and d, every one passed the
+// same size n.
+func captureVectorChain(s *mozart.Session, n int, a, b, c, d []float64) {
+	vmathsa.Add(s, n, a, b, a)
+	vmathsa.Mul(s, n, a, c, a)
+	vmathsa.MulC(s, n, a, 0.5, a)
+	vmathsa.Sub(s, n, a, d, a)
+	vmathsa.Sqr(s, n, a, a)
+	vmathsa.Add(s, n, b, c, b)
+	vmathsa.Mul(s, n, b, d, b)
+	vmathsa.MulC(s, n, b, 0.25, b)
+	vmathsa.Sub(s, n, b, a, b)
+	vmathsa.Sqr(s, n, b, b)
+}
+
+// TestVectorChainAllocCeiling keeps a batch of the ten-call chain cheap
+// (make pool-smoke). A batch allocated 25 times when every call's size had
+// a binding of its own, each split and boxed per batch; with equal sizes
+// sharing one binding it is 10 vmath parallelFor closures, 4 ArraySplit
+// views and one size box. The chain runs as chain_membound does, in 256
+// batches on two workers, over 1 KiB-element batches so that its arrays
+// stay small.
+func TestVectorChainAllocCeiling(t *testing.T) {
+	const (
+		n       = 1 << 18
+		ceiling = 16
+	)
+	a, b := data.Vector(n, 3, 0.5, 1.5), data.Vector(n, 4, 0.5, 1.5)
+	c, d := data.Vector(n, 1, 0.5, 1.5), data.Vector(n, 2, 0.5, 1.5)
+	var batches int64
+	allocs := testing.AllocsPerRun(10, func() {
+		s := mozart.NewSession(mozart.Options{Workers: 2, BatchElems: n / 256})
+		captureVectorChain(s, n, a, b, c, d)
+		if err := s.EvaluateContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		batches = s.Stats().Batches
+	})
+	perBatch := allocs / float64(batches)
+	if perBatch > ceiling {
+		t.Errorf("ten-call chain: %v allocations per evaluation over %d batches, %.1f a batch; ceiling is %d",
+			allocs, batches, perBatch, ceiling)
+	}
+	t.Logf("ten-call chain: %v allocations per evaluation over %d batches, %.1f a batch", allocs, batches, perBatch)
 }
 
 // captureFrameClean captures benchmark/'s frame_clean: the 8-call
@@ -378,8 +426,9 @@ func BenchmarkPlan(b *testing.B) {
 }
 
 // TestPlanAllocCeiling: planning the 31-call program was 500 allocations
-// with nine maps per plan, a slice per call and a string per argument; it
-// must stay at or under 180 (make pool-smoke).
+// with nine maps per plan, a slice per call and a string per argument, and
+// 136 while each call's size had a binding of its own; it is 134 and must
+// stay at or under 139 (make pool-smoke).
 func TestPlanAllocCeiling(t *testing.T) {
 	s := planSession()
 	n := testing.AllocsPerRun(200, func() {
@@ -387,8 +436,9 @@ func TestPlanAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 180 {
-		t.Errorf("Session.Plan of the 31-call Black Scholes program: %v allocations, ceiling is 180", n)
+	const ceiling = 139
+	if n > ceiling {
+		t.Errorf("Session.Plan of the 31-call Black Scholes program: %v allocations, ceiling is %d", n, ceiling)
 	}
 	t.Logf("Session.Plan of the 31-call Black Scholes program: %v allocations", n)
 }

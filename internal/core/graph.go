@@ -11,15 +11,15 @@ import (
 )
 
 // binding is one value slot in the dataflow graph. Bindings are created for
-// source values (identified by pointer identity where possible), for scalar
-// arguments, and for values produced by annotated calls.
+// source values (a reference value identified by its pointer, a size by its
+// split type name and value: see identity), for other scalar arguments, and
+// for values produced by annotated calls.
 type binding struct {
 	id       int
 	val      any   // current full value (valid when hasVal)
 	producer *node // pending producer among un-evaluated nodes, nil otherwise
-	key      uintptr
 	// The flags sit together, next to the 4-byte-aligned planner scratch, so
-	// that a binding stays in the 80-byte size class.
+	// that a binding stays in the 64-byte size class.
 	hasVal    bool     // val holds the current full value
 	ready     bool     // val is final and safe for user reads
 	keep      bool     // user demanded materialization (Future.Keep)
@@ -56,16 +56,16 @@ type node struct {
 // Track, Evaluate, EvaluateContext and the Futures it returns also work on
 // nil; nothing else does.
 type Session struct {
-	opts      Options
-	nodes     []*node // pending, un-evaluated calls in program order
-	bindings  []*binding
-	byPointer map[uintptr]*binding
-	stats     stats
-	nextID    int
-	planEpoch uint32        // last epoch handed to the planner's per-binding marks
-	broken    error         // sticky evaluation error
-	breakers  *breakerSet   // per-annotation circuit breakers (FallbackQuarantine)
-	pools     *sessionPools // hot-path buffer reuse (scratch, outs, pieces)
+	opts       Options
+	nodes      []*node // pending, un-evaluated calls in program order
+	bindings   []*binding
+	byIdentity map[identity]*binding
+	stats      stats
+	nextID     int
+	planEpoch  uint32        // last epoch handed to the planner's per-binding marks
+	broken     error         // sticky evaluation error
+	breakers   *breakerSet   // per-annotation circuit breakers (FallbackQuarantine)
+	pools      *sessionPools // hot-path buffer reuse (scratch, outs, pieces)
 }
 
 // NewSession creates a session with the given options.
@@ -76,10 +76,10 @@ func NewSession(opts Options) *Session {
 		breakers = o.Breakers.set
 	}
 	return &Session{
-		opts:      o,
-		byPointer: map[uintptr]*binding{},
-		breakers:  breakers,
-		pools:     newSessionPools(o.PoisonPools),
+		opts:       o,
+		byIdentity: map[identity]*binding{},
+		breakers:   breakers,
+		pools:      newSessionPools(o.PoisonPools),
 	}
 }
 
@@ -131,27 +131,56 @@ func (s *Session) newBinding() *binding {
 	return b
 }
 
+// identity is a source value's key in the session's identity map: a
+// reference value's data pointer, or a size argument's split type name and
+// value. A size's ptr is 0, which no data pointer is.
+type identity struct {
+	ptr   uintptr
+	split string
+	size  int
+}
+
+// sizeSplit names the split type under which a raw int passed to p is a
+// size shared with every equal int passed under the same name: p's concrete
+// type name, or "" when p is mut (the call produces the value its readers
+// see) or not concrete (a "_" int is broadcast, so sharing it with a split
+// use would merge or break the stage; a generic one resolves per call).
+func sizeSplit(p Param) string {
+	if p.Mut || p.Type.Kind != KindConcrete {
+		return ""
+	}
+	return p.Type.TypeName
+}
+
 // bindingFor resolves an argument to its binding, creating a source binding
 // on first sight. Futures map to their producing binding; reference values
-// are deduplicated by pointer identity; scalars get anonymous bindings.
-func (s *Session) bindingFor(arg any) *binding {
+// are deduplicated by pointer identity; an int is deduplicated by value
+// among the ints passed under the same split type name (split, from
+// sizeSplit), so a stage splits each distinct size once however many calls
+// take it; other scalars get anonymous bindings.
+func (s *Session) bindingFor(arg any, split string) *binding {
 	if f, ok := arg.(*Future); ok {
 		if f.sess != s {
 			panic("mozart: future passed to a different session")
 		}
 		return f.b
 	}
-	if key, ok := dataPointer(arg); ok {
-		if b, ok := s.byPointer[key]; ok {
-			return b
-		}
+	var key identity
+	if p, ok := dataPointer(arg); ok {
+		key.ptr = p
+	} else if n, ok := arg.(int); ok && split != "" {
+		key.split, key.size = split, n
+	} else {
 		b := s.newBinding()
-		b.val, b.hasVal, b.ready, b.key = arg, true, true, key
-		s.byPointer[key] = b
+		b.val, b.hasVal, b.ready = arg, true, true
+		return b
+	}
+	if b, ok := s.byIdentity[key]; ok {
 		return b
 	}
 	b := s.newBinding()
 	b.val, b.hasVal, b.ready = arg, true, true
+	s.byIdentity[key] = b
 	return b
 }
 
@@ -163,8 +192,7 @@ func (s *Session) Track(v any) *Future {
 	if s == nil {
 		return resolvedFuture(v, nil)
 	}
-	b := s.bindingFor(v)
-	return &Future{sess: s, b: b}
+	return &Future{sess: s, b: s.bindingFor(v, "")}
 }
 
 // Call captures an annotated function call in the dataflow graph and
@@ -204,15 +232,12 @@ func (s *Session) capture(fn Func, into FuncInto, sa *Annotation, args []any) *F
 		argVals: make([]any, len(args)),
 	}
 	for i, a := range args {
-		b := s.bindingFor(a)
+		b := s.bindingFor(a, sizeSplit(sa.Params[i]))
 		n.args[i] = b
-		if f, ok := a.(*Future); ok {
-			if b.hasVal {
-				n.argVals[i] = b.val
-			}
-			_ = f
-		} else {
+		if _, ok := a.(*Future); !ok {
 			n.argVals[i] = a
+		} else if b.hasVal {
+			n.argVals[i] = b.val
 		}
 	}
 	// Mutated arguments: this node becomes the pending producer, so later

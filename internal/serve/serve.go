@@ -809,7 +809,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	evalStart := time.Now()
 	checksum, err := fn(ctx, p, opts)
 	elapsed := time.Since(evalStart)
-	evals := t.touchSession(req.Session, err)
+	evals := t.touchSession(req.Session)
 	if err != nil {
 		evalErr = err.Error()
 		s.writeEvalError(w, r, t, tenantName, traceID, err)

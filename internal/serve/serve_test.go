@@ -117,6 +117,46 @@ func TestEvalSuccessAndSessionLedger(t *testing.T) {
 	}
 }
 
+// TestSessionLedgerBounded posts 5,000 distinct session keys: the ledger
+// keeps at most 4,096, evicting the least recently used, so a key used all
+// along stays warm while the first one-off key starts over.
+func TestSessionLedgerBounded(t *testing.T) {
+	srv, err := serve.New(serve.Config{Registry: echoRegistry(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(key string) int64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		body := fmt.Sprintf(`{"workload":"echo","session":%q}`, key)
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/eval", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("session %q: status %d (%s)", key, rec.Code, rec.Body)
+		}
+		var er evalResult
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatalf("session %q: bad body %s: %v", key, rec.Body, err)
+		}
+		return er.SessionEvals
+	}
+	warm := int64(0)
+	for i := 0; i < 5000; i++ {
+		if i%1000 == 0 {
+			warm = post("warm")
+		}
+		post(fmt.Sprint("s", i))
+	}
+	if n := srv.Tenant("default").Status().Sessions; n > 4096 {
+		t.Errorf("%d sessions in the ledger after 5,001 keys, want at most 4096", n)
+	}
+	if got := post("warm"); got != warm+1 {
+		t.Errorf("warm session_evals %d, want %d: a recently used key was evicted", got, warm+1)
+	}
+	if got := post("s0"); got != 1 {
+		t.Errorf("s0 session_evals %d, want 1: the least recently used key was kept", got)
+	}
+}
+
 func TestNotFoundAndBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{
 		Registry: echoRegistry(1),

@@ -79,10 +79,13 @@ type Tenant struct {
 // heavyweight warm state).
 type sessionState struct {
 	evals    int64
-	errors   int64
-	created  time.Time
 	lastUsed time.Time
 }
+
+// maxSessions caps a tenant's session ledger. The keys are the clients'
+// own, so a request naming a new key when the ledger is full evicts the
+// least recently used one rather than grow the server without bound.
+const maxSessions = 4096
 
 func newTenant(tc TenantConfig, global *core.Governor, pol core.BreakerPolicy, tuneCfg *tune.Config, slo SLOConfig) (*Tenant, error) {
 	if tc.Name == "" {
@@ -193,7 +196,9 @@ func (t *Tenant) requestHold(demandBytes int64) int64 {
 	return demandBytes
 }
 
-func (t *Tenant) touchSession(key string, evalErr error) (evals int64) {
+// touchSession counts one evaluation under the session key and returns the
+// key's count so far.
+func (t *Tenant) touchSession(key string) (evals int64) {
 	if key == "" {
 		key = "default"
 	}
@@ -202,15 +207,28 @@ func (t *Tenant) touchSession(key string, evalErr error) (evals int64) {
 	defer t.mu.Unlock()
 	ss := t.sessions[key]
 	if ss == nil {
-		ss = &sessionState{created: now}
+		if len(t.sessions) >= maxSessions {
+			t.evictSession()
+		}
+		ss = &sessionState{}
 		t.sessions[key] = ss
 	}
 	ss.evals++
-	if evalErr != nil {
-		ss.errors++
-	}
 	ss.lastUsed = now
 	return ss.evals
+}
+
+// evictSession drops the least recently used key from the ledger. t.mu is
+// held.
+func (t *Tenant) evictSession() {
+	var oldest string
+	var at time.Time
+	for k, ss := range t.sessions {
+		if oldest == "" || ss.lastUsed.Before(at) {
+			oldest, at = k, ss.lastUsed
+		}
+	}
+	delete(t.sessions, oldest)
 }
 
 // Status returns a snapshot of the tenant's counters and budget use (the
