@@ -87,10 +87,12 @@ race:
 # dead pieces as destinations then run ten times at each of 1, 2 and 4
 # processors: what they pin (who parks, who queues, which goroutine claims
 # which share, whose scratch a late share starts on) is scheduling-dependent
-# and must hold whatever the core count.
+# and must hold whatever the core count. The out-of-core oracle rides along:
+# which worker places which batch of a window, and so whose window
+# destination is reused, depends on the worker count.
 flaky:
 	$(GO) test -race -count=3 . ./internal/core ./internal/faultinject ./internal/serve ./internal/spill ./internal/annotations/imagesa ./internal/annotations/framesa ./internal/annotations/checksuite ./internal/tune ./internal/obs ./internal/obs/httpdebug
-	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -count=10 -run '$(POOL_TESTS)|TestFanOut|TestReuseSlots|TestTracerWorkerZeroLane' ./internal/core || exit 1; done
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -race -count=10 -run '$(POOL_TESTS)|TestFanOut|TestReuseSlots|TestTracerWorkerZeroLane|TestOutOfCoreOracle' ./internal/core || exit 1; done
 
 # Zero-copy hot-path gate: the AllocsPerRun == 0 assertions on the warm
 # view-split loops, the pointer-identity alias and stitch checks, the
@@ -98,14 +100,16 @@ flaky:
 # the allocation ceilings on a whole fresh-session evaluation (the fixed cost
 # tiny_pipeline measures), on planning alone and on the out-of-place frame_clean
 # chain (whose intermediates are rewritten in place, not reallocated per batch),
-# the aliasing recovery regressions (retry/fallback restoring storage that
-# pieces alias), and the per-call ceiling of the vmath kernels (parallelFor's
-# body closure and nothing else).
+# the bytes per option of an out-of-core evaluation at three window counts
+# (each output element copied once, whatever the count) and the spill codec's
+# buffer reuse, the aliasing recovery regressions (retry/fallback restoring
+# storage that pieces alias), and the per-call ceiling of the vmath kernels
+# (parallelFor's body closure and nothing else).
 pool-smoke:
 	$(GO) test -count=1 -run 'TestKernelAllocs' ./internal/vmath
-	$(GO) test -count=1 -run 'ZeroAllocs|Stitch|MergeFallback|ViewSplitsCounted' ./internal/annotations/vmathsa
+	$(GO) test -count=1 -run 'ZeroAllocs|Stitch|MergeFallback|ViewSplitsCounted|ArrayCodecReusesBuffers' ./internal/annotations/vmathsa
 	$(GO) test -count=1 -run '$(POOL_TESTS)|TestPoison' ./internal/core
-	$(GO) test -count=1 -run 'TestRuntimeOverheadAllocCeiling|TestPlanAllocCeiling|TestFrameCleanAllocCeiling|TestVectorChainAllocCeiling' .
+	$(GO) test -count=1 -run 'TestRuntimeOverheadAllocCeiling|TestPlanAllocCeiling|TestFrameCleanAllocCeiling|TestVectorChainAllocCeiling|TestOutOfCoreBytesLinear' .
 	$(GO) test -count=1 -run 'TestRetryRestoresAliasedBands|TestFallbackRestoresAliasedBands|TestWriteBackAliasesValue|TestCopySplitterKeepsCopySemantics' ./internal/annotations/imagesa
 
 # mozartd's end-to-end smoke: boot on an ephemeral port, evaluate for a

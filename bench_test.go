@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mozart"
@@ -343,6 +344,62 @@ func TestFrameCleanAllocCeiling(t *testing.T) {
 	}
 	t.Logf("frame_clean chain: %v allocations and %d bytes per evaluation (ceilings %d and %d, batches of %d rows)",
 		allocs, bytes, allocCeiling, byteCeiling, batch)
+}
+
+// TestOutOfCoreBytesLinear keeps an out-of-core evaluation's bytes per
+// option independent of its window count (make pool-smoke). blackscholes-ooc
+// at 2^18 options runs 7, 25 and 97 windows under budgets of a quarter, a
+// sixteenth and a sixty-fourth of its working set. What an evaluation must
+// allocate is the generator's chunks (24 bytes an option), the output (8)
+// and a few window-sized buffers, whatever the window count: about 45 bytes
+// an option at each. A finale that folds each window's piece into a growing
+// accumulator copies the output once per window and reads 93, 169 and 460.
+func TestOutOfCoreBytesLinear(t *testing.T) {
+	const (
+		n         = 1 << 18
+		ceiling   = 56   // bytes an option
+		spread    = 1.10 // the largest of the three over the smallest
+		runs      = 3
+		workBytes = n * (24 + 8) // the working set under the §5.2 byte model
+	)
+	spec, err := workloads.ByName("blackscholes-ooc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perOption []float64
+	for _, div := range []int64{4, 16, 64} {
+		budget := int64(workBytes) / div
+		g := core.NewGovernor(budget)
+		var sess *core.Session
+		cfg := workloads.Config{Scale: n, Threads: 2, Governor: g, OutOfCore: true, SpillDir: t.TempDir(),
+			OnSession: func(s *core.Session) { sess = s }}
+		run := func() {
+			if _, err := spec.Run(workloads.Mozart, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warms the worker pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		b := float64(after.TotalAlloc-before.TotalAlloc) / runs / n
+		perOption = append(perOption, b)
+		windows := sess.Stats().SpilledFrames
+		if b > ceiling {
+			t.Errorf("budget of 1/%d of the working set, %d windows: %.1f bytes an option, ceiling is %d", div, windows, b, ceiling)
+		}
+		if hw := g.HighWater(); hw > budget || g.InUse() != 0 {
+			t.Errorf("budget %d: governor high water %d, %d bytes still held", budget, hw, g.InUse())
+		}
+		t.Logf("budget of 1/%d of the working set, %d windows: %.1f bytes an option", div, windows, b)
+	}
+	lo, hi := slices.Min(perOption), slices.Max(perOption)
+	if hi > spread*lo {
+		t.Errorf("bytes an option %.1f to %.1f across window counts; the largest may be %.2fx the smallest", lo, hi, spread)
+	}
 }
 
 // blackScholesBuffers returns the 12 full-length buffers of the 31-call

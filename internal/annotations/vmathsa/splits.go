@@ -150,27 +150,42 @@ func (ArraySplitter) SplitAt(v any, t core.SplitType, start, end int64) (any, er
 }
 
 // EncodePiece serializes a merged []float64 partial into a spill frame
-// (core.PieceCodec): little-endian float64 bits, 8 bytes per element.
-func (ArraySplitter) EncodePiece(piece any, t core.SplitType) ([]byte, error) {
+// (core.PieceCodec): little-endian float64 bits, 8 bytes per element, written
+// into buf's storage when it has room.
+func (ArraySplitter) EncodePiece(buf []byte, piece any, t core.SplitType) ([]byte, error) {
 	a, ok := piece.([]float64)
 	if !ok {
 		return nil, fmt.Errorf("vmathsa: encode %T as ArraySplit piece", piece)
 	}
-	buf := make([]byte, 8*len(a))
+	if cap(buf) < 8*len(a) {
+		buf = make([]byte, 8*len(a))
+	}
+	buf = buf[:8*len(a)]
 	for i, x := range a {
 		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
 	}
 	return buf, nil
 }
 
-// DecodePiece deserializes a spill frame back into a []float64 partial.
-func (ArraySplitter) DecodePiece(frame []byte, t core.SplitType) (any, error) {
+// DecodePiece deserializes a spill frame back into a []float64 partial,
+// into reuse's storage when that is a []float64 with room. A reuse of
+// exactly the frame's length comes back as the same value, unboxed again.
+func (ArraySplitter) DecodePiece(frame []byte, t core.SplitType, reuse any) (any, error) {
 	if len(frame)%8 != 0 {
 		return nil, fmt.Errorf("vmathsa: spill frame length %d not a multiple of 8", len(frame))
 	}
-	out := make([]float64, len(frame)/8)
+	n := len(frame) / 8
+	out, _ := reuse.([]float64)
+	same := len(out) == n
+	if cap(out) < n {
+		out = make([]float64, n)
+	}
+	out = out[:n]
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(frame[8*i:]))
+	}
+	if same && reuse != nil {
+		return reuse, nil
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package vmathsa_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"mozart/internal/annotations/vmathsa"
@@ -164,5 +165,74 @@ func TestViewSplitsCounted(t *testing.T) {
 	almost(a, ref, t, "second evaluation")
 	if got := s.Stats().ViewSplits; got <= first {
 		t.Errorf("ViewSplits = %d after second evaluation, want > %d", got, first)
+	}
+}
+
+// TestArrayCodecReusesBuffers: the spill codec round-trips a piece bit for
+// bit and writes into the buffers it is handed back. EncodePiece fills buf's
+// storage when it has room and grows it otherwise; DecodePiece decodes into
+// reuse when it has room (the same slice, or the same value at exactly the
+// frame's length) and allocates otherwise, and its piece never aliases the
+// frame, whose storage the spill replay reuses for the next frame.
+func TestArrayCodecReusesBuffers(t *testing.T) {
+	sp := vmathsa.ArraySplitter{}
+	st := core.NewSplitType("ArraySplit", 4)
+	piece := []float64{1.5, -2, 3.25, 1e300}
+
+	small := make([]byte, 8)
+	frame, err := sp.EncodePiece(small, piece, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) != 32 || &frame[0] == &small[0] {
+		t.Fatalf("encode into a buffer of 8 bytes: %d bytes, grown = %v; want 32, grown", len(frame), &frame[0] != &small[0])
+	}
+	big := make([]byte, 0, 64)
+	frame, err = sp.EncodePiece(big, piece, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) != 32 || &frame[:1][0] != &big[:1][0] {
+		t.Fatal("encode into a buffer with room did not write into its storage")
+	}
+
+	for _, c := range []struct {
+		name  string
+		reuse any
+		into  bool // decoded into reuse's storage
+		same  bool // reuse itself comes back
+	}{
+		{"nil", nil, false, false},
+		{"too short", make([]float64, 3), false, false},
+		{"not a slice", "x", false, false},
+		{"exact", make([]float64, 4), true, true},
+		{"roomy", make([]float64, 2, 8), true, false},
+	} {
+		got, err := sp.DecodePiece(frame, st, c.reuse)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		out := got.([]float64)
+		if !slices.Equal(out, piece) {
+			t.Fatalf("%s: decoded %v, want %v", c.name, out, piece)
+		}
+		r, _ := c.reuse.([]float64)
+		if into := cap(r) > 0 && &out[0] == &r[:1][0]; into != c.into {
+			t.Fatalf("%s: decoded into reuse = %v, want %v", c.name, into, c.into)
+		}
+		if c.same {
+			if rs, ok := got.([]float64); !ok || &rs[0] != &r[0] || len(rs) != len(r) {
+				t.Fatalf("%s: reuse did not come back", c.name)
+			}
+		}
+		for i := range frame {
+			frame[i] = 0xff // the replay reads the next frame into this storage
+		}
+		if !slices.Equal(out, piece) {
+			t.Fatalf("%s: the piece changed to %v when its frame was overwritten", c.name, out)
+		}
+		if frame, err = sp.EncodePiece(frame, piece, st); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

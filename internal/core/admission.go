@@ -14,7 +14,7 @@ import (
 // batch or shed workers to fit the remaining budget; OutOfCore stages could
 // not fit their §5.2 working set at all and execute in windows admitted one
 // at a time (see Options.OutOfCore), spilling each window's outputs to disk
-// when the merge order is not foldable.
+// when their splitter has a PieceCodec.
 type PressureLevel int32
 
 // The pressure ladder, in escalation order.

@@ -459,7 +459,7 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 		// The squeeze is over however the stage ends: its windows have
 		// released their bytes (MaxLevel keeps the episode).
 		defer s.notePressure(g, si, ex.calls, PressureNormal)
-		if ooc, err = s.newOutOfCore(ex); err != nil {
+		if ooc, err = s.newOutOfCore(ex, window, total); err != nil {
 			return err
 		}
 		defer ooc.close()
@@ -499,10 +499,11 @@ func (s *Session) executeStageSplit(ctx context.Context, p *plan, si int, st *pl
 // runWindow is one pass of the stage loop over elements [wlo, whi): split,
 // pipeline every batch through the stage's calls (§5.2 Steps 1–2), and exit
 // the window (Step 3). Out of core the window is admitted on its own, and
-// runs over window views of the inputs when ooc has them. Either way it
-// builds a placement table sized to the window, so no destination is ever
-// larger than what the window was admitted for. A canceled context stops the
-// window's workers at their first batch.
+// runs over window views of the inputs when ooc has them, and a spilled
+// output's spare destination is preset when it has the window's size. Either
+// way it builds a placement table sized to the window, so no destination is
+// ever larger than what the window was admitted for. A canceled context stops
+// the window's workers at their first batch.
 func (s *Session) runWindow(ctx context.Context, ex *stageExec, ooc *outOfCore, wlo, whi, batch int64, workers int) error {
 	wex, lo, hi := ex, wlo, whi
 	if ooc != nil {
@@ -519,6 +520,9 @@ func (s *Session) runWindow(ctx context.Context, ex *stageExec, ooc *outOfCore, 
 		}
 	}
 	wex.placed, wex.origin = resolvePlaced(ex.st.outputs, hi-lo), lo
+	if ooc != nil {
+		ooc.presetSpares(wex, hi-lo)
+	}
 
 	// A window runs no more workers than it has elements, so every worker
 	// holds a partial of every collected output.
@@ -757,7 +761,7 @@ func (s *Session) windowPiece(ex *stageExec, results []workerOut, oi int) (any, 
 
 // exitWindow is window exit on the coordinating thread (§5.2 Step 3): each
 // output's piece of the window is, in memory, the output's value; out of
-// core it spills or folds into ooc's accumulator.
+// core ooc takes it for the stage's finale, spilled or kept.
 func (s *Session) exitWindow(ex *stageExec, ooc *outOfCore, results []workerOut, wlo, whi int64) error {
 	t0 := time.Now()
 	for oi, out := range ex.st.outputs {

@@ -131,8 +131,9 @@ type Options struct {
 	// budget, the stage executes in admission-bounded element windows
 	// instead of blocking — each window is split, executed, and its
 	// outputs placed or merged before its bytes are released back to the
-	// Governor, and each window's outputs spill to a CRC-framed temp-file
-	// store when the stage's output splitters implement PieceCodec. Requires a Governor;
+	// Governor. Each output's window pieces are merged once, at the stage's
+	// finale, and wait for it in a CRC-framed temp-file store when the
+	// output's splitter implements PieceCodec. Requires a Governor;
 	// without one the option is inert. Inputs whose splitters implement
 	// SplitterAt stream as window views; other inputs stay materialized and
 	// only their split windows are driven incrementally.

@@ -362,21 +362,28 @@ func TestPlacePanicIsIsolated(t *testing.T) {
 	}
 }
 
-// allocLog records the total of every destination AllocMerged is asked for.
+// allocLog records every destination AllocMerged is asked for: its total,
+// and the bytes the Governor (when gov is set) held at that moment.
 type allocLog struct {
 	mu     sync.Mutex
+	gov    *core.Governor
 	totals []int64
+	inUse  []int64
 }
 
 func (l *allocLog) alloc(sp core.PlaceSplitter, exemplar any, t core.SplitType, total int64) (any, error) {
 	l.mu.Lock()
 	l.totals = append(l.totals, total)
+	if l.gov != nil {
+		l.inUse = append(l.inUse, l.gov.InUse())
+	}
 	l.mu.Unlock()
 	return sp.AllocMerged(exemplar, t, total)
 }
 
 // loggedPlacer is a PlaceSplitter and nothing more: no window views, no
-// codec, so out of core its stage runs at absolute coordinates and folds.
+// codec, so out of core its stage runs at absolute coordinates and collects
+// its window destinations for one Merge at the finale.
 type loggedPlacer struct {
 	core.PlaceSplitter
 	log *allocLog
@@ -387,7 +394,7 @@ func (p loggedPlacer) AllocMerged(exemplar any, t core.SplitType, total int64) (
 }
 
 // loggedWindowPlacer is the whole ArraySplitter, so out of core its stage
-// runs over window views and spills.
+// runs over window views, spills, and places the frames at the finale.
 type loggedWindowPlacer struct {
 	vmathsa.ArraySplitter
 	log *allocLog
@@ -397,45 +404,71 @@ func (p loggedWindowPlacer) AllocMerged(exemplar any, t core.SplitType, total in
 	return p.log.alloc(p.ArraySplitter, exemplar, t, total)
 }
 
-// Out of core, every destination is window-sized and the result equals the
-// unsplit call: each window builds its own placement table, so AllocMerged is
-// asked once per window for the window's elements and never for the stage's —
-// a full-size destination would break the budget the windows are admitted
-// under. (The name is the one this test had when out-of-core stages placed
-// nothing at all.)
+// Out of core, no destination larger than a window is allocated while
+// windows hold admissions, and the result equals the unsplit call: each
+// window builds its own placement table sized to the window, because a
+// stage-sized destination during the loop would break the budget the windows
+// are admitted under. A collected output (no codec) allocates one destination
+// per window and merges them once at the finale. A spilled output reuses its
+// first window's destination, dead once encoded, for every later window of
+// that size, so it allocates one per distinct window size; its one
+// stage-sized destination is allocated at the finale, once every window has
+// released its bytes, and the frames are placed into it. (The name is the
+// one this test had when out-of-core stages placed nothing at all; until the
+// finale placed, every window allocated its own destination and nothing was
+// stage-sized.)
 func TestStreamingNeverPlaces(t *testing.T) {
-	const n, budget = 4096, 4096
 	// scale reads 8 bytes an element and writes 8: windows of half the
-	// budget hold budget/(2×16) elements.
-	const window = budget / 32
+	// budget hold budget/(2×16) elements, 32 of them and a short 33rd.
+	const budget, window = 4096, 4096 / 32
+	const n = 32*window + 40
 	xs := newPlacedInputs(n).xs
 	want, _ := scaleFn([]any{xs})
+	// ("fold" names the collected case as it was when each window was
+	// folded into a running accumulator.)
 	for _, c := range []struct {
-		name   string
-		sp     func(*allocLog) core.Splitter
-		frames int64
+		name       string
+		sp         func(*allocLog) core.Splitter
+		frames     int64
+		windowDsts int     // destinations allocated while windows hold bytes
+		finale     []int64 // destinations allocated at the finale
 	}{
-		{"absolute/fold", func(l *allocLog) core.Splitter { return loggedPlacer{vmathsa.ArraySplitter{}, l} }, 0},
-		{"views/spill", func(l *allocLog) core.Splitter { return loggedWindowPlacer{vmathsa.ArraySplitter{}, l} }, n / window},
+		{"absolute/fold", func(l *allocLog) core.Splitter { return loggedPlacer{vmathsa.ArraySplitter{}, l} }, 0, 33, nil},
+		{"views/spill", func(l *allocLog) core.Splitter { return loggedWindowPlacer{vmathsa.ArraySplitter{}, l} }, 33, 2, []int64{n}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			log := &allocLog{}
+			g := core.NewGovernor(budget)
+			log := &allocLog{gov: g}
 			typ := core.Concrete("ArraySplit", c.sp(log), core.FixedCtor(core.NewSplitType("ArraySplit", n)))
 			s := core.NewSession(core.Options{Workers: 2, BatchElems: 64, OutOfCore: true,
-				Governor: core.NewGovernor(budget), SpillDir: t.TempDir()})
+				Governor: g, SpillDir: t.TempDir()})
 			checkAgainstWhole(t, []*core.Future{s.Call(scaleFn, typedSA("test.scale", typ), xs)}, []any{want}, false)
 			st := s.Stats()
 			if st.StreamedStages != 1 || st.PlacedPieces != st.Batches || st.SpilledFrames != c.frames {
 				t.Fatalf("StreamedStages = %d, PlacedPieces = %d over %d batches, SpilledFrames = %d; want 1, one per batch, %d",
 					st.StreamedStages, st.PlacedPieces, st.Batches, st.SpilledFrames, c.frames)
 			}
-			if len(log.totals) != n/window {
-				t.Fatalf("%d destinations allocated, want one per window: %d", len(log.totals), n/window)
-			}
-			for _, total := range log.totals {
-				if total != window {
-					t.Fatalf("destinations of %v elements, want every one a window of %d", log.totals, window)
+			var windowDsts int
+			var finale []int64
+			sizes := map[int64]int{}
+			for i, total := range log.totals {
+				if log.inUse[i] == 0 {
+					finale = append(finale, total)
+					continue
 				}
+				if total != window && total != n%window {
+					t.Fatalf("a destination of %d elements while windows hold %d bytes; windows have %d or %d",
+						total, log.inUse[i], window, n%window)
+				}
+				windowDsts++
+				sizes[total]++
+			}
+			if windowDsts != c.windowDsts || !reflect.DeepEqual(finale, c.finale) {
+				t.Fatalf("%d window destinations (by size %v) and %v at the finale; want %d and %v",
+					windowDsts, sizes, finale, c.windowDsts, c.finale)
+			}
+			if g.InUse() != 0 || g.HighWater() > budget {
+				t.Fatalf("governor holds %d bytes, high water %d; want 0 and at most %d", g.InUse(), g.HighWater(), budget)
 			}
 		})
 	}

@@ -56,16 +56,23 @@ type SplitterAt interface {
 	SplitAt(v any, t SplitType, start, end int64) (any, error)
 }
 
-// PieceCodec is the optional spill extension of Splitter. When a stage
-// output's merge order is not foldable in bounded memory — or the runtime
-// prefers to keep merge-side partials off the heap — an out-of-core stage
-// encodes each window's piece of the output into a byte frame, spills
+// PieceCodec is the optional spill extension of Splitter. An out-of-core
+// stage encodes each window's piece of the output into a byte frame, spills
 // it to the CRC-checked temp-file store (internal/spill), and decodes the
-// frames back in order at stage finale. Encode/Decode must round-trip:
-// Decode(Encode(p)) merges equal to p.
+// frames back in order at the stage's finale, so the windows' pieces stay
+// off the heap until then. Encode/Decode must round-trip: Decode(Encode(p))
+// merges equal to p.
+//
+// Both directions take a buffer back from the caller. EncodePiece writes the
+// frame into buf's storage when it fits (and allocates otherwise); the
+// runtime hands it the previous window's frame, which the spill store has
+// already written out. DecodePiece may decode into reuse when it fits — the
+// runtime hands it the previous frame's piece once that has been copied into
+// the stage's destination, or nil — and must never alias frame, whose
+// storage the replay reuses for the next frame.
 type PieceCodec interface {
-	EncodePiece(piece any, t SplitType) ([]byte, error)
-	DecodePiece(frame []byte, t SplitType) (any, error)
+	EncodePiece(buf []byte, piece any, t SplitType) ([]byte, error)
+	DecodePiece(frame []byte, t SplitType, reuse any) (any, error)
 }
 
 // Ctor is a split type constructor (§3.2, "Split Type Constructors"): it

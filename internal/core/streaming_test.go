@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,23 +26,30 @@ func (streamSplitter) SplitAt(v any, t SplitType, start, end int64) (any, error)
 	return arraySplitter{}.Split(v, t, start, end)
 }
 
-func (streamSplitter) EncodePiece(piece any, t SplitType) ([]byte, error) {
+func (streamSplitter) EncodePiece(buf []byte, piece any, t SplitType) ([]byte, error) {
 	a, ok := piece.([]float64)
 	if !ok {
 		return nil, fmt.Errorf("StreamSplit: encode %T", piece)
 	}
-	buf := make([]byte, 8*len(a))
+	if cap(buf) < 8*len(a) {
+		buf = make([]byte, 8*len(a))
+	}
+	buf = buf[:8*len(a)]
 	for i, x := range a {
 		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
 	}
 	return buf, nil
 }
 
-func (streamSplitter) DecodePiece(frame []byte, t SplitType) (any, error) {
+func (streamSplitter) DecodePiece(frame []byte, t SplitType, reuse any) (any, error) {
 	if len(frame)%8 != 0 {
 		return nil, fmt.Errorf("StreamSplit: frame length %d", len(frame))
 	}
-	out := make([]float64, len(frame)/8)
+	out, _ := reuse.([]float64)
+	if cap(out) < len(frame)/8 {
+		out = make([]float64, len(frame)/8)
+	}
+	out = out[:len(frame)/8]
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(frame[8*i:]))
 	}
@@ -246,8 +255,10 @@ func TestStreamingUsesWindowViews(t *testing.T) {
 	}
 }
 
-// TestStreamingFoldsReductions: an output without a PieceCodec folds window
-// partials through its associative Merge instead of spilling. The input's
+// TestStreamingFoldsReductions: an output without a PieceCodec keeps its
+// window partials and merges them once through its associative Merge
+// instead of spilling. (The name is from when each window's partial was
+// folded into a running accumulator.) The input's
 // splitter (the package default arraySplitter) has no SplitterAt either, so
 // this also exercises the absolute-coordinate path.
 func TestStreamingFoldsReductions(t *testing.T) {
@@ -278,7 +289,7 @@ func TestStreamingFoldsReductions(t *testing.T) {
 		t.Errorf("StreamedStages = %d, want 1", st.StreamedStages)
 	}
 	if st.SpilledFrames != 0 {
-		t.Errorf("reduction spilled %d frames, want 0 (fold path)", st.SpilledFrames)
+		t.Errorf("reduction spilled %d frames, want 0", st.SpilledFrames)
 	}
 }
 
@@ -339,6 +350,144 @@ func TestStreamingOffWithoutOptIn(t *testing.T) {
 	}
 	if lvl := g.MaxLevel(); lvl == PressureOutOfCore {
 		t.Errorf("reached out-of-core without opt-in")
+	}
+}
+
+// ---- the out-of-core oracle -----------------------------------------------
+
+// floatPlacer is placement for []float64 outputs (PlaceSplitter). It refuses
+// a piece whose length is not its range's, so a frame placed at the wrong
+// offset or a window destination of the wrong size fails the evaluation.
+type floatPlacer struct{}
+
+func (floatPlacer) AllocMerged(exemplar any, t SplitType, total int64) (any, error) {
+	return make([]float64, total), nil
+}
+
+func (floatPlacer) Place(dst, piece any, t SplitType, start, end int64) error {
+	d, p := dst.([]float64), piece.([]float64)
+	if start < 0 || end > int64(len(d)) || int64(len(p)) != end-start {
+		return fmt.Errorf("place: piece of %d elements into [%d,%d) of %d", len(p), start, end, len(d))
+	}
+	copy(d[start:end], p)
+	return nil
+}
+
+// placeCodecSplitter outputs spill out of core, and the finale places the
+// frames into one destination.
+type placeCodecSplitter struct {
+	streamSplitter
+	floatPlacer
+}
+
+// placeSplitter outputs have no codec: out of core the window destinations
+// are collected and merged once at the finale.
+type placeSplitter struct {
+	arraySplitter
+	floatPlacer
+}
+
+// arrOver is the split type Arr over sp, parameterized by the length of the
+// call's first argument. An output typed Arr is the input's kind, so the §5.2
+// byte model counts it (an output of a split type no argument has is a
+// reduction to the model).
+func arrOver(sp Splitter) TypeExpr {
+	return Concrete("Arr", sp, func(args []any) (SplitType, error) {
+		return NewSplitType("Arr", int64(len(args[0].([]float64)))), nil
+	})
+}
+
+// TestOutOfCoreOracle is the §3.4 oracle for the out-of-core finale: every
+// kind of output, under every window shape, at one and two workers, over
+// window views and over absolute coordinates, equals the in-memory session
+// and the unsplit call bit for bit, and leaves no byte admitted, no store
+// open and no file behind. The kinds are an output placed at the finale from
+// spilled frames, a spilled one merged once (no placement), a placed one
+// without a codec whose window destinations are merged once, and a
+// reduction. The shapes are a stage of whole windows, one whose last window
+// is short, and a single window (a one-element stage under a budget smaller
+// than its element).
+func TestOutOfCoreOracle(t *testing.T) {
+	kinds := []struct {
+		name      string
+		out       TypeExpr
+		fn        Func
+		spills    bool
+		elemBytes int64 // the stage's Σ element bytes (§5.2): 8 in, plus 8 out unless reduced
+	}{
+		{"placed+codec", arrOver(placeCodecSplitter{}), fnStreamAddOne, true, 16},
+		{"codec", arrOver(streamSplitter{}), fnStreamAddOne, true, 16},
+		{"placed", arrOver(placeSplitter{}), fnStreamAddOne, false, 16},
+		{"reduction", Concrete("SumSplit", sumSplitter{}, FixedCtor(NewSplitType("SumSplit"))), fnSum, false, 8},
+	}
+	shapes := []struct {
+		name          string
+		total, window int64
+	}{{"whole", 8 * 16, 16}, {"short", 8*16 + 5, 16}, {"single", 1, 1}}
+	for _, kind := range kinds {
+		for _, shape := range shapes {
+			for _, views := range []bool{true, false} {
+				for workers := 1; workers <= 2; workers++ {
+					coords, in := "absolute", Splitter(arraySplitter{})
+					if views {
+						coords, in = "views", streamSplitter{}
+					}
+					name := fmt.Sprintf("%s/%s/%s/workers=%d", kind.name, shape.name, coords, workers)
+					t.Run(name, func(t *testing.T) {
+						a := seq(int(shape.total))
+						out := kind.out
+						sa := &Annotation{FuncName: "oracle", Params: []Param{{Name: "a", Type: arrOver(in)}}, Ret: &out}
+						want, err := kind.fn([]any{a})
+						if err != nil {
+							t.Fatal(err)
+						}
+						// Windows of half the budget; a single window needs a
+						// budget below one element's bytes.
+						budget := 2 * kind.elemBytes * shape.window
+						if shape.window == shape.total {
+							budget = kind.elemBytes / 2
+						}
+						windows := (shape.total + shape.window - 1) / shape.window
+						g, dir, tr := NewGovernor(budget), t.TempDir(), &recordingTracer{}
+						mem := NewSession(Options{Workers: workers, BatchElems: 4})
+						ooc := NewSession(Options{Workers: workers, BatchElems: 4, Governor: g,
+							OutOfCore: true, SpillDir: dir, Tracer: tr})
+						futs := []*Future{mem.Call(kind.fn, sa, a), ooc.Call(kind.fn, sa, a)}
+						ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+						defer cancel()
+						for i, f := range futs {
+							got, err := f.GetContext(ctx)
+							if err != nil {
+								t.Fatalf("session %d: %v", i, err)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("session %d (0 in memory, 1 out of core): got %v, want %v", i, got, want)
+							}
+						}
+
+						st := ooc.Stats()
+						admissions := int64(len(tr.ofKind(obs.EvAdmission)))
+						frames := int64(0)
+						if kind.spills {
+							frames = windows
+						}
+						if st.StreamedStages != 1 || admissions != windows || st.SpilledFrames != frames {
+							t.Errorf("StreamedStages = %d, %d windows admitted, %d frames; want 1, %d, %d",
+								st.StreamedStages, admissions, st.SpilledFrames, windows, frames)
+						}
+						if g.InUse() != 0 || g.HighWater() > budget {
+							t.Errorf("governor holds %d bytes, high water %d; want 0 and at most %d", g.InUse(), g.HighWater(), budget)
+						}
+						if n := spill.OpenStores(); n != 0 {
+							t.Errorf("%d spill stores open", n)
+						}
+						if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+							t.Errorf("spill directory holds %d entries (%v)", len(left), err)
+						}
+					})
+				}
+			}
+		}
 	}
 }
 

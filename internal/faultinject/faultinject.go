@@ -403,21 +403,21 @@ func (fs *faultSplitter) SplitAt(v any, t core.SplitType, start, end int64) (any
 }
 
 // EncodePiece delegates spill-frame encoding untouched.
-func (fs *faultSplitter) EncodePiece(piece any, t core.SplitType) ([]byte, error) {
+func (fs *faultSplitter) EncodePiece(buf []byte, piece any, t core.SplitType) ([]byte, error) {
 	pc, ok := fs.sp.(core.PieceCodec)
 	if !ok {
 		return nil, fmt.Errorf("faultinject: %s: wrapped splitter %T has no EncodePiece", fs.site, fs.sp)
 	}
-	return pc.EncodePiece(piece, t)
+	return pc.EncodePiece(buf, piece, t)
 }
 
 // DecodePiece delegates spill-frame decoding untouched.
-func (fs *faultSplitter) DecodePiece(frame []byte, t core.SplitType) (any, error) {
+func (fs *faultSplitter) DecodePiece(frame []byte, t core.SplitType, reuse any) (any, error) {
 	pc, ok := fs.sp.(core.PieceCodec)
 	if !ok {
 		return nil, fmt.Errorf("faultinject: %s: wrapped splitter %T has no DecodePiece", fs.site, fs.sp)
 	}
-	return pc.DecodePiece(frame, t)
+	return pc.DecodePiece(frame, t, reuse)
 }
 
 func (fs *faultSplitter) Merge(pieces []any, t core.SplitType) (any, error) {

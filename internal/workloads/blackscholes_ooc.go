@@ -146,13 +146,19 @@ func bsScalar(s, k, t float64) float64 {
 // bsChunkFn/bsChunkSA: the annotated call. One splittable generator argument
 // in, one ArraySplit result out — concatenating merge, and ArraySplitter
 // implements core.PieceCodec, so out-of-core runs spill the per-window
-// partials instead of holding them.
-var bsChunkFn core.Func = func(args []any) (any, error) {
+// partials instead of holding them. It writes into dst when that is a
+// []float64 with room (core.FuncInto): the output is placed, so a worker's
+// previous piece comes back as its next destination.
+var bsChunkFn core.FuncInto = func(args []any, dst any) (any, error) {
 	c, ok := args[0].(*oocChunk)
 	if !ok {
 		return nil, fmt.Errorf("workloads: bsChunk over %T", args[0])
 	}
-	out := make([]float64, len(c.price))
+	out, _ := dst.([]float64)
+	if cap(out) < len(c.price) {
+		out = make([]float64, len(c.price))
+	}
+	out = out[:len(c.price)]
 	for i := range out {
 		out[i] = bsScalar(c.price[i], c.strike[i], c.tt[i])
 	}
@@ -176,7 +182,7 @@ func prepareBSOoc(cfg Config) (*Program, error) {
 	gen := &oocOptions{N: int64(cfg.Scale), Seed: 0x0C0FFEE5EED}
 	return &Program{cfg: cfg,
 		pipeline: func(s *core.Session) (float64, error) {
-			fut := s.Call(bsChunkFn, bsChunkSA, gen)
+			fut := s.CallInto(bsChunkFn, bsChunkSA, gen)
 			if err := s.EvaluateContext(cfg.ctx()); err != nil {
 				return 0, err
 			}
